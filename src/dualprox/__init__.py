@@ -7,12 +7,17 @@ The package splits into:
 * :mod:`dualprox.conjprox` - the regularizer catalog (h, h*, prox of
   beta*h*) with brute-force oracles,
 * :mod:`dualprox.ppdg` - the deterministic solver with Lyapunov
-  diagnostics,
+  diagnostics, and the one primal-dual loop both solvers run,
 * :mod:`dualprox.vrgrad` / :mod:`dualprox.sppdg` - variance-reduced
-  estimators and the stochastic solver,
+  estimators and the stochastic solver (seed replication and
+  aggregation around that loop),
 * :mod:`dualprox.problems` - denoising and fused-lasso builders, PSNR,
 * :mod:`dualprox.dataio` - PGM, LIBSVM, seeded noise, CSV traces,
-* :mod:`dualprox.cli` - the benchmark harness.
+* :mod:`dualprox.cli` - the ``dualprox`` command line.
+
+The benchmark lives outside the package, in ``perfbench/`` at the root
+of a source checkout (``python3 perfbench/run.py --workload denoise-256
+--seed 1 --seconds 30``).
 """
 
 from .conjprox import L0Box, L1, LpBall, ProxOracle, ScadBox

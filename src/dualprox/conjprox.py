@@ -75,6 +75,9 @@ class Regularizer:
     def _h_elem(self, x):
         raise NotImplementedError
 
+    def _penalty_elem(self, x):
+        raise NotImplementedError
+
     def _conj_elem(self, y):
         raise NotImplementedError
 

@@ -16,6 +16,10 @@ Per-iteration diagnostics track a Lyapunov function, the Lagrangian
 plus weighted squared distances between consecutive primal iterates,
 which decreases monotonically in exact_M mode for small enough steps;
 the solver can assert that descent on every iteration.
+
+The loop takes a gradient oracle and a stop rule: ``solve`` runs it
+with the exact gradient and an iteration cap, :mod:`dualprox.sppdg`
+with a variance-reduced estimate and an evaluation budget.
 """
 
 import time
@@ -151,7 +155,8 @@ class SolverState:
     computed eagerly because the Lyapunov window z^k = (x^k, y^k,
     x^{k+1}, x^{k-1}) and the diagnostics all need x^{k+1}. ``g_cur``
     is the subgradient of h* at y_cur certified by the dual prox,
-    g^k = -(y^k - y^{k-1})/beta + A(2x^k - x^{k-1}).
+    g^k = -(y^k - y^{k-1})/beta + A(2x^k - x^{k-1}). ``x_prev2`` is
+    x^{k-2}, for the stochastic Lyapunov window.
     """
 
     k: int
@@ -161,6 +166,7 @@ class SolverState:
     x_prev: np.ndarray = None
     y_prev: np.ndarray = None
     g_cur: np.ndarray = None
+    x_prev2: np.ndarray = None
 
     def z_window(self):
         return (self.x_cur, self.y_cur, self.x_next, self.x_prev)
@@ -228,27 +234,37 @@ def dual_prox_step(regularizer, y, a_extrap, beta):
     return y_next, g_next
 
 
-def _primal_step(problem, config, x, y):
-    return x - config.alpha * (problem.grad_f(x) + problem.operator.apply_adjoint(y))
+def _primal_step(problem, config, x, y, grad):
+    return x - config.alpha * (grad + problem.operator.apply_adjoint(y))
 
 
-def init_state(problem, x0, y0, config):
+def init_state(problem, x0, y0, config, gradient=None):
+    """State at k = 0; ``gradient`` is the oracle of ``step``."""
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
+    grad = problem.grad_f(x0) if gradient is None else gradient(0, x0, None)
     return SolverState(
-        k=0, x_cur=x0, y_cur=y0, x_next=_primal_step(problem, config, x0, y0)
+        k=0, x_cur=x0, y_cur=y0, x_next=_primal_step(problem, config, x0, y0, grad)
     )
 
 
-def step(problem, state, config):
+def step(problem, state, config, beta=None, gradient=None):
     """Advance (x^k, y^k) to (x^{k+1}, y^{k+1}).
 
+    ``beta`` defaults to ``dual_beta(problem, config)``. ``gradient(k, x,
+    x_prev)`` gives the gradient of f at x = x^k, x_prev = x^{k-1}
+    (None at k = 0); it defaults to the exact ``problem.grad_f``.
     Raises SolverDivergence when the new iterates are not finite.
     """
-    beta = dual_beta(problem, config)
+    if beta is None:
+        beta = dual_beta(problem, config)
     a_extrap = problem.operator.apply(2.0 * state.x_next - state.x_cur)
     y_next, g_next = dual_prox_step(problem.regularizer, state.y_cur, a_extrap, beta)
-    x_after = _primal_step(problem, config, state.x_next, y_next)
+    if gradient is None:
+        grad = problem.grad_f(state.x_next)
+    else:
+        grad = gradient(state.k + 1, state.x_next, state.x_cur)
+    x_after = _primal_step(problem, config, state.x_next, y_next, grad)
     if not (np.all(np.isfinite(x_after)) and np.all(np.isfinite(y_next))):
         raise SolverDivergence(state.k + 1)
     return SolverState(
@@ -259,6 +275,7 @@ def step(problem, state, config):
         x_prev=state.x_cur,
         y_prev=state.y_cur,
         g_cur=g_next,
+        x_prev2=state.x_prev,
     )
 
 
@@ -312,22 +329,80 @@ def subgradient_bound_gammas(constants, alpha, op_norm, L):
     return gamma1, gamma2
 
 
-def make_record(problem, state, constants, elapsed_s=0.0):
-    """Diagnostics row for the current state; needs k >= 1."""
+def make_record(problem, state, weights, elapsed_s=0.0):
+    """Diagnostics row for the current state; needs k >= 1.
+
+    ``weights = (a, b, c)`` weigh ||x^k - x^{k+1}||^2, ||x^k - x^{k-1}||^2
+    and ||x^{k-1} - x^{k-2}||^2 in the Lyapunov column; c = None drops
+    the last term. At k = 1, x^{k-2} is taken as x^{k-1}.
+    """
     kkt_x, kkt_y = kkt_residuals(problem, state)
     lag = lagrangian(problem, state.x_cur, state.y_cur)
+    a, b, c = weights
     du = state.x_cur - state.x_next
     dv = state.x_cur - state.x_prev
+    lyapunov = lag - a * float(du @ du) + b * float(dv @ dv)
+    if c is not None:
+        dw = state.x_prev - (state.x_prev if state.x_prev2 is None else state.x_prev2)
+        lyapunov += c * float(dw @ dw)
     return TraceRecord(
         iter=state.k,
         elapsed_s=elapsed_s,
         objective=problem.objective(state.x_cur),
         lagrangian=lag,
-        lyapunov=lag - constants.a * float(du @ du) + constants.b * float(dv @ dv),
+        lyapunov=lyapunov,
         dx_norm=float(np.linalg.norm(dv)),
         dy_norm=float(np.linalg.norm(state.y_cur - state.y_prev)),
         kkt_x=kkt_x,
         kkt_y=kkt_y,
+    )
+
+
+def _iterate(problem, config, gradient, proceed, limit_reason, weights, on_record,
+             x0, y0):
+    """The primal-dual loop of both solvers; returns a SolveReport.
+
+    ``gradient`` is the oracle of ``step``. Step k + 1 is taken while
+    ``proceed(k)`` holds, and a loop ended that way reports
+    ``limit_reason``. ``on_record`` receives each TraceRecord, built
+    with the Lyapunov ``weights`` of make_record. The loop also stops
+    once both step norms reach ``config.tol_step``, and iterates beyond
+    ``config.norm_cap`` raise SolverDivergence.
+    """
+    beta = dual_beta(problem, config)
+    state = init_state(problem, x0, y0, config, gradient)
+    started = time.perf_counter()
+    record = None
+    reason = limit_reason
+    while proceed(state.k):
+        state = step(problem, state, config, beta, gradient)
+        if max(np.linalg.norm(state.x_cur), np.linalg.norm(state.y_cur)) > config.norm_cap:
+            raise SolverDivergence(state.k, detail="norm cap exceeded")
+        record = make_record(
+            problem, state, weights, elapsed_s=time.perf_counter() - started
+        )
+        on_record(record)
+        if max(record.dx_norm, record.dy_norm) <= config.tol_step:
+            reason = "converged"
+            break
+    if record is None:
+        op = problem.operator
+        kkt_x = float(
+            np.linalg.norm(problem.grad_f(state.x_cur) + op.apply_adjoint(state.y_cur))
+        )
+        kkt_y = dx = dy = float("nan")
+    else:
+        kkt_x, kkt_y = record.kkt_x, record.kkt_y
+        dx, dy = record.dx_norm, record.dy_norm
+    return SolveReport(
+        x=state.x_cur,
+        y=state.y_cur,
+        iters=state.k,
+        kkt_x=kkt_x,
+        kkt_y=kkt_y,
+        dx_norm=dx,
+        dy_norm=dy,
+        reason=reason,
     )
 
 
@@ -361,18 +436,11 @@ def solve(problem, config, trace_sink=None, x0=None, y0=None):
     constants = LyapunovConstants.from_parameters(
         config.alpha, config.delta, problem.lipschitz_L
     )
-    state = init_state(problem, x0, y0, config)
-    started = time.perf_counter()
     prev_record = None
     violations = 0
-    reason = "iteration-limit"
-    while state.k < config.max_iters:
-        state = step(problem, state, config)
-        if max(np.linalg.norm(state.x_cur), np.linalg.norm(state.y_cur)) > config.norm_cap:
-            raise SolverDivergence(state.k, detail="norm cap exceeded")
-        record = make_record(
-            problem, state, constants, elapsed_s=time.perf_counter() - started
-        )
+
+    def check_descent(record):
+        nonlocal prev_record, violations
         if trace_sink is not None:
             trace_sink(record)
         if config.lyapunov_checks and prev_record is not None:
@@ -381,12 +449,16 @@ def solve(problem, config, trace_sink=None, x0=None, y0=None):
             drop = prev_record.lyapunov - record.lyapunov
             if drop < required - slack:
                 if config.preconditioner == "exact_M":
-                    raise LyapunovViolation(state.k, drop, required)
+                    raise LyapunovViolation(record.iter, drop, required)
                 violations += 1
         prev_record = record
-        if max(record.dx_norm, record.dy_norm) <= config.tol_step:
-            reason = "converged"
-            break
+
+    # constants.c is the descent rate, not a window weight
+    report = _iterate(
+        problem, config, lambda k, x, x_prev: problem.grad_f(x),
+        lambda k: k < config.max_iters, "iteration-limit",
+        (constants.a, constants.b, None), check_descent, x0, y0,
+    )
     if violations:
         warnings.warn(
             f"Lyapunov descent violated on {violations} iterations under the "
@@ -395,24 +467,5 @@ def solve(problem, config, trace_sink=None, x0=None, y0=None):
             RuntimeWarning,
             stacklevel=2,
         )
-    if state.k >= 1:
-        kkt_x, kkt_y = kkt_residuals(problem, state)
-        dx = float(np.linalg.norm(state.x_cur - state.x_prev))
-        dy = float(np.linalg.norm(state.y_cur - state.y_prev))
-    else:
-        kkt_x = float(
-            np.linalg.norm(problem.grad_f(state.x_cur) + op.apply_adjoint(state.y_cur))
-        )
-        kkt_y = float("nan")
-        dx = dy = float("nan")
-    return SolveReport(
-        x=state.x_cur,
-        y=state.y_cur,
-        iters=state.k,
-        kkt_x=kkt_x,
-        kkt_y=kkt_y,
-        dx_norm=dx,
-        dy_norm=dy,
-        reason=reason,
-        lyapunov_violations=violations,
-    )
+    report.lyapunov_violations = violations
+    return report

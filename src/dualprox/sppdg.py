@@ -1,8 +1,9 @@
-"""Stochastic preconditioned primal-dual loop over finite-sum problems.
+"""Stochastic preconditioned primal-dual solver over finite-sum problems.
 
-Each iteration replaces the exact mean gradient with a variance-reduced
-estimate; the dual proximal step is identical to the deterministic
-solver. Runs are replicated across seeds, and seed-averaged traces
+Each run is the deterministic solver's loop (``ppdg._iterate``) with the
+exact mean gradient replaced by a variance-reduced estimate and the
+iteration cap by a budget of component-gradient evaluations. Runs are
+replicated across seeds, and seed-averaged traces
 support an advisory check of the expected-descent property of the
 stochastic Lyapunov function
 
@@ -14,19 +15,19 @@ geometrically decaying correction terms of the variance-reduction
 analysis have no closed form), so descent reporting is advisory.
 """
 
-import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ppdg import (
+    PpdgConfig,
     SolveReport,
     SolverDivergence,
-    TraceRecord,
+    _iterate,
     default_alpha,
-    dual_prox_step,
     lagrangian,
+    lyapunov_value,
 )
 from .vrgrad import make_estimator
 
@@ -61,6 +62,10 @@ DELTA2 = 1.0 / 6.0
 
 @dataclass
 class SppdgConfig:
+    """Stochastic solver settings. ``preconditioner`` is validated as in
+    PpdgConfig; iterates are the same in both modes and no descent check
+    runs, so it has no other effect."""
+
     alpha: float = None
     kappa_hat: float = 0.0
     max_epochs: int = 50
@@ -95,20 +100,19 @@ class SppdgConfig:
         return self.alpha
 
     def validate(self, problem):
+        """Check the settings; returns the PpdgConfig each seed's loop runs."""
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be nonnegative")
         if len(self.seeds) == 0:
             raise ValueError("need at least one seed")
-        if self.preconditioner not in ("exact_M", "scalar_beta"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
-        if self.preconditioner == "exact_M" and problem.operator.kind not in (
-            "identity",
-            "scaled-identity",
-        ):
-            raise ValueError(
-                "exact_M is only available for identity/scaled-identity operators"
-            )
-        self.resolve_alpha(problem.lipschitz_L)
+        step_config = PpdgConfig(
+            alpha=self.resolve_alpha(problem.lipschitz_L),
+            tol_step=self.tol_step,
+            preconditioner=self.preconditioner,
+            norm_cap=self.norm_cap,
+        )
+        step_config.validate(problem)
+        return step_config
 
 
 @dataclass(frozen=True)
@@ -179,102 +183,40 @@ def lagrangian_s(problem, x, y):
 def stochastic_lyapunov_value(problem, z, constants):
     """Deterministic part of Ls at z = (x, y, u, v, w)."""
     x, y, u, v, w = z
-    du = x - u
-    dv = x - v
     dw = v - w
-    return (
-        lagrangian_s(problem, x, y)
-        - constants.a * float(du @ du)
-        + constants.b * float(dv @ dv)
-        + constants.c * float(dw @ dw)
-    )
+    base = lyapunov_value(problem.as_composite(), (x, y, u, v), constants)
+    return base + constants.c * float(dw @ dw)
 
 
-def _run_one_seed(problem, estimator_kind, config, alpha, seed, batch_size, period,
-                  x0, y0, trace_sink):
-    op = problem.operator
-    reg = problem.regularizer
-    comp = problem.as_composite()
+def _run_one_seed(problem, estimator_kind, config, step_config, weights, seed,
+                  batch_size, period, x0, y0, trace_sink):
+    """One seed's run; a diverged run is returned failed, with a warning."""
     n = problem.n_components
     budget = config.max_epochs * n
-    beta = 1.0 / (alpha * op.op_norm() ** 2)
-    constants = SppdgLyapunovConstants.from_parameters(
-        alpha, problem.lipschitz_L, config.kappa_hat
-    )
     cg, fg = problem.component_grad, problem.full_grad
-
+    x0 = np.array(x0, dtype=float)
     estimator = make_estimator(estimator_kind, n, batch_size, seed, period=period)
     estimator.reset(x0, cg, fg)
-    x_cur = np.asarray(x0, dtype=float).copy()
-    y_cur = np.asarray(y0, dtype=float).copy()
-    g_tilde = estimator.estimate(0, x_cur, None, cg, fg)
-    x_next = x_cur - alpha * (g_tilde + op.apply_adjoint(y_cur))
-    x_prev = None
-    x_prev2 = None
-    y_prev = None
-    g_cur = None
-    k = 0
     records = []
     evals_at = []
-    started = time.perf_counter()
-    reason = "epoch-budget"
-    while estimator.evals < budget:
-        # advance the window from k to k+1 (with one-step lookahead)
-        a_extrap = op.apply(2.0 * x_next - x_cur)
-        y_next, g_next = dual_prox_step(reg, y_cur, a_extrap, beta)
-        g_tilde = estimator.estimate(k + 1, x_next, x_cur, cg, fg)
-        x_after = x_next - alpha * (g_tilde + op.apply_adjoint(y_next))
-        if not (np.all(np.isfinite(x_after)) and np.all(np.isfinite(y_next))):
-            raise SolverDivergence(k + 1)
-        x_prev2, x_prev, x_cur = x_prev, x_cur, x_next
-        y_prev, y_cur = y_cur, y_next
-        g_cur = g_next
-        x_next = x_after
-        k += 1
-        if max(np.linalg.norm(x_cur), np.linalg.norm(y_cur)) > config.norm_cap:
-            raise SolverDivergence(k, detail="norm cap exceeded")
-        back2 = x_prev if x_prev2 is None else x_prev2
-        lag = lagrangian(comp, x_cur, y_cur)
-        du = x_cur - x_next
-        dv = x_cur - x_prev
-        dw = x_prev - back2
-        record = TraceRecord(
-            iter=k,
-            elapsed_s=time.perf_counter() - started,
-            objective=comp.objective(x_cur),
-            lagrangian=lag,
-            lyapunov=(
-                lag
-                - constants.a * float(du @ du)
-                + constants.b * float(dv @ dv)
-                + constants.c * float(dw @ dw)
-            ),
-            dx_norm=float(np.linalg.norm(dv)),
-            dy_norm=float(np.linalg.norm(y_cur - y_prev)),
-            kkt_x=float(np.linalg.norm(fg(x_cur) + op.apply_adjoint(y_cur))),
-            kkt_y=float(np.linalg.norm(op.apply(x_cur) - g_cur)),
-        )
+
+    def keep(record):
         records.append(record)
         evals_at.append(estimator.evals)
         if trace_sink is not None:
             trace_sink(seed, record)
-        if max(record.dx_norm, record.dy_norm) <= config.tol_step:
-            reason = "converged"
-            break
-    if records:
-        last = records[-1]
-        report = SolveReport(
-            x=x_cur, y=y_cur, iters=k,
-            kkt_x=last.kkt_x, kkt_y=last.kkt_y,
-            dx_norm=last.dx_norm, dy_norm=last.dy_norm, reason=reason,
+
+    try:
+        report = _iterate(
+            problem.as_composite(), step_config,
+            lambda k, x, x_prev: estimator.estimate(k, x, x_prev, cg, fg),
+            lambda k: estimator.evals < budget, "epoch-budget",
+            weights, keep, x0, np.array(y0, dtype=float),
         )
-    else:
-        report = SolveReport(
-            x=x_cur, y=y_cur, iters=0,
-            kkt_x=float(np.linalg.norm(fg(x_cur) + op.apply_adjoint(y_cur))),
-            kkt_y=float("nan"),
-            dx_norm=float("nan"), dy_norm=float("nan"), reason=reason,
-        )
+    except SolverDivergence as exc:
+        warnings.warn(f"seed {seed} diverged: {exc}", RuntimeWarning, stacklevel=3)
+        return SeedRunResult(seed=seed, report=None, records=[], comp_evals=[],
+                             failed=True, error=str(exc))
     return SeedRunResult(seed=seed, report=report, records=records, comp_evals=evals_at)
 
 
@@ -292,8 +234,11 @@ def solve_stochastic(problem, estimator_kind, config, trace_sink=None,
     Returns a StochasticSolveResult with ``per_seed`` SeedRunResults
     and ``aggregate`` AggregateRecords.
     """
-    config.validate(problem)
-    alpha = config.resolve_alpha(problem.lipschitz_L)
+    step_config = config.validate(problem)
+    constants = SppdgLyapunovConstants.from_parameters(
+        step_config.alpha, problem.lipschitz_L, config.kappa_hat
+    )
+    weights = (constants.a, constants.b, constants.c)
     op = problem.operator
     if x0 is None:
         x0 = np.zeros(op.in_dim)
@@ -301,25 +246,10 @@ def solve_stochastic(problem, estimator_kind, config, trace_sink=None,
         y0 = np.zeros(op.out_dim)
     per_seed = []
     for seed in config.seeds:
-        try:
-            result = _run_one_seed(
-                problem, estimator_kind, config, alpha, seed,
-                batch_size, period, x0, y0, trace_sink,
-            )
-        except SolverDivergence as exc:
-            per_seed.append(
-                SeedRunResult(
-                    seed=seed,
-                    report=None,
-                    records=[],
-                    comp_evals=[],
-                    failed=True,
-                    error=str(exc),
-                )
-            )
-            warnings.warn(f"seed {seed} diverged: {exc}", RuntimeWarning, stacklevel=2)
-            continue
-        per_seed.append(result)
+        per_seed.append(_run_one_seed(
+            problem, estimator_kind, config, step_config, weights, seed,
+            batch_size, period, x0, y0, trace_sink,
+        ))
     survivors = [r for r in per_seed if not r.failed]
     aggregate = []
     if survivors:

@@ -34,7 +34,7 @@ def descent_problem():
     )
 
 
-def split_quadratic_finite_sum(n_components, dim, seed=11, regularizer=None):
+def split_quadratic_finite_sum(n_components, dim, seed=11, regularizer=None, operator=None):
     """Finite sum of shifted quadratics; full gradient has L = 1."""
     rng = np.random.default_rng(seed)
     targets = 2.0 + 0.3 * rng.standard_normal((n_components, dim))
@@ -43,7 +43,7 @@ def split_quadratic_finite_sum(n_components, dim, seed=11, regularizer=None):
         component_value=lambda i, x: 0.5 * float(np.sum((x - targets[i]) ** 2)),
         component_grad=lambda i, x: x - targets[i],
         lipschitz_L=1.0,
-        operator=linops.Identity(dim),
+        operator=operator or linops.Identity(dim),
         regularizer=regularizer or conjprox.L1(0.5),
     )
 

@@ -112,6 +112,18 @@ def test_value_h_scad_saturated_branch():
     assert reg.value_h(np.array([5.0])) == pytest.approx(2.0)
 
 
+def test_base_class_declares_every_elementwise_piece():
+    class Bare(conjprox.Regularizer):
+        pass
+
+    reg = Bare()
+    x = np.zeros(2)
+    for evaluate in (reg.value_h, reg.penalty_value, reg.conj_value,
+                     lambda v: reg.prox_conj(v, 1.0)):
+        with pytest.raises(NotImplementedError):
+            evaluate(x)
+
+
 # --- closed-form prox against hand values --------------------------------
 
 

@@ -147,6 +147,18 @@ def test_lyapunov_direct_formula_on_step_window(scalar_problem):
     assert lyapunov_value(scalar_problem, st.z_window(), consts) == pytest.approx(direct)
 
 
+def test_lyapunov_column_matches_four_point_window(descent_problem):
+    # the trace weighs only the (a, b) window terms; consts.c is the descent rate
+    cfg = exact_cfg(max_iters=30, tol_step=0.0)
+    records = []
+    ppdg.solve(descent_problem, cfg, trace_sink=records.append)
+    states = run_history(descent_problem, cfg, np.zeros(10), np.zeros(10), 30)[1:]
+    consts = LyapunovConstants.from_parameters(0.3, 0.2, 1.0)
+    assert consts.c != 0.0
+    for record, st in zip(records, states, strict=True):
+        assert record.lyapunov == lyapunov_value(descent_problem, st.z_window(), consts)
+
+
 # --- subgradient ---------------------------------------------------------
 
 

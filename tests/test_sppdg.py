@@ -103,10 +103,10 @@ def test_lagrangian_s_two_quadratics_hand_value():
 # --- degeneracy and determinism -------------------------------------------
 
 
-def ppdg_trace(problem, alpha, max_iters, tol):
+def ppdg_trace(problem, alpha, max_iters, tol, preconditioner="exact_M"):
     recs = []
     cfg = ppdg.PpdgConfig(
-        alpha=alpha, preconditioner="exact_M", max_iters=max_iters, tol_step=tol
+        alpha=alpha, preconditioner=preconditioner, max_iters=max_iters, tol_step=tol
     )
     report = ppdg.solve(problem.as_composite(), cfg, trace_sink=recs.append)
     return report, recs
@@ -124,12 +124,22 @@ def assert_bit_identical(pp_report, pp_recs, run):
             assert getattr(a, name) == getattr(b, name), name
 
 
-@pytest.mark.parametrize("estimator", ["svrg", "full"])
-def test_full_batch_degeneracy_quadratic(estimator):
-    fsp = split_quadratic_finite_sum(4, 5)
+STACKED = linops.StackedOverIdentity(0.3 * np.eye(5, k=1))
+
+
+@pytest.mark.parametrize("estimator, preconditioner, operator", [
+    pytest.param("svrg", "exact_M", None, id="svrg"),
+    pytest.param("full", "exact_M", None, id="full"),
+    pytest.param("svrg", "scalar_beta", STACKED, id="svrg-scalar_beta-stacked"),
+    pytest.param("full", "scalar_beta", STACKED, id="full-scalar_beta-stacked"),
+])
+def test_full_batch_degeneracy_quadratic(estimator, preconditioner, operator):
+    fsp = split_quadratic_finite_sum(4, 5, operator=operator)
     alpha = ppdg.default_alpha(1.0)
-    pp_report, pp_recs = ppdg_trace(fsp, alpha, 400, 1e-10)
-    cfg = exact_cfg(max_epochs=2000, tol_step=1e-10, seeds=(3,))
+    pp_report, pp_recs = ppdg_trace(fsp, alpha, 400, 1e-10, preconditioner)
+    assert pp_report.reason == "converged"
+    cfg = exact_cfg(max_epochs=2000, tol_step=1e-10, seeds=(3,),
+                    preconditioner=preconditioner)
     run = solve_stochastic(fsp, estimator, cfg, batch_size=4).per_seed[0]
     assert_bit_identical(pp_report, pp_recs, run)
 
@@ -203,6 +213,17 @@ def test_zero_epoch_budget_returns_initial_point():
     assert np.array_equal(run.report.x, np.zeros(3))
 
 
+def test_zero_epoch_budget_reports_no_step():
+    fsp = split_quadratic_finite_sum(4, 3)
+    cfg = exact_cfg(max_epochs=0, seeds=(0,))
+    run = solve_stochastic(fsp, "saga", cfg, batch_size=2).per_seed[0]
+    report = run.report
+    assert report.iters == 0 and run.records == [] and report.reason == "epoch-budget"
+    assert np.isnan(report.kkt_y) and np.isnan(report.dx_norm) and np.isnan(report.dy_norm)
+    # primal residual at the start: ||grad f(0) + A^T 0||
+    assert report.kkt_x == np.linalg.norm(fsp.full_grad(np.zeros(3)))
+
+
 def test_square_summability_per_seed():
     fsp = split_quadratic_finite_sum(8, 4)
     cfg = exact_cfg(max_epochs=40, tol_step=0.0, seeds=(0, 1))
@@ -212,6 +233,40 @@ def test_square_summability_per_seed():
         assert np.all(np.isfinite(sums))
         dual_sums = np.cumsum([r.dy_norm**2 for r in run.records])
         assert np.all(np.isfinite(dual_sums))
+
+
+@pytest.mark.parametrize("estimator", ["saga", "svrg"])
+def test_lyapunov_column_matches_five_point_window(monkeypatch, estimator):
+    # kappa_hat > 0 makes the weight c on ||x^{k-1} - x^{k-2}||^2 nonzero
+    fsp = split_quadratic_finite_sum(6, 4, regularizer=conjprox.L0Box(0.1, -1, 1))
+    cfg = SppdgConfig(kappa_hat=0.5, max_epochs=10, tol_step=0.0, seeds=(2,))
+    states = []
+    step = ppdg.step
+
+    def keep_state(*args, **kwargs):
+        states.append(step(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(ppdg, "step", keep_state)
+    run = solve_stochastic(fsp, estimator, cfg, batch_size=2).per_seed[0]
+    alpha = cfg.resolve_alpha(fsp.lipschitz_L)
+    consts = SppdgLyapunovConstants.from_parameters(alpha, fsp.lipschitz_L, 0.5)
+    assert consts.c > 0
+    xs = [np.zeros(4)] + [s.x_cur for s in states] + [states[-1].x_next]
+    assert len(run.records) == len(states) > 10
+    for k, (record, state) in enumerate(zip(run.records, states), start=1):
+        back2 = xs[k - 2] if k >= 2 else xs[k - 1]
+        window = (xs[k], state.y_cur, xs[k + 1], xs[k - 1], back2)
+        assert record.lyapunov == sppdg.stochastic_lyapunov_value(fsp, window, consts), k
+
+
+def test_norm_cap_fails_the_seed():
+    fsp = split_quadratic_finite_sum(4, 3)
+    cfg = exact_cfg(max_epochs=20, seeds=(0, 1), norm_cap=0.5)
+    with pytest.warns(RuntimeWarning, match="norm cap exceeded"):
+        res = solve_stochastic(fsp, "saga", cfg, batch_size=2)
+    assert all(r.failed and "norm cap exceeded" in r.error for r in res.per_seed)
+    assert res.aggregate == []
 
 
 # --- expectation descent ----------------------------------------------------
