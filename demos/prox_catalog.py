@@ -1,9 +1,10 @@
 """Tour of the regularizer catalog: conjugates and their proximal maps.
 
 Each regularizer h is nonconvex or nonsmooth, yet its conjugate h* is a
-simple convex function whose prox has a closed form. This script prints
-the closed forms at a few probe points and cross-checks every value
-against the exhaustive grid oracle.
+simple convex function whose prox has a closed form. For every kind h*
+is a ramp: zero on [lo, hi], slope s_lo below and s_hi above. This
+script prints each ramp, the closed forms at a few probe points, and
+cross-checks every value against the exhaustive grid oracle.
 
 Run:  python3 demos/prox_catalog.py
 """
@@ -26,6 +27,8 @@ beta = 1.0
 
 for title, reg in CATALOG:
     print(f"\n=== {title}")
+    lo, hi, s_lo, s_hi = reg._ramp()
+    print(f"  ramp: h* = 0 on [{lo:.4g}, {hi:.4g}], slopes {s_lo:.4g} / {s_hi:.4g}")
     conj = [reg._conj_elem(np.array([v]))[0] for v in probes]
     print("  h*(v):        ", " ".join(f"{c:8.4f}" for c in conj))
     closed = reg.prox_conj(probes, beta)

@@ -1,19 +1,30 @@
 """Regularizers with closed-form conjugates and conjugate proximal maps.
 
 Each regularizer h is nonconvex (or nonsmooth), but its conjugate h* is
-convex and piecewise simple, so prox_{beta h*} has a closed form. The
-catalog covers:
+convex, and for every kind here it has the same shape: a ramp that is
+zero on [lo, hi] and linear with slopes s_lo < 0 < s_hi outside it. The
+slopes are the endpoints of dom h; l1 is the case with infinite slopes,
+where h* is the indicator of [-lam, lam]. A kind states only its ramp
+``(lo, hi, s_lo, s_hi)``, and the base class derives h* and
+
+    prox_{beta h*}(v) = v - beta*s_hi   if v > hi + beta*s_hi
+                        clip(v, lo, hi) if lo + beta*s_lo <= v <= hi + beta*s_hi
+                        v - beta*s_lo   if v < lo + beta*s_lo
+
+from it. The catalog covers:
 
 * ``L1(lam)``:            h(x) = lam * ||x||_1
 * ``L0Box(lam, c1, c2)``: h(x) = lam * ||x||_0 + indicator of [c1, c2]^n
 * ``LpBall(lam, p, r)``:  h(x) = lam * ||x||_p^p + indicator of ||x||_inf <= r
 * ``ScadBox(lam, gamma, r)``: SCAD penalty + indicator of [-r, r]^n
 
-Everything acts coordinate-wise. A brute-force grid oracle
-(``prox_conj_oracle``, ``conj_value_oracle``) backs every closed form;
-for SCAD the closed forms are the symmetrized ones the oracle certifies
-(all three parameter cases reduce to h*(y) = r * max(|y| - theta, 0)),
-not the asymmetric variants sometimes quoted for this penalty.
+Everything acts coordinate-wise. A brute-force grid oracle backs every
+closed form: ``conj_value_oracle`` takes the sup over h itself
+(``_h_elem``), never over the ramp, and ``prox_conj_oracle`` minimizes
+the prox objective over a grid. For SCAD the closed forms are the
+symmetrized ones the oracle certifies (all three parameter cases reduce
+to h*(y) = r * max(|y| - theta, 0)), not the asymmetric variants
+sometimes quoted for this penalty.
 """
 
 from dataclasses import dataclass
@@ -78,11 +89,27 @@ class Regularizer:
     def _penalty_elem(self, x):
         raise NotImplementedError
 
-    def _conj_elem(self, y):
+    def _ramp(self):
+        """(lo, hi, s_lo, s_hi): h* is 0 on [lo, hi], slope s_lo below, s_hi above."""
         raise NotImplementedError
 
+    # Each linear piece is evaluated only where it applies, so an infinite
+    # slope never meets a zero excess (inf * 0) or an infinite input
+    # (inf - inf). The output arrays are made up front so that 0-d inputs
+    # stay arrays.
+    def _conj_elem(self, y):
+        lo, hi, s_lo, s_hi = self._ramp()
+        out = np.zeros_like(y)
+        np.multiply(s_hi, y - hi, out=out, where=y > hi)
+        np.multiply(s_lo, y - lo, out=out, where=y < lo)
+        return out
+
     def _prox_elem(self, v, beta):
-        raise NotImplementedError
+        lo, hi, s_lo, s_hi = self._ramp()
+        u = np.clip(v, lo, hi, out=np.empty_like(v))
+        np.subtract(v, beta * s_hi, out=u, where=v > hi + beta * s_hi)
+        np.subtract(v, beta * s_lo, out=u, where=v < lo + beta * s_lo)
+        return u
 
 
 class L1(Regularizer):
@@ -102,12 +129,8 @@ class L1(Regularizer):
     def _penalty_elem(self, x):
         return self.lam * np.abs(x)
 
-    def _conj_elem(self, y):
-        return np.where(np.abs(y) > self.lam, np.inf, 0.0)
-
-    def _prox_elem(self, v, beta):
-        # projection onto the ball; independent of beta
-        return np.clip(v, -self.lam, self.lam)
+    def _ramp(self):
+        return -self.lam, self.lam, -np.inf, np.inf
 
 
 class L0Box(Regularizer):
@@ -130,28 +153,8 @@ class L0Box(Regularizer):
     def _penalty_elem(self, x):
         return self.lam * (x != 0)
 
-    def _conj_elem(self, y):
-        lam, c1, c2 = self.lam, self.c1, self.c2
-        return np.select(
-            [y > lam / c2, y <= lam / c1],
-            [c2 * y - lam, c1 * y - lam],
-            default=0.0,
-        )
-
-    def _prox_elem(self, v, beta):
-        lam, c1, c2 = self.lam, self.c1, self.c2
-        hi_kink = lam / c2
-        lo_kink = lam / c1
-        return np.select(
-            [
-                v > c2 * beta + hi_kink,
-                v > hi_kink,
-                v > lo_kink,
-                v > c1 * beta + lo_kink,
-            ],
-            [v - c2 * beta, hi_kink, v, lo_kink],
-            default=v - c1 * beta,
-        )
+    def _ramp(self):
+        return self.lam / self.c1, self.lam / self.c2, self.c1, self.c2
 
 
 class LpBall(Regularizer):
@@ -173,18 +176,9 @@ class LpBall(Regularizer):
     def _penalty_elem(self, x):
         return self.lam * np.abs(x) ** self.p
 
-    def _conj_elem(self, y):
-        return np.maximum(self.r * np.abs(y) - self.lam * self.r**self.p, 0.0)
-
-    def _prox_elem(self, v, beta):
+    def _ramp(self):
         kink = self.lam * self.r ** (self.p - 1.0)
-        shift = self.r * beta
-        a = np.abs(v)
-        return np.sign(v) * np.select(
-            [a < kink, a <= kink + shift],
-            [a, kink],
-            default=a - shift,
-        )
+        return -kink, kink, -self.r, self.r
 
 
 class ScadBox(Regularizer):
@@ -192,7 +186,7 @@ class ScadBox(Regularizer):
 
     The conjugate collapses, in every parameter regime, to the convex
     ramp h*(y) = r * max(|y| - theta, 0) with a case-dependent kink
-    theta, so the prox shares the clamp structure of the lp case.
+    theta, the same shape as the lp case.
     """
 
     kind = "scad_box"
@@ -232,17 +226,8 @@ class ScadBox(Regularizer):
     def _penalty_elem(self, x):
         return self.penalty(x)
 
-    def _conj_elem(self, y):
-        return self.r * np.maximum(np.abs(y) - self.theta, 0.0)
-
-    def _prox_elem(self, v, beta):
-        shift = self.r * beta
-        a = np.abs(v)
-        return np.sign(v) * np.select(
-            [a <= self.theta, a <= self.theta + shift],
-            [a, self.theta],
-            default=a - shift,
-        )
+    def _ramp(self):
+        return -self.theta, self.theta, -self.r, self.r
 
 
 @dataclass

@@ -157,6 +157,28 @@ def test_prox_rejects_bad_beta():
         L1(1.0).prox_conj(np.array([1.0]), 0.0)
 
 
+def test_prox_special_values():
+    # +-inf lie beyond a finite slope's shifted branch and stay infinite;
+    # l1's slopes are infinite, so it projects them onto [-lam, lam]
+    v = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    for reg in catalog():
+        edge = reg.lam if reg.kind == "l1" else np.inf
+        for beta in (0.3, 7.0):
+            got = reg.prox_conj(v, beta)
+            assert got[0] == 0.0 and got[1] == 0.0, reg.kind
+            assert got[2] == edge and got[3] == -edge, reg.kind
+            assert np.isnan(got[4]), reg.kind
+
+
+def test_zero_dimensional_inputs():
+    for reg in catalog():
+        for beta in (0.3, 7.0):
+            got = reg.prox_conj(0.7, beta)
+            assert np.ndim(got) == 0
+            assert float(got) == reg.prox_conj(np.array([0.7]), beta)[0], reg.kind
+        assert reg.conj_value(3.0) == reg.conj_value(np.array([3.0])), reg.kind
+
+
 # --- grid oracle --------------------------------------------------------
 
 
