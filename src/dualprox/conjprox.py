@@ -96,11 +96,11 @@ class Regularizer:
     # Each linear piece is evaluated only where it applies, so an infinite
     # slope never meets a zero excess (inf * 0) or an infinite input
     # (inf - inf). The output arrays are made up front so that 0-d inputs
-    # stay arrays.
+    # stay arrays. The upper piece also takes nan, which it keeps.
     def _conj_elem(self, y):
         lo, hi, s_lo, s_hi = self._ramp()
         out = np.zeros_like(y)
-        np.multiply(s_hi, y - hi, out=out, where=y > hi)
+        np.multiply(s_hi, y - hi, out=out, where=~(y <= hi))
         np.multiply(s_lo, y - lo, out=out, where=y < lo)
         return out
 
@@ -148,10 +148,13 @@ class L0Box(Regularizer):
 
     def _h_elem(self, x):
         outside = _beyond(x, self.c2) | _beyond(-x, -self.c1)
-        return np.where(outside, np.inf, self.lam * (x != 0))
+        return np.where(outside, np.inf, self._penalty_elem(x))
 
     def _penalty_elem(self, x):
-        return self.lam * (x != 0)
+        out = np.multiply(self.lam, x != 0, out=np.empty_like(x))
+        # nan != 0 holds too, so put the nan back
+        np.copyto(out, x, where=np.isnan(x))
+        return out
 
     def _ramp(self):
         return self.lam / self.c1, self.lam / self.c2, self.c1, self.c2
@@ -210,13 +213,14 @@ class ScadBox(Regularizer):
         """The scalar SCAD penalty, applied elementwise."""
         lam, gam = self.lam, self.gamma
         a = np.abs(w)
+        # nan fails both tests and lands in the quadratic branch, which keeps it
         return np.where(
             a <= lam,
             lam * a,
             np.where(
-                a <= gam * lam,
-                (2.0 * gam * lam * a - a**2 - lam**2) / (2.0 * (gam - 1.0)),
+                a > gam * lam,
                 lam**2 * (gam + 1.0) / 2.0,
+                (2.0 * gam * lam * a - a**2 - lam**2) / (2.0 * (gam - 1.0)),
             ),
         )
 

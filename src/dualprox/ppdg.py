@@ -242,7 +242,7 @@ def init_state(problem, x0, y0, config, gradient=None):
     """State at k = 0; ``gradient`` is the oracle of ``step``."""
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
-    grad = problem.grad_f(x0) if gradient is None else gradient(0, x0, None)
+    grad = problem.grad_f(x0) if gradient is None else gradient(0, x0)
     return SolverState(
         k=0, x_cur=x0, y_cur=y0, x_next=_primal_step(problem, config, x0, y0, grad)
     )
@@ -251,9 +251,9 @@ def init_state(problem, x0, y0, config, gradient=None):
 def step(problem, state, config, beta=None, gradient=None):
     """Advance (x^k, y^k) to (x^{k+1}, y^{k+1}).
 
-    ``beta`` defaults to ``dual_beta(problem, config)``. ``gradient(k, x,
-    x_prev)`` gives the gradient of f at x = x^k, x_prev = x^{k-1}
-    (None at k = 0); it defaults to the exact ``problem.grad_f``.
+    ``beta`` defaults to ``dual_beta(problem, config)``. ``gradient(k, x)``
+    gives the gradient of f at x = x^k; it defaults to the exact
+    ``problem.grad_f``.
     Raises SolverDivergence when the new iterates are not finite.
     """
     if beta is None:
@@ -263,7 +263,7 @@ def step(problem, state, config, beta=None, gradient=None):
     if gradient is None:
         grad = problem.grad_f(state.x_next)
     else:
-        grad = gradient(state.k + 1, state.x_next, state.x_cur)
+        grad = gradient(state.k + 1, state.x_next)
     x_after = _primal_step(problem, config, state.x_next, y_next, grad)
     if not (np.all(np.isfinite(x_after)) and np.all(np.isfinite(y_next))):
         raise SolverDivergence(state.k + 1)
@@ -362,7 +362,7 @@ def _iterate(problem, config, gradient, proceed, limit_reason, weights, on_recor
              x0, y0):
     """The primal-dual loop of both solvers; returns a SolveReport.
 
-    ``gradient`` is the oracle of ``step``. Step k + 1 is taken while
+    ``gradient(k, x)`` is the oracle of ``step``. Step k + 1 is taken while
     ``proceed(k)`` holds, and a loop ended that way reports
     ``limit_reason``. ``on_record`` receives each TraceRecord, built
     with the Lyapunov ``weights`` of make_record. The loop also stops
@@ -455,7 +455,7 @@ def solve(problem, config, trace_sink=None, x0=None, y0=None):
 
     # constants.c is the descent rate, not a window weight
     report = _iterate(
-        problem, config, lambda k, x, x_prev: problem.grad_f(x),
+        problem, config, lambda k, x: problem.grad_f(x),
         lambda k: k < config.max_iters, "iteration-limit",
         (constants.a, constants.b, None), check_descent, x0, y0,
     )

@@ -62,16 +62,13 @@ DELTA2 = 1.0 / 6.0
 
 @dataclass
 class SppdgConfig:
-    """Stochastic solver settings. ``preconditioner`` is validated as in
-    PpdgConfig; iterates are the same in both modes and no descent check
-    runs, so it has no other effect."""
+    """Stochastic solver settings."""
 
     alpha: float = None
     kappa_hat: float = 0.0
     max_epochs: int = 50
     tol_step: float = 0.0
     seeds: tuple = (0,)
-    preconditioner: str = "scalar_beta"
     norm_cap: float = 1e12
 
     def resolve_alpha(self, lipschitz_L):
@@ -108,7 +105,6 @@ class SppdgConfig:
         step_config = PpdgConfig(
             alpha=self.resolve_alpha(problem.lipschitz_L),
             tol_step=self.tol_step,
-            preconditioner=self.preconditioner,
             norm_cap=self.norm_cap,
         )
         step_config.validate(problem)
@@ -193,10 +189,9 @@ def _run_one_seed(problem, estimator_kind, config, step_config, weights, seed,
     """One seed's run; a diverged run is returned failed, with a warning."""
     n = problem.n_components
     budget = config.max_epochs * n
-    cg, fg = problem.component_grad, problem.full_grad
     x0 = np.array(x0, dtype=float)
     estimator = make_estimator(estimator_kind, n, batch_size, seed, period=period)
-    estimator.reset(x0, cg, fg)
+    estimator.reset(x0, problem.component_grad, problem.full_grad)
     records = []
     evals_at = []
 
@@ -208,8 +203,7 @@ def _run_one_seed(problem, estimator_kind, config, step_config, weights, seed,
 
     try:
         report = _iterate(
-            problem.as_composite(), step_config,
-            lambda k, x, x_prev: estimator.estimate(k, x, x_prev, cg, fg),
+            problem.as_composite(), step_config, estimator.estimate,
             lambda k: estimator.evals < budget, "epoch-budget",
             weights, keep, x0, np.array(y0, dtype=float),
         )

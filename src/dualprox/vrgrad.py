@@ -1,17 +1,29 @@
 """Variance-reduced stochastic gradient estimators: SAGA, SVRG, SARAH.
 
-All three sit behind one interface. ``estimate(k, x_cur, x_prev,
-component_grad, full_grad)`` returns the mini-batch estimate of the
-mean gradient at x_cur and updates the estimator memory:
+Every estimate has one anchored shape: the fresh mini-batch gradients,
+corrected by stored anchor gradients,
 
-* SAGA keeps a table of the last gradient seen per component plus the
-  running table mean, refreshed incrementally. The table is dense
-  (N x n memory), which is the scaling limit of this implementation.
-* SVRG keeps a snapshot point and its full gradient, refreshed every
+    v = mean_{i in B} (grad f_i(x) - anchor_i) + anchor_mean,
+
+written once on the base class. A kind states only its anchor rows and
+how its memory moves after a step:
+
+* SAGA anchors on a table of the last gradient seen per component. It
+  writes the fresh rows back and updates the table mean incrementally.
+  The table is dense (N x n memory), which is the scaling limit of this
+  implementation.
+* SVRG anchors on the gradients at a snapshot point, refreshed every
   ``period`` iterations; at a refresh the emitted estimate IS the full
   gradient, bit for bit.
-* SARAH recursively corrects its previous estimate and restarts from
-  the full gradient every ``period`` iterations.
+* SARAH is SVRG whose anchor moves to (x^k, v^k) after every step, so
+  it recursively corrects its previous estimate and restarts from the
+  full gradient every ``period`` iterations.
+* ``"full"`` is SVRG with batch N and period 1: the exact mean gradient
+  at every step.
+
+``reset(x0, component_grad, full_grad)`` binds the two gradient oracles
+and seeds the memory at x0, so that ``estimate(k, x)`` is itself the
+gradient oracle of the primal-dual loop.
 
 Batches are drawn uniformly without replacement as a pure function of
 (seed, k) and reduced in ascending index order, so the whole estimate
@@ -27,7 +39,6 @@ __all__ = [
     "SagaEstimator",
     "SvrgEstimator",
     "SarahEstimator",
-    "FullGradientEstimator",
 ]
 
 
@@ -69,10 +80,35 @@ class _EstimatorBase:
         return sample_batch(self.seed, self.n_components, self.batch_size, k)
 
     def reset(self, x0, component_grad, full_grad):
-        """Seed the memory at x0 and restart the rng stream."""
+        """Bind the gradient oracles and seed the memory at x0 (N evaluations)."""
+        self.component_grad = component_grad
+        self.full_grad = full_grad
+        self._anchor_at(np.asarray(x0, dtype=float))
+        self.evals = self.n_components
+        self._ready = True
+        return self
+
+    def estimate(self, k, x):
+        """The estimate of the mean gradient at x = x^k; updates the memory."""
         raise NotImplementedError
 
-    def estimate(self, k, x_cur, x_prev, component_grad, full_grad):
+    def batch_estimate(self, batch, x):
+        """Estimate for an explicit batch without touching the memory."""
+        self._require_ready()
+        return self._corrected(batch, x)[0]
+
+    def _corrected(self, batch, x):
+        """(estimate, fresh rows, fresh rows - anchor rows) for ``batch`` at x."""
+        fresh = np.stack([self.component_grad(i, x) for i in batch])
+        diffs = fresh - self._anchor_rows(batch)
+        return diffs.mean(axis=0) + self.anchor_mean, fresh, diffs
+
+    # memory pieces, implemented per kind
+    def _anchor_at(self, x):
+        """Seed the anchors, and ``anchor_mean``, at x."""
+        raise NotImplementedError
+
+    def _anchor_rows(self, batch):
         raise NotImplementedError
 
     def _require_ready(self):
@@ -83,135 +119,72 @@ class _EstimatorBase:
 class SagaEstimator(_EstimatorBase):
     kind = "saga"
 
-    def reset(self, x0, component_grad, full_grad):
-        x0 = np.asarray(x0, dtype=float)
-        self.table = np.stack(
-            [component_grad(i, x0) for i in range(self.n_components)]
-        )
-        self.table_mean = self.table.mean(axis=0)
-        self.evals = self.n_components
-        self._ready = True
-        return self
+    def _anchor_at(self, x):
+        self.table = np.stack([self.component_grad(i, x) for i in range(self.n_components)])
+        self.anchor_mean = self.table.mean(axis=0)
 
-    def batch_estimate(self, batch, x_cur, component_grad):
-        """Estimate for an explicit batch without touching the memory."""
-        self._require_ready()
-        fresh = np.stack([component_grad(i, x_cur) for i in batch])
-        return (fresh - self.table[batch]).mean(axis=0) + self.table_mean
+    def _anchor_rows(self, batch):
+        return self.table[batch]
 
-    def estimate(self, k, x_cur, x_prev, component_grad, full_grad):
+    def estimate(self, k, x):
         self._require_ready()
         batch = self.sample_batch(k)
-        fresh = np.stack([component_grad(i, x_cur) for i in batch])
+        estimate, fresh, diffs = self._corrected(batch, x)
         self.evals += len(batch)
-        estimate = (fresh - self.table[batch]).mean(axis=0) + self.table_mean
-        # incremental mean update keeps the invariant mean(table) == table_mean
-        self.table_mean = self.table_mean + (fresh - self.table[batch]).sum(axis=0) / self.n_components
+        # incremental mean update keeps the invariant mean(table) == anchor_mean
+        self.anchor_mean = self.anchor_mean + diffs.sum(axis=0) / self.n_components
         self.table[batch] = fresh
         return estimate
 
 
 class SvrgEstimator(_EstimatorBase):
     kind = "svrg"
+    #: move the anchor to (x^k, v^k) after every step (SARAH)
+    moving_anchor = False
 
-    def reset(self, x0, component_grad, full_grad):
-        self.snapshot_x = np.asarray(x0, dtype=float).copy()
-        self.snapshot_grad = full_grad(self.snapshot_x)
-        self.evals = self.n_components
-        self._ready = True
-        return self
+    def _anchor_at(self, x):
+        self.anchor_x = x.copy()
+        self.anchor_mean = self.full_grad(self.anchor_x)
 
-    def batch_estimate(self, batch, x_cur, component_grad):
+    def _anchor_rows(self, batch):
+        return np.stack([self.component_grad(i, self.anchor_x) for i in batch])
+
+    def estimate(self, k, x):
         self._require_ready()
-        diffs = np.stack(
-            [component_grad(i, x_cur) - component_grad(i, self.snapshot_x) for i in batch]
-        )
-        return diffs.mean(axis=0) + self.snapshot_grad
-
-    def estimate(self, k, x_cur, x_prev, component_grad, full_grad):
-        self._require_ready()
-        if k > 0 and k % self.period == 0:
-            self.snapshot_x = np.asarray(x_cur, dtype=float).copy()
-            self.snapshot_grad = full_grad(self.snapshot_x)
-            self.evals += self.n_components
-            return self.snapshot_grad.copy()
-        if k == 0:
-            # snapshot was just seeded at x0 = x_cur
-            return self.snapshot_grad.copy()
-        batch = self.sample_batch(k)
-        estimate = self.batch_estimate(batch, x_cur, component_grad)
-        self.evals += 2 * len(batch)
-        return estimate
-
-
-class SarahEstimator(_EstimatorBase):
-    kind = "sarah"
-
-    def reset(self, x0, component_grad, full_grad):
-        self.prev_x = np.asarray(x0, dtype=float).copy()
-        self.prev_estimate = full_grad(self.prev_x)
-        self.evals = self.n_components
-        self._ready = True
-        return self
-
-    def batch_estimate(self, batch, x_cur, component_grad, x_prev=None):
-        self._require_ready()
-        if x_prev is None:
-            x_prev = self.prev_x
-        diffs = np.stack(
-            [component_grad(i, x_cur) - component_grad(i, x_prev) for i in batch]
-        )
-        return diffs.mean(axis=0) + self.prev_estimate
-
-    def estimate(self, k, x_cur, x_prev, component_grad, full_grad):
-        self._require_ready()
-        x_cur = np.asarray(x_cur, dtype=float)
+        x = np.asarray(x, dtype=float)
         if k % self.period == 0:
-            if k == 0:
-                estimate = self.prev_estimate.copy()
-            else:
-                estimate = full_grad(x_cur)
+            # at k = 0 the anchor was just seeded at x0 = x
+            if k > 0:
+                self._anchor_at(x)
                 self.evals += self.n_components
+            estimate = self.anchor_mean.copy()
         else:
-            batch = self.sample_batch(k)
-            estimate = self.batch_estimate(
-                batch, x_cur, component_grad,
-                x_prev=self.prev_x if x_prev is None else x_prev,
-            )
-            self.evals += 2 * len(batch)
-        self.prev_x = x_cur.copy()
-        self.prev_estimate = np.asarray(estimate, dtype=float).copy()
+            estimate = self._corrected(self.sample_batch(k), x)[0]
+            self.evals += 2 * self.batch_size
+        if self.moving_anchor:
+            self.anchor_x = x.copy()
+            self.anchor_mean = estimate.copy()
         return estimate
 
 
-class FullGradientEstimator(_EstimatorBase):
-    """Degenerate estimator: always the exact mean gradient."""
-
-    kind = "full"
-
-    def __init__(self, n_components, batch_size=None, seed=0, period=None):
-        super().__init__(n_components, n_components, seed, period=1)
-
-    def reset(self, x0, component_grad, full_grad):
-        self.evals = 0
-        self._ready = True
-        return self
-
-    def estimate(self, k, x_cur, x_prev, component_grad, full_grad):
-        self._require_ready()
-        self.evals += self.n_components
-        return full_grad(x_cur)
+class SarahEstimator(SvrgEstimator):
+    kind = "sarah"
+    moving_anchor = True
 
 
 _KINDS = {
     "saga": SagaEstimator,
     "svrg": SvrgEstimator,
     "sarah": SarahEstimator,
-    "full": FullGradientEstimator,
 }
 
 
 def make_estimator(kind, n_components, batch_size, seed, period=None):
+    """An estimator of ``kind``; "full" is SVRG with batch N and period 1."""
+    if kind == "full":
+        return SvrgEstimator(n_components, n_components, seed, period=1)
     if kind not in _KINDS:
-        raise ValueError(f"unknown estimator kind {kind!r}; pick from {sorted(_KINDS)}")
+        raise ValueError(
+            f"unknown estimator kind {kind!r}; pick from {sorted([*_KINDS, 'full'])}"
+        )
     return _KINDS[kind](n_components, batch_size, seed, period=period)

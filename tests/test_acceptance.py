@@ -203,17 +203,17 @@ def test_criterion_09_estimator_unbiasedness():
             est = vrgrad.make_estimator(kind, 8, b, seed=0)
             est.reset(np.zeros(3), cg, fg)
             vals = [
-                est.batch_estimate(np.array(batch), x, cg)
+                est.batch_estimate(np.array(batch), x)
                 for batch in itertools.combinations(range(8), b)
             ]
             err = float(np.max(np.abs(np.mean(vals, axis=0) - fg(x))))
             assert err <= 1e-12, (kind, b)
     svrg = vrgrad.make_estimator("svrg", 8, 2, seed=0)
     svrg.reset(np.zeros(3), cg, fg)
-    assert np.array_equal(svrg.estimate(4, x, None, cg, fg), fg(x))
+    assert np.array_equal(svrg.estimate(4, x), fg(x))
     sarah = vrgrad.make_estimator("sarah", 8, 2, seed=0)
     sarah.reset(np.zeros(3), cg, fg)
-    assert np.array_equal(sarah.estimate(0, np.zeros(3), None, cg, fg), fg(np.zeros(3)))
+    assert np.array_equal(sarah.estimate(0, np.zeros(3)), fg(np.zeros(3)))
     _report(9, "batch-enumeration means exact to 1e-12; snapshot/restart exact")
 
 
@@ -251,8 +251,7 @@ def test_criterion_10_full_batch_degeneracy():
         pp_cfg = PpdgConfig(alpha=alpha, preconditioner="exact_M",
                             max_iters=400, tol_step=1e-10)
         pp = ppdg.solve(fsp.as_composite(), pp_cfg, trace_sink=pp_recs.append)
-        sp_cfg = SppdgConfig(alpha=alpha, preconditioner="exact_M",
-                             max_epochs=5000, tol_step=1e-10, seeds=(0,))
+        sp_cfg = SppdgConfig(alpha=alpha, max_epochs=5000, tol_step=1e-10, seeds=(0,))
         run = sppdg.solve_stochastic(
             fsp, "svrg", sp_cfg, batch_size=fsp.n_components
         ).per_seed[0]

@@ -1,0 +1,70 @@
+"""The benchmark's span tracing still hooks the solver layers.
+
+``perfbench/tracing.py`` patches dualprox callables from outside the
+package. A renamed or dropped callable, or an estimator method that calls
+its parent's, breaks the traced benchmark runs without failing any
+solver test; these tests catch that.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dualprox import conjprox, dataio, linops, ppdg, problems, sppdg, vrgrad
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracing  # noqa: E402
+
+SEEDS = (0, 1)
+
+
+def _attributes():
+    """Every module attribute and class attribute of the traced modules."""
+    found = {}
+    for module in (conjprox, dataio, linops, ppdg, problems, sppdg, vrgrad):
+        for name, value in vars(module).items():
+            found[(module, name)] = value
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                for attr, member in vars(value).items():
+                    found[(value, attr)] = member
+    return found
+
+
+def _traced_run(kind):
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer), tracer.root(1):
+        rows, labels = problems.synthetic_fused_lasso_data(12, 4, seed=2)
+        V = problems.build_precision_graph(rows, threshold=0.5)
+        problem = problems.build_fused_lasso(rows, labels, V, normalize_rows=True)
+        config = sppdg.SppdgConfig(max_epochs=3, seeds=SEEDS)
+        result = sppdg.solve_stochastic(problem, kind, config, batch_size=2)
+    return tracer, result
+
+
+@pytest.mark.parametrize("kind", ["saga", "svrg", "sarah", "full"])
+def test_one_span_per_estimator_call(kind):
+    tracer, result = _traced_run(kind)
+    assert all(not run.failed for run in result.per_seed)
+    names = np.array(tracer.names)[np.frombuffer(tracer.name, dtype=np.int32)]
+    # one estimate at k = 0, then one per recorded step
+    calls = sum(len(run.records) + 1 for run in result.per_seed)
+    assert np.count_nonzero(names == "vrgrad.estimate") == calls
+    assert np.count_nonzero(names == "vrgrad.reset") == len(SEEDS)
+    metrics, nested = tracing.layer_metrics(tracer, 1, 12)
+    assert nested
+    assert metrics["vrgrad.estimate_calls"][0] == calls
+    assert metrics["vrgrad.comp_evals"][0] == sum(run.comp_evals[-1] for run in result.per_seed)
+
+
+def test_instrument_restores_every_attribute():
+    before = _attributes()
+    with tracing.instrument(tracing.Tracer()):
+        during = _attributes()
+    after = _attributes()
+    patched = [key for key, value in before.items() if during.get(key) is not value]
+    assert (vrgrad.SvrgEstimator, "estimate") in patched
+    assert (sppdg, "lagrangian") in patched
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())

@@ -170,6 +170,13 @@ def test_prox_special_values():
             assert np.isnan(got[4]), reg.kind
 
 
+def test_nan_input_gives_nan_values():
+    for reg in catalog():
+        for value in (reg.conj_value, reg.value_h, reg.penalty_value):
+            assert np.isnan(value(np.nan)), (reg.kind, value.__name__)
+            assert np.isnan(value(np.array([0.3, np.nan, -0.2]))), (reg.kind, value.__name__)
+
+
 def test_zero_dimensional_inputs():
     for reg in catalog():
         for beta in (0.3, 7.0):

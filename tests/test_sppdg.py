@@ -14,7 +14,6 @@ from dualprox.sppdg import (
 
 
 def exact_cfg(**kw):
-    kw.setdefault("preconditioner", "exact_M")
     kw.setdefault("alpha", ppdg.default_alpha(1.0))
     return SppdgConfig(**kw)
 
@@ -130,6 +129,7 @@ STACKED = linops.StackedOverIdentity(0.3 * np.eye(5, k=1))
 @pytest.mark.parametrize("estimator, preconditioner, operator", [
     pytest.param("svrg", "exact_M", None, id="svrg"),
     pytest.param("full", "exact_M", None, id="full"),
+    pytest.param("sarah", "exact_M", None, id="sarah"),
     pytest.param("svrg", "scalar_beta", STACKED, id="svrg-scalar_beta-stacked"),
     pytest.param("full", "scalar_beta", STACKED, id="full-scalar_beta-stacked"),
 ])
@@ -138,8 +138,8 @@ def test_full_batch_degeneracy_quadratic(estimator, preconditioner, operator):
     alpha = ppdg.default_alpha(1.0)
     pp_report, pp_recs = ppdg_trace(fsp, alpha, 400, 1e-10, preconditioner)
     assert pp_report.reason == "converged"
-    cfg = exact_cfg(max_epochs=2000, tol_step=1e-10, seeds=(3,),
-                    preconditioner=preconditioner)
+    cfg = exact_cfg(max_epochs=2000, tol_step=1e-10, seeds=(3,))
+    # batch N also sets the default period to 1
     run = solve_stochastic(fsp, estimator, cfg, batch_size=4).per_seed[0]
     assert_bit_identical(pp_report, pp_recs, run)
 
@@ -156,7 +156,7 @@ def test_full_batch_degeneracy_l0_descent_problem():
         regularizer=conjprox.L0Box(0.1, -1, 1),
     )
     pp_report, pp_recs = ppdg_trace(fsp, 0.3, 300, 1e-10)
-    cfg = SppdgConfig(alpha=0.3, preconditioner="exact_M", max_epochs=1000,
+    cfg = SppdgConfig(alpha=0.3, max_epochs=1000,
                       tol_step=1e-10, seeds=(0,))
     # N = 1: every estimator kind degenerates to the full gradient
     for kind in ("svrg", "saga", "sarah", "full"):
@@ -283,7 +283,7 @@ def test_descent_report_zero_violations_full_batch():
     # so the averaged version has no violations under a valid step size
     fsp = split_quadratic_finite_sum(4, 6, regularizer=conjprox.L0Box(0.1, -1, 1))
     alpha = 0.045  # below 1/(2(3+7L)) so e0 > 0 at kappa = 0
-    cfg = SppdgConfig(alpha=alpha, preconditioner="exact_M", max_epochs=400,
+    cfg = SppdgConfig(alpha=alpha, max_epochs=400,
                       tol_step=0.0, seeds=(0, 1))
     res = solve_stochastic(fsp, "full", cfg, batch_size=4)
     consts = SppdgLyapunovConstants.from_parameters(alpha, 1.0, 0.0)
@@ -317,7 +317,7 @@ def test_descent_report_advisory_on_stochastic_runs():
 def test_diverging_seed_is_reported_and_survivors_aggregate():
     fsp = split_quadratic_finite_sum(4, 3)
     # huge alpha diverges for every seed
-    cfg = SppdgConfig(alpha=1e9, max_epochs=5, seeds=(0, 1), preconditioner="exact_M")
+    cfg = SppdgConfig(alpha=1e9, max_epochs=5, seeds=(0, 1))
     with pytest.warns(RuntimeWarning, match="diverged"):
         res = solve_stochastic(fsp, "svrg", cfg, batch_size=4)
     assert all(r.failed for r in res.per_seed)

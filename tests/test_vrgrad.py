@@ -70,7 +70,7 @@ def test_estimate_requires_reset(quad_components):
     cg, fg = quad_components
     est = make_estimator("saga", 8, 2, seed=0)
     with pytest.raises(RuntimeError, match="reset"):
-        est.estimate(0, np.zeros(3), None, cg, fg)
+        est.estimate(0, np.zeros(3))
 
 
 def test_unknown_kind():
@@ -87,7 +87,7 @@ def test_unbiasedness_by_batch_enumeration(quad_components, kind, batch_size):
     est = make_estimator(kind, 8, batch_size, seed=0)
     est.reset(np.zeros(3), cg, fg)
     vals = [
-        est.batch_estimate(np.array(batch), x, cg)
+        est.batch_estimate(np.array(batch), x)
         for batch in itertools.combinations(range(8), batch_size)
     ]
     assert np.max(np.abs(np.mean(vals, axis=0) - fg(x))) <= 1e-12
@@ -98,7 +98,7 @@ def test_saga_full_table_gives_exact_gradient(quad_components):
     x = np.full(3, 0.25)
     est = make_estimator("saga", 8, 3, seed=0)
     est.reset(x, cg, fg)  # table entries equal the gradients at x
-    g = est.batch_estimate(np.array([1, 4, 6]), x, cg)
+    g = est.batch_estimate(np.array([1, 4, 6]), x)
     assert np.allclose(g, fg(x), atol=1e-12)
 
 
@@ -106,18 +106,18 @@ def test_svrg_snapshot_emits_exact_full_gradient(quad_components):
     cg, fg = quad_components
     est = make_estimator("svrg", 8, 2, seed=1)  # period 4
     est.reset(np.zeros(3), cg, fg)
-    assert np.array_equal(est.estimate(0, np.zeros(3), None, cg, fg), fg(np.zeros(3)))
+    assert np.array_equal(est.estimate(0, np.zeros(3)), fg(np.zeros(3)))
     x4 = np.ones(3)
-    assert np.array_equal(est.estimate(4, x4, None, cg, fg), fg(x4))
+    assert np.array_equal(est.estimate(4, x4), fg(x4))
 
 
 def test_sarah_restart_emits_exact_full_gradient(quad_components):
     cg, fg = quad_components
     est = make_estimator("sarah", 8, 2, seed=1)
     est.reset(np.zeros(3), cg, fg)
-    assert np.array_equal(est.estimate(0, np.zeros(3), None, cg, fg), fg(np.zeros(3)))
+    assert np.array_equal(est.estimate(0, np.zeros(3)), fg(np.zeros(3)))
     x4 = -np.ones(3)
-    assert np.array_equal(est.estimate(4, x4, np.zeros(3), cg, fg), fg(x4))
+    assert np.array_equal(est.estimate(4, x4), fg(x4))
 
 
 def test_sarah_recursion_formula(quad_components):
@@ -125,11 +125,11 @@ def test_sarah_recursion_formula(quad_components):
     est = make_estimator("sarah", 8, 2, seed=3)
     x0 = np.zeros(3)
     est.reset(x0, cg, fg)
-    g0 = est.estimate(0, x0, None, cg, fg)
+    g0 = est.estimate(0, x0)
     x1 = np.array([0.1, -0.2, 0.3])
     batch = sample_batch(3, 8, 2, 1)
     expect = np.mean([cg(i, x1) - cg(i, x0) for i in batch], axis=0) + g0
-    got = est.estimate(1, x1, x0, cg, fg)
+    got = est.estimate(1, x1)
     assert np.allclose(got, expect, atol=1e-15)
 
 
@@ -141,8 +141,8 @@ def test_saga_table_mean_invariant(quad_components):
     x = np.zeros(3)
     for k in range(60):
         x = x + 0.1 * rng.standard_normal(3)
-        est.estimate(k, x, None, cg, fg)
-        assert np.max(np.abs(est.table.mean(axis=0) - est.table_mean)) <= 1e-12
+        est.estimate(k, x)
+        assert np.max(np.abs(est.table.mean(axis=0) - est.anchor_mean)) <= 1e-12
 
 
 def test_reset_restores_identical_stream(quad_components):
@@ -152,7 +152,7 @@ def test_reset_restores_identical_stream(quad_components):
     def stream():
         est = make_estimator("saga", 8, 2, seed=4)
         est.reset(np.zeros(3), cg, fg)
-        return [est.estimate(k, xs[k], xs[k - 1] if k else None, cg, fg) for k in range(9)]
+        return [est.estimate(k, xs[k]) for k in range(9)]
 
     first, second = stream(), stream()
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
@@ -164,7 +164,36 @@ def test_reset_then_first_estimates_are_full_gradients(quad_components):
     for kind in ("svrg", "sarah"):
         est = make_estimator(kind, 8, 2, seed=2)
         est.reset(x0, cg, fg)
-        assert np.array_equal(est.estimate(0, x0, None, cg, fg), fg(x0))
+        assert np.array_equal(est.estimate(0, x0), fg(x0))
+
+
+def test_full_kind_is_full_batch_svrg_with_period_one(quad_components):
+    cg, fg = quad_components
+    full = make_estimator("full", 8, 2, seed=5, period=3)
+    svrg = make_estimator("svrg", 8, 8, seed=5, period=1)
+    assert (full.batch_size, full.period) == (8, 1)
+    xs = np.random.default_rng(9).standard_normal((12, 3))
+    full.reset(xs[0], cg, fg)
+    svrg.reset(xs[0], cg, fg)
+    for k, x in enumerate(xs):
+        got = full.estimate(k, x)
+        assert np.array_equal(got, svrg.estimate(k, x))
+        assert np.array_equal(got, fg(x))
+        assert full.evals == svrg.evals == 8 * (k + 1)
+
+
+def test_sarah_recursion_over_a_period(quad_components):
+    cg, fg = quad_components
+    est = make_estimator("sarah", 8, 2, seed=6, period=6)
+    xs = np.random.default_rng(2).standard_normal((7, 3))
+    est.reset(xs[0], cg, fg)
+    previous = est.estimate(0, xs[0])
+    for k in range(1, 6):
+        batch = sample_batch(6, 8, 2, k)
+        expect = np.mean([cg(i, xs[k]) - cg(i, xs[k - 1]) for i in batch], axis=0) + previous
+        previous = est.estimate(k, xs[k])
+        np.testing.assert_allclose(previous, expect, rtol=0, atol=1e-14)
+    assert np.array_equal(est.estimate(6, xs[6]), fg(xs[6]))
 
 
 def test_full_estimator_is_exact(quad_components):
@@ -172,7 +201,7 @@ def test_full_estimator_is_exact(quad_components):
     est = make_estimator("full", 8, 2, seed=0)
     est.reset(np.zeros(3), cg, fg)
     x = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(est.estimate(5, x, None, cg, fg), fg(x))
+    assert np.array_equal(est.estimate(5, x), fg(x))
 
 
 def test_eval_accounting(quad_components):
@@ -180,11 +209,11 @@ def test_eval_accounting(quad_components):
     est = make_estimator("svrg", 8, 2, seed=0)  # period 4
     est.reset(np.zeros(3), cg, fg)
     assert est.evals == 8
-    est.estimate(0, np.zeros(3), None, cg, fg)
+    est.estimate(0, np.zeros(3))
     assert est.evals == 8  # snapshot reused at k = 0
-    est.estimate(1, np.ones(3), np.zeros(3), cg, fg)
+    est.estimate(1, np.ones(3))
     assert est.evals == 8 + 4  # two fresh points per batch element
-    est.estimate(4, np.ones(3), None, cg, fg)
+    est.estimate(4, np.ones(3))
     assert est.evals == 12 + 8  # refresh costs a full pass
 
 
@@ -196,18 +225,16 @@ def test_variance_decays_along_converging_run(quad_components):
     checkpoints = {10: None, 100: None, 1000: None}
     est = make_estimator("saga", 8, 2, seed=0)
     est.reset(np.zeros(3), cg, fg)
-    x_prev = np.zeros(3)
     for k in range(1001):
         x = x_star + (x_star - np.zeros(3)) * 0.99**k * np.array([1.0, -1.0, 0.5])
-        est.estimate(k, x, x_prev, cg, fg)
+        est.estimate(k, x)
         if k in checkpoints:
             rng = np.random.default_rng(k)
             errs = []
             for _ in range(1000):
                 batch = np.sort(rng.choice(8, size=2, replace=False))
                 errs.append(
-                    np.sum((est.batch_estimate(batch, x, cg) - fg(x)) ** 2)
+                    np.sum((est.batch_estimate(batch, x) - fg(x)) ** 2)
                 )
             checkpoints[k] = float(np.mean(errs))
-        x_prev = x
     assert checkpoints[10] >= checkpoints[100] >= checkpoints[1000]
