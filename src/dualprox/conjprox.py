@@ -213,16 +213,13 @@ class ScadBox(Regularizer):
         """The scalar SCAD penalty, applied elementwise."""
         lam, gam = self.lam, self.gamma
         a = np.abs(w)
-        # nan fails both tests and lands in the quadratic branch, which keeps it
-        return np.where(
-            a <= lam,
-            lam * a,
-            np.where(
-                a > gam * lam,
-                lam**2 * (gam + 1.0) / 2.0,
-                (2.0 * gam * lam * a - a**2 - lam**2) / (2.0 * (gam - 1.0)),
-            ),
-        )
+        out = np.where(a <= lam, lam * a, lam**2 * (gam + 1.0) / 2.0)
+        # the quadratic is evaluated only where it applies, so a = inf never
+        # meets inf - inf; nan fails both tests and lands there, which keeps it
+        mid = ~((a <= lam) | (a > gam * lam))
+        q = a[mid]
+        out[mid] = (2.0 * gam * lam * q - q**2 - lam**2) / (2.0 * (gam - 1.0))
+        return out
 
     def _h_elem(self, x):
         return np.where(_beyond(np.abs(x), self.r), np.inf, self.penalty(x))

@@ -44,21 +44,13 @@ class LinearOperator:
     def apply_adjoint(self, y):
         raise NotImplementedError
 
-    def _check_in(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.in_dim,):
+    def _check(self, v, dim):
+        v = np.asarray(v, dtype=float)
+        if v.shape != (dim,):
             raise ValueError(
-                f"{self.kind}: expected input of shape ({self.in_dim},), got {x.shape}"
+                f"{self.kind}: expected input of shape ({dim},), got {v.shape}"
             )
-        return x
-
-    def _check_out(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.out_dim,):
-            raise ValueError(
-                f"{self.kind}: expected input of shape ({self.out_dim},), got {y.shape}"
-            )
-        return y
+        return v
 
     def exact_op_norm(self):
         """Known operator norm, or None when only an estimate is available."""
@@ -88,10 +80,10 @@ class Identity(LinearOperator):
         self.in_dim = self.out_dim = int(n)
 
     def apply(self, x):
-        return self._check_in(x).copy()
+        return self._check(x, self.in_dim).copy()
 
     def apply_adjoint(self, y):
-        return self._check_out(y).copy()
+        return self._check(y, self.out_dim).copy()
 
     def exact_op_norm(self):
         return 1.0
@@ -107,10 +99,10 @@ class ScaledIdentity(LinearOperator):
         self.scale = float(scale)
 
     def apply(self, x):
-        return self.scale * self._check_in(x)
+        return self.scale * self._check(x, self.in_dim)
 
     def apply_adjoint(self, y):
-        return self.scale * self._check_out(y)
+        return self.scale * self._check(y, self.out_dim)
 
     def exact_op_norm(self):
         return abs(self.scale)
@@ -127,10 +119,10 @@ class DenseMatrix(LinearOperator):
         self.out_dim, self.in_dim = mat.shape
 
     def apply(self, x):
-        return self.matrix @ self._check_in(x)
+        return self.matrix @ self._check(x, self.in_dim)
 
     def apply_adjoint(self, y):
-        return self.matrix.T @ self._check_out(y)
+        return self.matrix.T @ self._check(y, self.out_dim)
 
 
 class Gradient2D(LinearOperator):
@@ -156,7 +148,7 @@ class Gradient2D(LinearOperator):
         self.out_dim = 2 * self.in_dim
 
     def apply(self, x):
-        img = self._check_in(x).reshape(self.height, self.width)
+        img = self._check(x, self.in_dim).reshape(self.height, self.width)
         if self.boundary == "periodic":
             dh = np.roll(img, -1, axis=1) - img
             dv = np.roll(img, -1, axis=0) - img
@@ -168,7 +160,7 @@ class Gradient2D(LinearOperator):
         return np.concatenate([dh.ravel(), dv.ravel()])
 
     def apply_adjoint(self, y):
-        y = self._check_out(y)
+        y = self._check(y, self.out_dim)
         n = self.in_dim
         dh = y[:n].reshape(self.height, self.width)
         dv = y[n:].reshape(self.height, self.width)
@@ -204,11 +196,11 @@ class StackedOverIdentity(LinearOperator):
         self.out_dim = 2 * V.shape[0]
 
     def apply(self, x):
-        x = self._check_in(x)
+        x = self._check(x, self.in_dim)
         return np.concatenate([self.V @ x, x])
 
     def apply_adjoint(self, y):
-        y = self._check_out(y)
+        y = self._check(y, self.out_dim)
         n = self.in_dim
         return self.V.T @ y[:n] + y[n:]
 

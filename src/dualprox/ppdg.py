@@ -46,7 +46,6 @@ __all__ = [
     "step",
     "subgradient_d",
     "subgradient_bound_gammas",
-    "kkt_residuals",
     "make_record",
     "solve",
 ]
@@ -198,25 +197,39 @@ class SolveReport:
     lyapunov_violations: int = 0
 
 
-def lagrangian(problem, x, y):
-    """f(x) + <y, Ax> - h*(y); -inf when h*(y) = +inf (l1 outside its box)."""
-    ax = problem.operator.apply(x)
-    conj = problem.regularizer.conj_value(y)
+def _lagrangian_from(f_x, y, ax, conj):
+    """f(x) + <y, Ax> - h*(y) from its parts; -inf when h*(y) = +inf."""
     if np.isinf(conj):
         return -np.inf
-    return float(problem.f_value(x) + y @ ax - conj)
+    return float(f_x + y @ ax - conj)
+
+
+def lagrangian(problem, x, y):
+    """f(x) + <y, Ax> - h*(y); -inf when h*(y) = +inf (l1 outside its box)."""
+    return _lagrangian_from(
+        problem.f_value(x), y, problem.operator.apply(x), problem.regularizer.conj_value(y)
+    )
+
+
+def _window_value(lag, weights, du, dv, dw):
+    """lag - a||du||^2 + b||dv||^2 (+ c||dw||^2 unless c is None), in that order."""
+    a, b, c = weights
+    value = lag - a * float(du @ du) + b * float(dv @ dv)
+    if c is not None:
+        value += c * float(dw @ dw)
+    return value
 
 
 def lyapunov_value(problem, z, constants):
-    """L(x, y) - a||x - u||^2 + b||x - v||^2 for z = (x, y, u, v)."""
-    x, y, u, v = z
-    du = x - u
-    dv = x - v
-    return (
-        lagrangian(problem, x, y)
-        - constants.a * float(du @ du)
-        + constants.b * float(dv @ dv)
-    )
+    """Lyapunov value at the window z = (x, y, u, v) or (x, y, u, v, w).
+
+    L(x, y) - a||x - u||^2 + b||x - v||^2, plus c||v - w||^2 for a
+    five-point window; ``constants.c`` is read only then.
+    """
+    x, y, u, v, *w = z
+    weights = (constants.a, constants.b, constants.c if w else None)
+    dw = v - w[0] if w else None
+    return _window_value(lagrangian(problem, x, y), weights, x - u, x - v, dw)
 
 
 def dual_beta(problem, config):
@@ -279,21 +292,6 @@ def step(problem, state, config, beta=None, gradient=None):
     )
 
 
-def kkt_residuals(problem, state):
-    """Residuals of the two optimality relations at (x^k, y^k).
-
-    r_x = ||grad f(x^k) + A^T y^k||, r_y = ||A x^k - g^k|| where g^k is
-    the dual-step subgradient; r_y bounds the distance of A x^k to the
-    subdifferential of h* at y^k.
-    """
-    if state.k < 1 or state.g_cur is None:
-        raise ValueError("kkt_residuals needs k >= 1 (a completed dual step)")
-    op = problem.operator
-    r_x = np.linalg.norm(problem.grad_f(state.x_cur) + op.apply_adjoint(state.y_cur))
-    r_y = np.linalg.norm(op.apply(state.x_cur) - state.g_cur)
-    return float(r_x), float(r_y)
-
-
 def subgradient_d(problem, state, constants):
     """The four-block subgradient d^k of the Lyapunov function at z^k.
 
@@ -335,26 +333,34 @@ def make_record(problem, state, weights, elapsed_s=0.0):
     ``weights = (a, b, c)`` weigh ||x^k - x^{k+1}||^2, ||x^k - x^{k-1}||^2
     and ||x^{k-1} - x^{k-2}||^2 in the Lyapunov column; c = None drops
     the last term. At k = 1, x^{k-2} is taken as x^{k-1}.
+
+    One pass: A x^k, A^T y^k, f(x^k), grad f(x^k), h*(y^k) and h(A x^k)
+    are each evaluated once. The KKT residuals are
+    r_x = ||grad f(x^k) + A^T y^k|| and r_y = ||A x^k - g^k||, where g^k
+    is the dual-step subgradient; r_y bounds the distance of A x^k to
+    the subdifferential of h* at y^k.
     """
-    kkt_x, kkt_y = kkt_residuals(problem, state)
-    lag = lagrangian(problem, state.x_cur, state.y_cur)
-    a, b, c = weights
-    du = state.x_cur - state.x_next
-    dv = state.x_cur - state.x_prev
-    lyapunov = lag - a * float(du @ du) + b * float(dv @ dv)
-    if c is not None:
+    if state.k < 1 or state.g_cur is None:
+        raise ValueError("make_record needs k >= 1 (a completed dual step)")
+    op, reg = problem.operator, problem.regularizer
+    x, y = state.x_cur, state.y_cur
+    ax = op.apply(x)
+    f_x = problem.f_value(x)
+    lag = _lagrangian_from(f_x, y, ax, reg.conj_value(y))
+    dv = x - state.x_prev
+    dw = None
+    if weights[2] is not None:
         dw = state.x_prev - (state.x_prev if state.x_prev2 is None else state.x_prev2)
-        lyapunov += c * float(dw @ dw)
     return TraceRecord(
         iter=state.k,
         elapsed_s=elapsed_s,
-        objective=problem.objective(state.x_cur),
+        objective=float(f_x + reg.value_h(ax)),
         lagrangian=lag,
-        lyapunov=lyapunov,
+        lyapunov=_window_value(lag, weights, x - state.x_next, dv, dw),
         dx_norm=float(np.linalg.norm(dv)),
-        dy_norm=float(np.linalg.norm(state.y_cur - state.y_prev)),
-        kkt_x=kkt_x,
-        kkt_y=kkt_y,
+        dy_norm=float(np.linalg.norm(y - state.y_prev)),
+        kkt_x=float(np.linalg.norm(problem.grad_f(x) + op.apply_adjoint(y))),
+        kkt_y=float(np.linalg.norm(ax - state.g_cur)),
     )
 
 

@@ -72,9 +72,6 @@ class FiniteSumProblem:
             total += self.component_grad(i, x)
         return total / self.n_components
 
-    def objective(self, x):
-        return float(self.full_value(x) + self.regularizer.value_h(self.operator.apply(x)))
-
     def as_composite(self):
         """View as a CompositeProblem through the full-gradient accessor."""
         return CompositeProblem(

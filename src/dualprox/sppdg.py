@@ -13,6 +13,7 @@ with the window z^k = (x^k, y^k, x^{k+1}, x^{k-1}, x^{k-2}). Only the
 deterministic part of that Lyapunov function is computable (the
 geometrically decaying correction terms of the variance-reduction
 analysis have no closed form), so descent reporting is advisory.
+``ppdg.lyapunov_value`` evaluates that part at a five-point window.
 """
 
 import warnings
@@ -27,7 +28,6 @@ from .ppdg import (
     _iterate,
     default_alpha,
     lagrangian,
-    lyapunov_value,
 )
 from .vrgrad import make_estimator
 
@@ -39,7 +39,6 @@ __all__ = [
     "StochasticSolveResult",
     "AGGREGATE_FIELDS",
     "lagrangian_s",
-    "stochastic_lyapunov_value",
     "solve_stochastic",
     "expectation_descent_report",
 ]
@@ -174,14 +173,6 @@ class StochasticSolveResult:
 def lagrangian_s(problem, x, y):
     """Finite-sum Lagrangian (1/N) sum f_i(x) + <y, Ax> - h*(y)."""
     return lagrangian(problem.as_composite(), x, y)
-
-
-def stochastic_lyapunov_value(problem, z, constants):
-    """Deterministic part of Ls at z = (x, y, u, v, w)."""
-    x, y, u, v, w = z
-    dw = v - w
-    base = lyapunov_value(problem.as_composite(), (x, y, u, v), constants)
-    return base + constants.c * float(dw @ dw)
 
 
 def _run_one_seed(problem, estimator_kind, config, step_config, weights, seed,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,21 @@ def test_nan_input_gives_nan_values():
         for value in (reg.conj_value, reg.value_h, reg.penalty_value):
             assert np.isnan(value(np.nan)), (reg.kind, value.__name__)
             assert np.isnan(value(np.array([0.3, np.nan, -0.2]))), (reg.kind, value.__name__)
+
+
+def test_infinite_input_gives_infinite_h_without_warnings():
+    infs = np.array([np.inf, -np.inf])
+    for reg in catalog():
+        if isinstance(reg, (L1, LpBall)):
+            per_entry = np.inf
+        elif isinstance(reg, L0Box):
+            per_entry = reg.lam
+        else:
+            per_entry = reg.lam**2 * (reg.gamma + 1.0) / 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert reg.value_h(infs) == np.inf, reg.kind
+            assert reg.penalty_value(infs) == 2.0 * per_entry, reg.kind
 
 
 def test_zero_dimensional_inputs():

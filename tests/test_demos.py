@@ -1,0 +1,28 @@
+"""The demo scripts run to completion and report what they promise."""
+
+import re
+import runpy
+from pathlib import Path
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def run_demo(name, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    return capsys.readouterr().out
+
+
+def test_solver_diagnostics_subgradient_bound_holds(capsys, monkeypatch, tmp_path):
+    out = run_demo("solver_diagnostics.py", capsys, monkeypatch, tmp_path)
+    assert "solver asserted descent on every iteration (200 steps)" in out
+    ratio = float(re.search(r"max \|\|d\^k\|\| / bound over 200 iterations: (\S+)", out)[1])
+    assert 0.0 < ratio <= 1.0
+
+
+def test_denoise_image_improves_psnr(capsys, monkeypatch, tmp_path):
+    out = run_demo("denoise_image.py", capsys, monkeypatch, tmp_path)
+    gain = float(re.search(r"\(gain ([+-]\S+) dB\)", out)[1])
+    assert gain > 0.0
+    assert (tmp_path / "denoise_demo_noisy.pgm").exists()
+    assert (tmp_path / "denoise_demo_out.pgm").exists()

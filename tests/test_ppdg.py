@@ -7,8 +7,8 @@ from dualprox.ppdg import (
     LyapunovConstants,
     PpdgConfig,
     SolverDivergence,
-    kkt_residuals,
     lagrangian,
+    make_record,
     lyapunov_value,
     subgradient_bound_gammas,
     subgradient_d,
@@ -169,7 +169,7 @@ def test_subgradient_requires_completed_step(scalar_problem):
     with pytest.raises(ValueError):
         subgradient_d(scalar_problem, st, consts)
     with pytest.raises(ValueError):
-        kkt_residuals(scalar_problem, st)
+        make_record(scalar_problem, st, (consts.a, consts.b, None))
 
 
 def test_subgradient_zero_at_critical_window():
@@ -220,7 +220,7 @@ def test_subgradient_blocks_match_finite_differences(descent_problem):
 def test_kkt_hand_value(scalar_problem):
     cfg = exact_cfg()
     states = run_history(scalar_problem, cfg, np.zeros(1), np.zeros(1), 1)
-    r_x, _ = kkt_residuals(scalar_problem, states[1])
+    r_x = make_record(scalar_problem, states[1], (0.0, 0.0, None)).kkt_x
     assert r_x == pytest.approx(abs(0.6 - 2.0 + (4.0 - 10.0 / 3.0)), abs=1e-4)
 
 
@@ -230,7 +230,8 @@ def test_kkt_zero_cases():
     x = np.array([0.93])
     y = b - x
     st = ppdg.SolverState(k=2, x_cur=x, y_cur=y, x_next=x, x_prev=x, y_prev=y, g_cur=x.copy())
-    r_x, r_y = kkt_residuals(prob, st)
+    record = make_record(prob, st, (0.0, 0.0, None))
+    r_x, r_y = record.kkt_x, record.kkt_y
     assert r_x == pytest.approx(0.0, abs=1e-15)
     assert r_y == pytest.approx(0.0, abs=1e-15)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import quadratic_problem, split_quadratic_finite_sum
-from dualprox import conjprox, linops, ppdg, sppdg
+from dualprox import conjprox, linops, ppdg
 from dualprox.problems import FiniteSumProblem, build_fused_lasso, build_precision_graph, synthetic_fused_lasso_data
 from dualprox.sppdg import (
     SppdgConfig,
@@ -257,7 +257,7 @@ def test_lyapunov_column_matches_five_point_window(monkeypatch, estimator):
     for k, (record, state) in enumerate(zip(run.records, states), start=1):
         back2 = xs[k - 2] if k >= 2 else xs[k - 1]
         window = (xs[k], state.y_cur, xs[k + 1], xs[k - 1], back2)
-        assert record.lyapunov == sppdg.stochastic_lyapunov_value(fsp, window, consts), k
+        assert record.lyapunov == ppdg.lyapunov_value(fsp.as_composite(), window, consts), k
 
 
 def test_norm_cap_fails_the_seed():
