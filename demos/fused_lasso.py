@@ -31,7 +31,7 @@ def penalized(x):
 ref_cfg = ppdg.PpdgConfig(
     alpha=ppdg.default_alpha(problem.lipschitz_L), max_iters=20000, tol_step=1e-12
 )
-reference = ppdg.solve(problem.as_composite(), ref_cfg)
+reference = ppdg.solve(problem, ref_cfg)
 ref_obj = penalized(reference.x)
 print(f"deterministic reference: {reference.iters} iterations, objective {ref_obj:.8f}\n")
 

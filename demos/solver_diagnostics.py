@@ -26,7 +26,7 @@ problem = CompositeProblem(
 )
 
 config = ppdg.PpdgConfig(
-    alpha=0.3, delta=0.2, preconditioner="exact_M",
+    alpha=0.3, preconditioner="exact_M",
     max_iters=200, tol_step=0.0, lyapunov_checks=True,
 )
 constants = ppdg.LyapunovConstants.from_parameters(0.3, 0.2, 1.0)

@@ -55,9 +55,13 @@ def _parse_synthetic_nn(text):
 
 
 def _parse_seeds(text):
-    if "," in text:
-        return tuple(int(s) for s in text.split(","))
-    return tuple(range(int(text)))
+    parts = [p.strip() for p in text.split(",")]
+    seeds = tuple(int(p) for p in parts if p.isdecimal())
+    if len(parts) == 1 and seeds:
+        seeds = tuple(range(seeds[0]))
+    if not seeds or len(seeds) < len(parts):
+        raise UsageError(f"--seeds expects a positive count or a comma list of seeds, got {text!r}")
+    return seeds
 
 
 def cmd_denoise(args):
@@ -183,7 +187,7 @@ def cmd_lasso(args):
     if not survivors:
         print("all seeds failed", file=sys.stderr)
         return 1
-    final_obj = float(np.mean([r.records[-1].objective for r in survivors if r.records]))
+    final_obj = float(np.mean([problem.objective(r.report.x) for r in survivors]))
     # finite penalized value (indicator dropped): iterates can sit a hair
     # outside the ball, which turns the extended-real objective infinite
     reg, op = problem.regularizer, problem.operator

@@ -19,7 +19,8 @@ the solver can assert that descent on every iteration.
 
 The loop takes a gradient oracle and a stop rule: ``solve`` runs it
 with the exact gradient and an iteration cap, :mod:`dualprox.sppdg`
-with a variance-reduced estimate and an evaluation budget.
+with a variance-reduced estimate and an evaluation budget. A finite sum
+is a composite problem, so every function here takes either type.
 """
 
 import time
@@ -64,6 +65,10 @@ TRACE_FIELDS = [
 
 _EXACT_M_KINDS = ("identity", "scaled-identity")
 
+# the descent analysis fixes delta in the Lyapunov weights; the slack absorbs roundoff
+DELTA = 0.2
+DESCENT_SLACK = 1e-9
+
 
 class SolverDivergence(RuntimeError):
     """Iterates became non-finite or exceeded the norm cap."""
@@ -87,19 +92,15 @@ class LyapunovViolation(RuntimeError):
 @dataclass
 class PpdgConfig:
     alpha: float
-    delta: float = 0.2
     max_iters: int = 10000
     tol_step: float = 1e-8
     preconditioner: str = "scalar_beta"
     lyapunov_checks: bool = False
     norm_cap: float = 1e12
-    descent_slack: float = 1e-9
 
     def validate(self, problem):
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
         if self.preconditioner not in ("exact_M", "scalar_beta"):
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
         if self.preconditioner == "exact_M" and problem.operator.kind not in _EXACT_M_KINDS:
@@ -109,11 +110,11 @@ class PpdgConfig:
             )
         if self.lyapunov_checks:
             L = problem.lipschitz_L
-            if self.delta == 0.2 and not self.alpha < 1.0 / (3.0 * L):
+            if not self.alpha < 1.0 / (3.0 * L):
                 raise ValueError(
-                    f"descent checks with delta=0.2 need alpha < 1/(3L) = {1/(3*L):.6g}"
+                    f"descent checks with delta={DELTA} need alpha < 1/(3L) = {1/(3*L):.6g}"
                 )
-            consts = LyapunovConstants.from_parameters(self.alpha, self.delta, L)
+            consts = LyapunovConstants.from_parameters(self.alpha, DELTA, L)
             if min(consts.a, consts.b, consts.c) <= 0:
                 raise ValueError(
                     "Lyapunov constants are not all positive for this (alpha, delta, L)"
@@ -416,7 +417,7 @@ def solve(problem, config, trace_sink=None, x0=None, y0=None):
     """Run the solver until the step tolerance or the iteration cap.
 
     Args:
-        problem: a CompositeProblem (smooth part, operator, regularizer).
+        problem: a CompositeProblem or FiniteSumProblem (f, operator, regularizer).
         config: PpdgConfig; validated against the problem up front.
         trace_sink: optional callable receiving one TraceRecord per
             completed iteration (from k = 1 on, since diagnostics need
@@ -439,9 +440,7 @@ def solve(problem, config, trace_sink=None, x0=None, y0=None):
         x0 = np.zeros(op.in_dim)
     if y0 is None:
         y0 = np.zeros(op.out_dim)
-    constants = LyapunovConstants.from_parameters(
-        config.alpha, config.delta, problem.lipschitz_L
-    )
+    constants = LyapunovConstants.from_parameters(config.alpha, DELTA, problem.lipschitz_L)
     prev_record = None
     violations = 0
 
@@ -451,7 +450,7 @@ def solve(problem, config, trace_sink=None, x0=None, y0=None):
             trace_sink(record)
         if config.lyapunov_checks and prev_record is not None:
             required = constants.c * (record.dx_norm**2 + prev_record.dx_norm**2)
-            slack = config.descent_slack * (1.0 + abs(prev_record.lyapunov))
+            slack = DESCENT_SLACK * (1.0 + abs(prev_record.lyapunov))
             drop = prev_record.lyapunov - record.lyapunov
             if drop < required - slack:
                 if config.preconditioner == "exact_M":

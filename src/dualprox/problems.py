@@ -2,8 +2,9 @@
 
 A CompositeProblem bundles a smooth term f (value, gradient, Lipschitz
 constant of the gradient) with a linear operator and a regularizer, so
-the solvers never see application specifics. FiniteSumProblem adds
-per-component access for the stochastic estimators.
+the solvers never see application specifics. A FiniteSumProblem is the
+case f = (1/N) sum f_i, with the same interface plus per-component
+access for the stochastic estimators, so both solvers take it as is.
 """
 
 from dataclasses import dataclass
@@ -72,15 +73,14 @@ class FiniteSumProblem:
             total += self.component_grad(i, x)
         return total / self.n_components
 
-    def as_composite(self):
-        """View as a CompositeProblem through the full-gradient accessor."""
-        return CompositeProblem(
-            f_value=self.full_value,
-            grad_f=self.full_grad,
-            lipschitz_L=self.lipschitz_L,
-            operator=self.operator,
-            regularizer=self.regularizer,
-        )
+    # the composite interface: f and grad f are the full means, looked up per call
+    def f_value(self, x):
+        return self.full_value(x)
+
+    def grad_f(self, x):
+        return self.full_grad(x)
+
+    objective = CompositeProblem.objective
 
 
 def build_denoise(img, lam=0.1, c1=-1.0, c2=1.0, boundary="periodic"):

@@ -1,15 +1,15 @@
 """Stochastic preconditioned primal-dual solver over finite-sum problems.
 
-Each run is the deterministic solver's loop (``ppdg._iterate``) with the
-exact mean gradient replaced by a variance-reduced estimate and the
-iteration cap by a budget of component-gradient evaluations. Runs are
-replicated across seeds, and seed-averaged traces
-support an advisory check of the expected-descent property of the
-stochastic Lyapunov function
+Each run is the deterministic solver's loop (``ppdg._iterate``) on the
+finite sum itself, with the exact mean gradient replaced by a
+variance-reduced estimate and the iteration cap by a budget of
+component-gradient evaluations. Runs are replicated across seeds, and
+seed-averaged traces support an advisory check of the expected descent of
 
     Ls(z) = Lag_s(x, y) - a||x - u||^2 + b||x - v||^2 + c||v - w||^2
 
-with the window z^k = (x^k, y^k, x^{k+1}, x^{k-1}, x^{k-2}). Only the
+where Lag_s(x, y) = (1/N) sum f_i(x) + <y, Ax> - h*(y) is ``lagrangian`` of
+the finite sum and z^k = (x^k, y^k, x^{k+1}, x^{k-1}, x^{k-2}). Only the
 deterministic part of that Lyapunov function is computable (the
 geometrically decaying correction terms of the variance-reduction
 analysis have no closed form), so descent reporting is advisory.
@@ -38,7 +38,7 @@ __all__ = [
     "SeedRunResult",
     "StochasticSolveResult",
     "AGGREGATE_FIELDS",
-    "lagrangian_s",
+    "lagrangian",
     "solve_stochastic",
     "expectation_descent_report",
 ]
@@ -170,11 +170,6 @@ class StochasticSolveResult:
     aggregate: list
 
 
-def lagrangian_s(problem, x, y):
-    """Finite-sum Lagrangian (1/N) sum f_i(x) + <y, Ax> - h*(y)."""
-    return lagrangian(problem.as_composite(), x, y)
-
-
 def _run_one_seed(problem, estimator_kind, config, step_config, weights, seed,
                   batch_size, period, x0, y0, trace_sink):
     """One seed's run; a diverged run is returned failed, with a warning."""
@@ -194,7 +189,7 @@ def _run_one_seed(problem, estimator_kind, config, step_config, weights, seed,
 
     try:
         report = _iterate(
-            problem.as_composite(), step_config, estimator.estimate,
+            problem, step_config, estimator.estimate,
             lambda k: estimator.evals < budget, "epoch-budget",
             weights, keep, x0, np.array(y0, dtype=float),
         )

@@ -85,7 +85,7 @@ def test_criterion_03_moreau_identity():
 @pytest.fixture(scope="module")
 def descent_history():
     prob = descent_problem()
-    cfg = PpdgConfig(alpha=0.3, delta=0.2, preconditioner="exact_M",
+    cfg = PpdgConfig(alpha=0.3, preconditioner="exact_M",
                      max_iters=502, tol_step=0.0)
     states = run_history(prob, cfg, np.zeros(10), np.zeros(10), 502)
     consts = LyapunovConstants.from_parameters(0.3, 0.2, 1.0)
@@ -250,7 +250,7 @@ def test_criterion_10_full_batch_degeneracy():
         pp_recs = []
         pp_cfg = PpdgConfig(alpha=alpha, preconditioner="exact_M",
                             max_iters=400, tol_step=1e-10)
-        pp = ppdg.solve(fsp.as_composite(), pp_cfg, trace_sink=pp_recs.append)
+        pp = ppdg.solve(fsp, pp_cfg, trace_sink=pp_recs.append)
         sp_cfg = SppdgConfig(alpha=alpha, max_epochs=5000, tol_step=1e-10, seeds=(0,))
         run = sppdg.solve_stochastic(
             fsp, "svrg", sp_cfg, batch_size=fsp.n_components
@@ -280,7 +280,7 @@ def test_criterion_11_stochastic_convergence():
         alpha=ppdg.default_alpha(prob.lipschitz_L),
         max_iters=20000, tol_step=1e-12, preconditioner="scalar_beta",
     )
-    ref = ppdg.solve(prob.as_composite(), ref_cfg)
+    ref = ppdg.solve(prob, ref_cfg)
     assert ref.reason == "converged"
     ref_obj = penalized_objective(prob, ref.x)
 

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,31 @@ def test_lasso_synthetic_writes_per_seed_and_aggregate(tmp_path):
     assert agg[2].endswith(",3")  # seeds_ok column
     summary = read_summary(out / "summary.txt")
     assert summary["seeds_ok"] == "3"
+
+
+def test_lasso_zero_epochs_summary_reads_the_starting_objective(tmp_path):
+    out = tmp_path / "l"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([
+            "lasso", "--synthetic", "40,4", "--seeds", "2", "--max-epochs", "0",
+            "--out-dir", str(out),
+        ])
+    assert code == 0
+    summary = read_summary(out / "summary.txt")
+    # f(0) = 1 - tanh(0) for every component, h(A 0) = 0
+    assert summary["mean_final_objective"] == "1"
+    assert summary["mean_final_penalized_objective"] == "1"
+
+
+@pytest.mark.parametrize("seeds", ["abc", "1,x", "0", "-2", "1,-1", "3,"])
+def test_lasso_bad_seed_list_is_a_usage_error(tmp_path, seeds, capsys):
+    code = main([
+        "lasso", "--synthetic", "40,4", "--seeds", seeds, "--max-epochs", "1",
+        "--out-dir", str(tmp_path / "l"),
+    ])
+    assert code == 2
+    assert "usage error: --seeds" in capsys.readouterr().err
 
 
 def test_lasso_full_estimator_matches_full_batch_svrg(tmp_path):

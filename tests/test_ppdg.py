@@ -5,6 +5,7 @@ from conftest import quadratic_problem, run_history
 from dualprox import conjprox, linops, ppdg
 from dualprox.ppdg import (
     LyapunovConstants,
+    LyapunovViolation,
     PpdgConfig,
     SolverDivergence,
     lagrangian,
@@ -13,6 +14,7 @@ from dualprox.ppdg import (
     subgradient_bound_gammas,
     subgradient_d,
 )
+from dualprox.problems import CompositeProblem
 
 
 def exact_cfg(alpha=0.3, **kw):
@@ -352,6 +354,34 @@ def test_lyapunov_checks_pass_in_exact_mode(descent_problem):
         descent_problem, exact_cfg(max_iters=500, tol_step=0.0, lyapunov_checks=True)
     )
     assert report.lyapunov_violations == 0
+
+
+def understated_curvature_problem():
+    """f = 2||x - b||^2 (gradient Lipschitz constant 4) declared with L = 1."""
+    b = np.full(4, 0.5)
+    return CompositeProblem(
+        f_value=lambda x: 2.0 * float(np.sum((x - b) ** 2)),
+        grad_f=lambda x: 4.0 * (x - b),
+        lipschitz_L=1.0,
+        operator=linops.Identity(4),
+        regularizer=conjprox.L0Box(0.1, -1.0, 1.0),
+    )
+
+
+def test_descent_violation_raises_under_exact_metric():
+    # alpha = 0.3 passes the 1/(3L) check for the declared L but not the true one
+    cfg = exact_cfg(max_iters=50, tol_step=0.0, lyapunov_checks=True)
+    with pytest.raises(LyapunovViolation, match="iteration 2:") as info:
+        ppdg.solve(understated_curvature_problem(), cfg)
+    assert info.value.iteration == 2
+
+
+def test_descent_violation_counted_under_scalar_beta():
+    cfg = exact_cfg(max_iters=50, tol_step=0.0, lyapunov_checks=True,
+                    preconditioner="scalar_beta")
+    with pytest.warns(RuntimeWarning, match="descent violated"):
+        report = ppdg.solve(understated_curvature_problem(), cfg)
+    assert report.lyapunov_violations == 1
 
 
 def test_kkt_consistency_scalar_problem(scalar_problem):

@@ -8,7 +8,7 @@ from dualprox.sppdg import (
     SppdgConfig,
     SppdgLyapunovConstants,
     expectation_descent_report,
-    lagrangian_s,
+    lagrangian,
     solve_stochastic,
 )
 
@@ -60,7 +60,7 @@ def test_alpha_fallback_without_kappa():
 # --- finite-sum lagrangian -------------------------------------------------
 
 
-def test_lagrangian_s_identical_components():
+def test_finite_sum_lagrangian_identical_components():
     fsp = FiniteSumProblem(
         n_components=3,
         component_value=lambda i, x: 0.5 * float(np.sum(x**2)),
@@ -72,16 +72,16 @@ def test_lagrangian_s_identical_components():
     x = np.array([0.3, -0.2])
     y = np.array([0.05, 0.0])
     single = quadratic_problem(np.zeros(2), linops.Identity(2), conjprox.L0Box(0.1, -1, 1))
-    assert lagrangian_s(fsp, x, y) == pytest.approx(ppdg.lagrangian(single, x, y))
+    assert lagrangian(fsp, x, y) == pytest.approx(ppdg.lagrangian(single, x, y))
 
 
-def test_lagrangian_s_sigmoid_losses_at_origin():
+def test_finite_sum_lagrangian_sigmoid_losses_at_origin():
     rows, labels = synthetic_fused_lasso_data(12, 4, seed=3)
     prob = build_fused_lasso(rows, labels, np.zeros((4, 4)))
-    assert lagrangian_s(prob, np.zeros(4), np.zeros(8)) == pytest.approx(1.0)
+    assert lagrangian(prob, np.zeros(4), np.zeros(8)) == pytest.approx(1.0)
 
 
-def test_lagrangian_s_two_quadratics_hand_value():
+def test_finite_sum_lagrangian_two_quadratics_hand_value():
     targets = np.array([[1.0, 0.0], [0.0, 1.0]])
     fsp = FiniteSumProblem(
         n_components=2,
@@ -96,7 +96,7 @@ def test_lagrangian_s_two_quadratics_hand_value():
     direct = 0.5 * (
         np.sum((x - targets[0]) ** 2) + np.sum((x - targets[1]) ** 2)
     ) / 2.0 + y @ x - fsp.regularizer.conj_value(y)
-    assert lagrangian_s(fsp, x, y) == pytest.approx(direct, abs=1e-12)
+    assert lagrangian(fsp, x, y) == pytest.approx(direct, abs=1e-12)
 
 
 # --- degeneracy and determinism -------------------------------------------
@@ -107,7 +107,7 @@ def ppdg_trace(problem, alpha, max_iters, tol, preconditioner="exact_M"):
     cfg = ppdg.PpdgConfig(
         alpha=alpha, preconditioner=preconditioner, max_iters=max_iters, tol_step=tol
     )
-    report = ppdg.solve(problem.as_composite(), cfg, trace_sink=recs.append)
+    report = ppdg.solve(problem, cfg, trace_sink=recs.append)
     return report, recs
 
 
@@ -257,7 +257,7 @@ def test_lyapunov_column_matches_five_point_window(monkeypatch, estimator):
     for k, (record, state) in enumerate(zip(run.records, states), start=1):
         back2 = xs[k - 2] if k >= 2 else xs[k - 1]
         window = (xs[k], state.y_cur, xs[k + 1], xs[k - 1], back2)
-        assert record.lyapunov == ppdg.lyapunov_value(fsp.as_composite(), window, consts), k
+        assert record.lyapunov == ppdg.lyapunov_value(fsp, window, consts), k
 
 
 def test_norm_cap_fails_the_seed():
