@@ -233,6 +233,8 @@ def cmd_prox_check(args):
         reg = _build_regularizer(args)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if args.points < 1 or not args.step > 0:
+        raise UsageError("prox-check needs --points >= 1 and --step > 0")
     rng = np.random.default_rng(args.seed)
     points = rng.uniform(-8.0, 8.0, size=args.points)
     deviation = conjprox.oracle_prox_deviation(

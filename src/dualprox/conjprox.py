@@ -3,15 +3,16 @@
 Each regularizer h is nonconvex (or nonsmooth), but its conjugate h* is
 convex, and for every kind here it has the same shape: a ramp that is
 zero on [lo, hi] and linear with slopes s_lo < 0 < s_hi outside it. The
-slopes are the endpoints of dom h; l1 is the case with infinite slopes,
-where h* is the indicator of [-lam, lam]. A kind states only its ramp
-``(lo, hi, s_lo, s_hi)``, and the base class derives h* and
+slopes are the endpoints of dom h = [s_lo, s_hi]; l1 is the case with
+infinite slopes, where h* is the indicator of [-lam, lam]. A kind states
+only its penalty (h on dom h) and its ramp ``(lo, hi, s_lo, s_hi)``; the
+base class derives h (the penalty, +inf beyond dom h), h* and
 
     prox_{beta h*}(v) = v - beta*s_hi   if v > hi + beta*s_hi
                         clip(v, lo, hi) if lo + beta*s_lo <= v <= hi + beta*s_hi
                         v - beta*s_lo   if v < lo + beta*s_lo
 
-from it. The catalog covers:
+The catalog covers:
 
 * ``L1(lam)``:            h(x) = lam * ||x||_1
 * ``L0Box(lam, c1, c2)``: h(x) = lam * ||x||_0 + indicator of [c1, c2]^n
@@ -19,12 +20,12 @@ from it. The catalog covers:
 * ``ScadBox(lam, gamma, r)``: SCAD penalty + indicator of [-r, r]^n
 
 Everything acts coordinate-wise. A brute-force grid oracle backs every
-closed form: ``conj_value_oracle`` takes the sup over h itself
-(``_h_elem``), never over the ramp, and ``prox_conj_oracle`` minimizes
-the prox objective over a grid. For SCAD the closed forms are the
-symmetrized ones the oracle certifies (all three parameter cases reduce
-to h*(y) = r * max(|y| - theta, 0)), not the asymmetric variants
-sometimes quoted for this penalty.
+closed form: ``conj_value_oracle`` takes the sup of y*x - h(x) over a
+grid spanning each kind's own box or ball, never the ramp, and
+``prox_conj_oracle`` minimizes the prox objective over a grid. For SCAD
+the closed forms are the symmetrized ones the oracle certifies (all
+three parameter cases reduce to h*(y) = r * max(|y| - theta, 0)), not
+the asymmetric variants sometimes quoted for this penalty.
 """
 
 from dataclasses import dataclass
@@ -49,11 +50,6 @@ __all__ = [
 # stays finite at boundary-active solutions (iterates land within a few ulp
 # of the box/ball edge)
 INDICATOR_RTOL = 1e-9
-
-
-def _beyond(x, bound):
-    """True where x exceeds the bound by more than float roundoff."""
-    return x > bound + INDICATOR_RTOL * max(1.0, abs(bound))
 
 
 class Regularizer:
@@ -82,16 +78,25 @@ class Regularizer:
             raise ValueError("prox_conj: beta must be positive")
         return self._prox_elem(np.asarray(v, dtype=float), float(beta))
 
-    # elementwise pieces, implemented per kind
-    def _h_elem(self, x):
-        raise NotImplementedError
-
+    # elementwise pieces: a kind states _penalty_elem and _ramp
     def _penalty_elem(self, x):
         raise NotImplementedError
 
     def _ramp(self):
         """(lo, hi, s_lo, s_hi): h* is 0 on [lo, hi], slope s_lo below, s_hi above."""
         raise NotImplementedError
+
+    # h is the penalty on dom h = [s_lo, s_hi] (bounds widened by
+    # INDICATOR_RTOL; an infinite slope widens to itself) and +inf beyond;
+    # nan fails both tests. +inf goes into the penalty's own new array (0-d
+    # for a scalar), several times faster than an np.where output.
+    def _h_elem(self, x):
+        _, _, s_lo, s_hi = self._ramp()
+        above = s_hi + INDICATOR_RTOL * max(1.0, abs(s_hi))
+        below = s_lo - INDICATOR_RTOL * max(1.0, abs(s_lo))
+        out = np.asarray(self._penalty_elem(x))
+        np.copyto(out, np.inf, where=(x > above) | (x < below))
+        return out
 
     # Each linear piece is evaluated only where it applies, so an infinite
     # slope never meets a zero excess (inf * 0) or an infinite input
@@ -123,9 +128,6 @@ class L1(Regularizer):
         self.lam = float(lam)
         self.scale = self.lam
 
-    def _h_elem(self, x):
-        return self.lam * np.abs(x)
-
     def _penalty_elem(self, x):
         return self.lam * np.abs(x)
 
@@ -145,10 +147,6 @@ class L0Box(Regularizer):
         self.c1 = float(c1)
         self.c2 = float(c2)
         self.scale = max(self.c2, -self.c1)
-
-    def _h_elem(self, x):
-        outside = _beyond(x, self.c2) | _beyond(-x, -self.c1)
-        return np.where(outside, np.inf, self._penalty_elem(x))
 
     def _penalty_elem(self, x):
         out = np.multiply(self.lam, x != 0, out=np.empty_like(x))
@@ -172,9 +170,6 @@ class LpBall(Regularizer):
         self.p = float(p)
         self.r = float(r)
         self.scale = self.r
-
-    def _h_elem(self, x):
-        return np.where(_beyond(np.abs(x), self.r), np.inf, self.lam * np.abs(x) ** self.p)
 
     def _penalty_elem(self, x):
         return self.lam * np.abs(x) ** self.p
@@ -209,10 +204,9 @@ class ScadBox(Regularizer):
         else:
             self.theta = lam_**2 * (gam + 1.0) / (2.0 * r_)
 
-    def penalty(self, w):
-        """The scalar SCAD penalty, applied elementwise."""
+    def _penalty_elem(self, x):
         lam, gam = self.lam, self.gamma
-        a = np.abs(w)
+        a = np.abs(x)
         out = np.where(a <= lam, lam * a, lam**2 * (gam + 1.0) / 2.0)
         # the quadratic is evaluated only where it applies, so a = inf never
         # meets inf - inf; nan fails both tests and lands there, which keeps it
@@ -220,12 +214,6 @@ class ScadBox(Regularizer):
         q = a[mid]
         out[mid] = (2.0 * gam * lam * q - q**2 - lam**2) / (2.0 * (gam - 1.0))
         return out
-
-    def _h_elem(self, x):
-        return np.where(_beyond(np.abs(x), self.r), np.inf, self.penalty(x))
-
-    def _penalty_elem(self, x):
-        return self.penalty(x)
 
     def _ramp(self):
         return -self.theta, self.theta, -self.r, self.r

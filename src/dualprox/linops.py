@@ -59,16 +59,16 @@ class LinearOperator:
     def op_norm(self, iterations=200, seed=0):
         """Operator norm ||A||, exact where known, else a power-iteration estimate.
 
-        The estimate is cached; repeated calls are free and deterministic.
+        The estimate is cached per (iterations, seed); repeated calls are
+        free and deterministic.
         """
         known = self.exact_op_norm()
         if known is not None:
             return known
-        cached = getattr(self, "_op_norm_cache", None)
-        if cached is None:
-            cached = estimate_op_norm(self, iterations=iterations, seed=seed)
-            self._op_norm_cache = cached
-        return cached
+        cache = self.__dict__.setdefault("_op_norm_cache", {})
+        if (iterations, seed) not in cache:
+            cache[iterations, seed] = estimate_op_norm(self, iterations=iterations, seed=seed)
+        return cache[iterations, seed]
 
 
 class Identity(LinearOperator):

@@ -153,7 +153,7 @@ def psnr(x, x_org, height, width):
     """Peak signal-to-noise ratio in dB, +inf when the images coincide.
 
     10 * log10(m * n * (max x)^2 / ||x - x_org||^2), the max taken over
-    the evaluated image x.
+    the evaluated image x; -inf when that max is 0 and the images differ.
     """
     x = np.asarray(x, dtype=float).ravel()
     x_org = np.asarray(x_org, dtype=float).ravel()
@@ -162,7 +162,10 @@ def psnr(x, x_org, height, width):
     err = float(np.sum((x - x_org) ** 2))
     if err == 0.0:
         return float("inf")
-    return float(10.0 * np.log10(height * width * float(np.max(x)) ** 2 / err))
+    peak = float(np.max(x))
+    if peak == 0.0:
+        return float("-inf")
+    return float(10.0 * np.log10(height * width * peak ** 2 / err))
 
 
 def build_precision_graph(rows, threshold=0.5):

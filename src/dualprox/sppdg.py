@@ -18,6 +18,7 @@ analysis have no closed form), so descent reporting is advisory.
 
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -200,6 +201,16 @@ def _run_one_seed(problem, estimator_kind, config, step_config, weights, seed,
     return SeedRunResult(seed=seed, report=report, records=records, comp_evals=evals_at)
 
 
+def _seed_means(per_seed_records, depth, value):
+    """Mean over seeds of value(record) for each of the first depth rows.
+
+    The values form one C-contiguous (depth, seeds) table averaged along
+    its last axis, which equals np.mean of each row's list bit for bit.
+    """
+    table = np.array([list(map(value, recs[:depth])) for recs in per_seed_records], dtype=float)
+    return np.ascontiguousarray(table.T).mean(axis=1).tolist()
+
+
 def solve_stochastic(problem, estimator_kind, config, trace_sink=None,
                      batch_size=1, period=None, x0=None, y0=None):
     """Replicated stochastic runs plus a seed-averaged aggregate.
@@ -233,21 +244,16 @@ def solve_stochastic(problem, estimator_kind, config, trace_sink=None,
     survivors = [r for r in per_seed if not r.failed]
     aggregate = []
     if survivors:
-        depth = min(len(r.records) for r in survivors)
-        for j in range(depth):
-            rows = [r.records[j] for r in survivors]
-            aggregate.append(
-                AggregateRecord(
-                    iter=rows[0].iter,
-                    comp_evals=survivors[0].comp_evals[j],
-                    mean_objective=float(np.mean([r.objective for r in rows])),
-                    mean_lagrangian_s=float(np.mean([r.lagrangian for r in rows])),
-                    mean_lyapunov_s=float(np.mean([r.lyapunov for r in rows])),
-                    mean_dx=float(np.mean([r.dx_norm for r in rows])),
-                    mean_dy=float(np.mean([r.dy_norm for r in rows])),
-                    seeds_ok=len(survivors),
-                )
-            )
+        records = [r.records for r in survivors]
+        depth = min(len(recs) for recs in records)
+        columns = zip(*(
+            _seed_means(records, depth, attrgetter(name))
+            for name in ("objective", "lagrangian", "lyapunov", "dx_norm", "dy_norm")
+        ))
+        aggregate = [
+            AggregateRecord(records[0][j].iter, survivors[0].comp_evals[j], *means, len(survivors))
+            for j, means in enumerate(columns)
+        ]
     return StochasticSolveResult(per_seed=per_seed, aggregate=aggregate)
 
 
@@ -265,14 +271,8 @@ def expectation_descent_report(per_seed_records, constants, slack=1e-9):
     depth = min(len(recs) for recs in per_seed_records)
     if depth < 3:
         return 0, 0
-    mean_lyap = [
-        float(np.mean([recs[j].lyapunov for recs in per_seed_records]))
-        for j in range(depth)
-    ]
-    mean_sq = [
-        float(np.mean([recs[j].dx_norm ** 2 for recs in per_seed_records]))
-        for j in range(depth)
-    ]
+    mean_lyap = _seed_means(per_seed_records, depth, attrgetter("lyapunov"))
+    mean_sq = _seed_means(per_seed_records, depth, lambda r: r.dx_norm ** 2)
     violations = 0
     checked = 0
     for j in range(depth - 2):

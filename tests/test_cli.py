@@ -208,6 +208,14 @@ def test_prox_check_rejects_invalid_gamma():
                  "--r", "0.5"]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--points", "0"), ("--points", "-3"), ("--step", "0"), ("--step", "-1"), ("--step", "nan"),
+])
+def test_prox_check_bad_points_or_step_is_a_usage_error(flag, value, capsys):
+    assert main(["prox-check", "--reg", "l1", "--lam", "2", flag, value]) == 2
+    assert "usage error: prox-check needs" in capsys.readouterr().err
+
+
 def test_spectra_identity(capsys):
     assert main(["spectra", "--op", "identity", "--n", "4"]) == 0
     out = capsys.readouterr().out

@@ -114,6 +114,38 @@ def test_value_h_scad_saturated_branch():
     assert reg.value_h(np.array([5.0])) == pytest.approx(2.0)
 
 
+def test_each_kind_states_only_its_penalty_and_its_ramp():
+    kinds = {
+        cls for cls in vars(conjprox).values()
+        if isinstance(cls, type) and issubclass(cls, conjprox.Regularizer)
+    } - {conjprox.Regularizer}
+    assert kinds == {L1, L0Box, LpBall, ScadBox}
+    for cls in kinds:
+        stated = {name for name, value in vars(cls).items() if callable(value)}
+        assert stated <= {"__init__", "_penalty_elem", "_ramp"}, cls.__name__
+        # the benchmark tracer wraps these four on the base class
+        public = {"value_h", "penalty_value", "conj_value", "prox_conj"}
+        assert not public & set(vars(cls)), cls.__name__
+
+
+def test_value_h_domain_ends_carry_the_relative_margin():
+    # ends read from each kind's own parameters, all of magnitude >= 1, so
+    # the margin INDICATOR_RTOL * max(1, |end|) is relative to the end
+    kinds = [
+        L0Box(0.1, -2.0, 3.0),
+        L0Box(0.5, -1.0, 1e6),
+        LpBall(1.0, 0.5, 1.5),
+        ScadBox(1.0, 3.0, 2.0),
+        ScadBox(0.1, 3.0, 1.0),
+    ]
+    for reg in kinds:
+        ends = (reg.c1, reg.c2) if isinstance(reg, L0Box) else (-reg.r, reg.r)
+        for end in ends:
+            assert np.isfinite(reg.value_h(end * (1 + 0.5e-9))), (reg.kind, end)
+            assert reg.value_h(end * (1 + 2e-9)) == np.inf, (reg.kind, end)
+    assert np.isfinite(L1(2.0).value_h(np.array([1e300, -1e300])))
+
+
 def test_base_class_declares_every_elementwise_piece():
     class Bare(conjprox.Regularizer):
         pass
@@ -200,7 +232,9 @@ def test_zero_dimensional_inputs():
             got = reg.prox_conj(0.7, beta)
             assert np.ndim(got) == 0
             assert float(got) == reg.prox_conj(np.array([0.7]), beta)[0], reg.kind
-        assert reg.conj_value(3.0) == reg.conj_value(np.array([3.0])), reg.kind
+        for value in (reg.conj_value, reg.value_h, reg.penalty_value):
+            for x in (0.7, 3.0):
+                assert value(x) == value(np.array([x])), (reg.kind, value.__name__, x)
 
 
 # --- grid oracle --------------------------------------------------------

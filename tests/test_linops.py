@@ -116,6 +116,24 @@ def test_op_norm_monotone_in_iterations():
     assert all(e <= true + 1e-12 for e in estimates)
 
 
+def test_op_norm_cache_is_keyed_on_iterations_and_seed(monkeypatch):
+    op = linops.DenseMatrix(np.random.default_rng(4).standard_normal((30, 20)))
+    rough = op.op_norm(iterations=1)
+    bounds = linops.SpectralBounds.from_operator(op, iterations=800)
+    assert bounds.op_norm == linops.estimate_op_norm(op, iterations=800)
+    assert bounds.op_norm == pytest.approx(np.linalg.norm(op.matrix, 2), rel=1e-6)
+    assert rough < bounds.op_norm
+    assert op.op_norm(iterations=1) == rough
+    # default-argument calls share one estimate
+    calls = []
+    estimate = linops.estimate_op_norm
+    monkeypatch.setattr(linops, "estimate_op_norm",
+                        lambda op, **kw: calls.append(kw) or estimate(op, **kw))
+    for _ in range(3):
+        assert op.op_norm() == linops.SpectralBounds.from_operator(op).op_norm
+    assert calls == [{"iterations": 200, "seed": 0}]
+
+
 def test_min_eig_gram_identity_and_fat_matrix():
     assert linops.estimate_min_eig_gram(linops.Identity(3)) == pytest.approx(1.0)
     fat = linops.DenseMatrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,13 @@ def test_psnr_direct_formula():
     x = np.array([1.0, 0.5, 0.5, 0.5])
     x_org = x + np.array([0.1, 0.1, 0.1, 0.1])
     assert psnr(x, x_org, 2, 2) == pytest.approx(20.0)
+
+
+def test_psnr_of_an_all_zero_image_is_minus_inf_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert psnr(np.zeros(4), np.ones(4), 2, 2) == -np.inf
+        assert psnr(np.zeros(4), np.zeros(4), 2, 2) == np.inf
 
 
 def test_psnr_doubling_error_drops_by_log_identity():

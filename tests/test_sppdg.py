@@ -204,6 +204,20 @@ def test_aggregate_rows_and_eval_budget():
     assert row.mean_objective == pytest.approx(direct, abs=1e-15)
 
 
+def test_ten_seed_aggregate_equals_per_row_mean():
+    fsp = split_quadratic_finite_sum(8, 3, regularizer=conjprox.L0Box(0.1, -1, 1))
+    cfg = exact_cfg(max_epochs=5, tol_step=0.0, seeds=tuple(range(10)))
+    res = solve_stochastic(fsp, "saga", cfg, batch_size=1)
+    runs = [r.records for r in res.per_seed]
+    assert len(res.aggregate) == min(map(len, runs)) > 10
+    fields = [("mean_objective", "objective"), ("mean_lagrangian_s", "lagrangian"),
+              ("mean_lyapunov_s", "lyapunov"), ("mean_dx", "dx_norm"), ("mean_dy", "dy_norm")]
+    for j, row in enumerate(res.aggregate):
+        for mean_name, name in fields:
+            direct = float(np.mean([getattr(recs[j], name) for recs in runs]))
+            assert getattr(row, mean_name) == direct, (j, name)
+
+
 def test_zero_epoch_budget_returns_initial_point():
     fsp = split_quadratic_finite_sum(4, 3)
     cfg = exact_cfg(max_epochs=0, seeds=(0,))
