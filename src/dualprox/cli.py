@@ -65,6 +65,8 @@ def _parse_seeds(text):
 
 
 def cmd_denoise(args):
+    if args.max_iters < 0:
+        raise UsageError("denoise needs --max-iters >= 0")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.input:
@@ -79,7 +81,7 @@ def cmd_denoise(args):
     problem = problems.build_denoise(
         noisy, lam=args.lam, c1=args.c1, c2=args.c2, boundary=args.boundary
     )
-    alpha = args.alpha if args.alpha else ppdg.default_alpha(problem.lipschitz_L)
+    alpha = ppdg.default_alpha(problem.lipschitz_L) if args.alpha is None else args.alpha
     config = ppdg.PpdgConfig(
         alpha=alpha,
         max_iters=args.max_iters,
@@ -94,7 +96,7 @@ def cmd_denoise(args):
         noisy.height, noisy.width, np.clip(report.x, 0.0, 1.0)
     )
     psnr_out = problems.psnr(
-        report.x if args.max_iters else noisy.pixels,
+        noisy.pixels if args.max_iters == 0 else report.x,
         original.pixels,
         noisy.height,
         noisy.width,
@@ -152,7 +154,7 @@ def cmd_lasso(args):
     out.mkdir(parents=True, exist_ok=True)
     problem = _load_lasso_problem(args)
     n = problem.n_components
-    batch = args.batch if args.batch else max(1, int(0.01 * n))
+    batch = max(1, int(0.01 * n)) if args.batch is None else args.batch
     seeds = _parse_seeds(args.seeds)
     config = sppdg.SppdgConfig(
         alpha=args.alpha,

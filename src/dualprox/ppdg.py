@@ -18,14 +18,17 @@ which decreases monotonically in exact_M mode for small enough steps;
 the solver can assert that descent on every iteration.
 
 The loop takes a gradient oracle and a stop rule: ``solve`` runs it
-with the exact gradient and an iteration cap, :mod:`dualprox.sppdg`
-with a variance-reduced estimate and an evaluation budget. A finite sum
-is a composite problem, so every function here takes either type.
+with the exact gradient (oracle None) and an iteration cap,
+:mod:`dualprox.sppdg` with a variance-reduced estimate and an
+evaluation budget. The step forms the primal residual grad f(x) + A^T y
+once; with the exact gradient its norm is the trace row's KKT residual,
+so a deterministic iteration applies A^T and grad f once each. A finite
+sum is a composite problem, so every function here takes either type.
 """
 
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,18 +52,6 @@ __all__ = [
     "subgradient_bound_gammas",
     "make_record",
     "solve",
-]
-
-TRACE_FIELDS = [
-    "iter",
-    "elapsed_s",
-    "objective",
-    "lagrangian",
-    "lyapunov",
-    "dx_norm",
-    "dy_norm",
-    "kkt_x",
-    "kkt_y",
 ]
 
 _EXACT_M_KINDS = ("identity", "scaled-identity")
@@ -156,7 +147,9 @@ class SolverState:
     x^{k+1}, x^{k-1}) and the diagnostics all need x^{k+1}. ``g_cur``
     is the subgradient of h* at y_cur certified by the dual prox,
     g^k = -(y^k - y^{k-1})/beta + A(2x^k - x^{k-1}). ``x_prev2`` is
-    x^{k-2}, for the stochastic Lyapunov window.
+    x^{k-2}, for the stochastic Lyapunov window. ``residual_norm`` is
+    ||grad f(x_cur) + A^T y_cur|| as the step formed it on the way to
+    x_next; None when the step used a gradient estimate.
     """
 
     k: int
@@ -167,6 +160,7 @@ class SolverState:
     y_prev: np.ndarray = None
     g_cur: np.ndarray = None
     x_prev2: np.ndarray = None
+    residual_norm: float = None
 
     def z_window(self):
         return (self.x_cur, self.y_cur, self.x_next, self.x_prev)
@@ -183,6 +177,9 @@ class TraceRecord:
     dy_norm: float
     kkt_x: float
     kkt_y: float
+
+
+TRACE_FIELDS = [f.name for f in fields(TraceRecord)]
 
 
 @dataclass
@@ -248,37 +245,48 @@ def dual_prox_step(regularizer, y, a_extrap, beta):
     return y_next, g_next
 
 
-def _primal_step(problem, config, x, y, grad):
-    return x - config.alpha * (grad + problem.operator.apply_adjoint(y))
+def _primal_step(problem, config, gradient, k, x, y):
+    """(x - alpha s, ||s||) for s = grad + A^T y; the norm is None under an estimate."""
+    exact = gradient is None
+    s = (problem.grad_f(x) if exact else gradient(k, x)) + problem.operator.apply_adjoint(y)
+    norm = float(np.linalg.norm(s)) if exact else None
+    s *= config.alpha
+    return x - s, norm
+
+
+def _primal_residual(problem, state):
+    """grad f(x^k) + A^T y^k with the exact gradient, formed anew."""
+    return problem.grad_f(state.x_cur) + problem.operator.apply_adjoint(state.y_cur)
+
+
+def _residual_norm(problem, state):
+    """r_x = ||grad f(x^k) + A^T y^k||: the step's, or formed anew under an estimate."""
+    if state.residual_norm is not None:
+        return state.residual_norm
+    return float(np.linalg.norm(_primal_residual(problem, state)))
 
 
 def init_state(problem, x0, y0, config, gradient=None):
     """State at k = 0; ``gradient`` is the oracle of ``step``."""
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
-    grad = problem.grad_f(x0) if gradient is None else gradient(0, x0)
-    return SolverState(
-        k=0, x_cur=x0, y_cur=y0, x_next=_primal_step(problem, config, x0, y0, grad)
-    )
+    x_next, norm = _primal_step(problem, config, gradient, 0, x0, y0)
+    return SolverState(k=0, x_cur=x0, y_cur=y0, x_next=x_next, residual_norm=norm)
 
 
 def step(problem, state, config, beta=None, gradient=None):
     """Advance (x^k, y^k) to (x^{k+1}, y^{k+1}).
 
     ``beta`` defaults to ``dual_beta(problem, config)``. ``gradient(k, x)``
-    gives the gradient of f at x = x^k; it defaults to the exact
-    ``problem.grad_f``.
+    gives the gradient of f at x = x^k; None means the exact
+    ``problem.grad_f``, and only then is ``residual_norm`` kept.
     Raises SolverDivergence when the new iterates are not finite.
     """
     if beta is None:
         beta = dual_beta(problem, config)
     a_extrap = problem.operator.apply(2.0 * state.x_next - state.x_cur)
     y_next, g_next = dual_prox_step(problem.regularizer, state.y_cur, a_extrap, beta)
-    if gradient is None:
-        grad = problem.grad_f(state.x_next)
-    else:
-        grad = gradient(state.k + 1, state.x_next)
-    x_after = _primal_step(problem, config, state.x_next, y_next, grad)
+    x_after, norm = _primal_step(problem, config, gradient, state.k + 1, state.x_next, y_next)
     if not (np.all(np.isfinite(x_after)) and np.all(np.isfinite(y_next))):
         raise SolverDivergence(state.k + 1)
     return SolverState(
@@ -290,6 +298,7 @@ def step(problem, state, config, beta=None, gradient=None):
         y_prev=state.y_cur,
         g_cur=g_next,
         x_prev2=state.x_prev,
+        residual_norm=norm,
     )
 
 
@@ -302,22 +311,14 @@ def subgradient_d(problem, state, constants):
     """
     if state.k < 1 or state.g_cur is None:
         raise ValueError("subgradient_d needs k >= 1 (a completed dual step)")
-    op = problem.operator
     a, b = constants.a, constants.b
     du = state.x_cur - state.x_next
     dv = state.x_cur - state.x_prev
-    d_x = (
-        problem.grad_f(state.x_cur)
-        + op.apply_adjoint(state.y_cur)
-        - 2.0 * a * du
-        + 2.0 * b * dv
-    )
-    d_g = op.apply(state.x_cur) - state.g_cur
+    d_x = _primal_residual(problem, state) - 2.0 * a * du + 2.0 * b * dv
+    d_g = problem.operator.apply(state.x_cur) - state.g_cur
     d_u = 2.0 * a * du
     d_v = -2.0 * b * dv
-    norm = float(
-        np.sqrt(d_x @ d_x + d_g @ d_g + d_u @ d_u + d_v @ d_v)
-    )
+    norm = float(np.sqrt(d_x @ d_x + d_g @ d_g + d_u @ d_u + d_v @ d_v))
     return (d_x, d_g, d_u, d_v), norm
 
 
@@ -335,17 +336,18 @@ def make_record(problem, state, weights, elapsed_s=0.0):
     and ||x^{k-1} - x^{k-2}||^2 in the Lyapunov column; c = None drops
     the last term. At k = 1, x^{k-2} is taken as x^{k-1}.
 
-    One pass: A x^k, A^T y^k, f(x^k), grad f(x^k), h*(y^k) and h(A x^k)
-    are each evaluated once. The KKT residuals are
-    r_x = ||grad f(x^k) + A^T y^k|| and r_y = ||A x^k - g^k||, where g^k
-    is the dual-step subgradient; r_y bounds the distance of A x^k to
-    the subdifferential of h* at y^k.
+    One pass: A x^k, f(x^k), h*(y^k) and h(A x^k) are each evaluated
+    once. The KKT residuals are r_x = ||grad f(x^k) + A^T y^k|| and
+    r_y = ||A x^k - g^k||, where g^k is the dual-step subgradient; r_y
+    bounds the distance of A x^k to the subdifferential of h* at y^k.
+    r_x is the norm the step kept when its gradient was exact; under a
+    gradient estimate grad f(x^k) and A^T y^k are evaluated once here.
     """
     if state.k < 1 or state.g_cur is None:
         raise ValueError("make_record needs k >= 1 (a completed dual step)")
-    op, reg = problem.operator, problem.regularizer
+    reg = problem.regularizer
     x, y = state.x_cur, state.y_cur
-    ax = op.apply(x)
+    ax = problem.operator.apply(x)
     f_x = problem.f_value(x)
     lag = _lagrangian_from(f_x, y, ax, reg.conj_value(y))
     dv = x - state.x_prev
@@ -360,7 +362,7 @@ def make_record(problem, state, weights, elapsed_s=0.0):
         lyapunov=_window_value(lag, weights, x - state.x_next, dv, dw),
         dx_norm=float(np.linalg.norm(dv)),
         dy_norm=float(np.linalg.norm(y - state.y_prev)),
-        kkt_x=float(np.linalg.norm(problem.grad_f(x) + op.apply_adjoint(y))),
+        kkt_x=_residual_norm(problem, state),
         kkt_y=float(np.linalg.norm(ax - state.g_cur)),
     )
 
@@ -369,12 +371,12 @@ def _iterate(problem, config, gradient, proceed, limit_reason, weights, on_recor
              x0, y0):
     """The primal-dual loop of both solvers; returns a SolveReport.
 
-    ``gradient(k, x)`` is the oracle of ``step``. Step k + 1 is taken while
-    ``proceed(k)`` holds, and a loop ended that way reports
-    ``limit_reason``. ``on_record`` receives each TraceRecord, built
-    with the Lyapunov ``weights`` of make_record. The loop also stops
-    once both step norms reach ``config.tol_step``, and iterates beyond
-    ``config.norm_cap`` raise SolverDivergence.
+    ``gradient(k, x)`` is the oracle of ``step``, None for the exact
+    gradient. Step k + 1 is taken while ``proceed(k)`` holds, and a loop
+    ended that way reports ``limit_reason``. ``on_record`` receives each
+    TraceRecord, built with the Lyapunov ``weights`` of make_record. The
+    loop also stops once both step norms reach ``config.tol_step``, and
+    iterates beyond ``config.norm_cap`` raise SolverDivergence.
     """
     beta = dual_beta(problem, config)
     state = init_state(problem, x0, y0, config, gradient)
@@ -393,24 +395,13 @@ def _iterate(problem, config, gradient, proceed, limit_reason, weights, on_recor
             reason = "converged"
             break
     if record is None:
-        op = problem.operator
-        kkt_x = float(
-            np.linalg.norm(problem.grad_f(state.x_cur) + op.apply_adjoint(state.y_cur))
-        )
+        kkt_x = _residual_norm(problem, state)
         kkt_y = dx = dy = float("nan")
     else:
         kkt_x, kkt_y = record.kkt_x, record.kkt_y
         dx, dy = record.dx_norm, record.dy_norm
-    return SolveReport(
-        x=state.x_cur,
-        y=state.y_cur,
-        iters=state.k,
-        kkt_x=kkt_x,
-        kkt_y=kkt_y,
-        dx_norm=dx,
-        dy_norm=dy,
-        reason=reason,
-    )
+    return SolveReport(x=state.x_cur, y=state.y_cur, iters=state.k, kkt_x=kkt_x,
+                       kkt_y=kkt_y, dx_norm=dx, dy_norm=dy, reason=reason)
 
 
 def solve(problem, config, trace_sink=None, x0=None, y0=None):
@@ -460,8 +451,7 @@ def solve(problem, config, trace_sink=None, x0=None, y0=None):
 
     # constants.c is the descent rate, not a window weight
     report = _iterate(
-        problem, config, lambda k, x: problem.grad_f(x),
-        lambda k: k < config.max_iters, "iteration-limit",
+        problem, config, None, lambda k: k < config.max_iters, "iteration-limit",
         (constants.a, constants.b, None), check_descent, x0, y0,
     )
     if violations:

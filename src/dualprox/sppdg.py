@@ -17,7 +17,7 @@ analysis have no closed form), so descent reporting is advisory.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 import numpy as np
@@ -42,17 +42,6 @@ __all__ = [
     "lagrangian",
     "solve_stochastic",
     "expectation_descent_report",
-]
-
-AGGREGATE_FIELDS = [
-    "iter",
-    "comp_evals",
-    "mean_objective",
-    "mean_lagrangian_s",
-    "mean_lyapunov_s",
-    "mean_dx",
-    "mean_dy",
-    "seeds_ok",
 ]
 
 # the descent analysis fixes these two auxiliary constants
@@ -163,6 +152,9 @@ class AggregateRecord:
     mean_dx: float
     mean_dy: float
     seeds_ok: int
+
+
+AGGREGATE_FIELDS = [f.name for f in fields(AggregateRecord)]
 
 
 @dataclass

@@ -71,7 +71,9 @@ class _EstimatorBase:
         self.n_components = int(n_components)
         self.batch_size = int(batch_size)
         self.seed = int(seed)
-        self.period = int(period) if period else default_period(n_components, batch_size)
+        if period is not None and period < 1:
+            raise ValueError(f"period must be at least 1, got {period}")
+        self.period = default_period(n_components, batch_size) if period is None else int(period)
         self._ready = False
         #: component-gradient evaluations consumed so far
         self.evals = 0

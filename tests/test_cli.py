@@ -59,6 +59,30 @@ def test_denoise_zero_iterations_outputs_noisy_unchanged(tmp_path):
     assert read_summary(out / "summary.txt")["iters"] == "0"
 
 
+def test_denoise_negative_max_iters_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["denoise", "--synthetic", "16x16", "--max-iters", "-3", "--out-dir", str(out)])
+    assert code == 2
+    assert "usage error: denoise needs --max-iters >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("denoise", "--alpha", "0"), ("denoise", "--alpha", "-1"),
+    ("lasso", "--alpha", "0"), ("lasso", "--batch", "0"), ("lasso", "--batch", "-2"),
+    ("lasso", "--period", "0"), ("lasso", "--period", "-3"),
+])
+def test_zero_or_negative_setting_is_an_error_not_the_default(tmp_path, capsys, command,
+                                                             flag, value):
+    # a zero is a value, not an absent flag: it must not fall back to the default
+    data = ["--synthetic", "16x16", "--max-iters", "5"] if command == "denoise" else [
+        "--synthetic", "40,4", "--seeds", "1", "--max-epochs", "1", "--estimator", "svrg"]
+    out = tmp_path / "run"
+    assert main([command, *data, flag, value, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "summary.txt").exists()
+
+
 def test_denoise_sigma_zero_sentinel_and_trace(tmp_path):
     out = tmp_path / "run"
     code = main([

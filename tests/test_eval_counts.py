@@ -1,7 +1,9 @@
 """How often one solver iteration evaluates each problem callable.
 
-Each trace row evaluates A x^k, A^T y^k, f, grad f, h* and h once; the
-step adds one A, one A^T and one gradient.
+The step applies A, A^T and the gradient once each. A deterministic
+trace row evaluates A x^k, f, h* and h once and reads r_x from the
+norm the step kept, so A^T and grad f run once per iteration. Under a
+gradient estimate the row also evaluates A^T y^k and the full gradient.
 """
 
 from collections import Counter
@@ -46,7 +48,7 @@ def test_ppdg_iteration_evaluates_each_callable_once_per_row():
     )
     assert report.iters == len(records) == n
     # init_state adds one gradient and one A^T y^0
-    assert calls == {"A": 2 * n, "A^T": 2 * n + 1, "f": n, "grad_f": 2 * n + 1, "h*": n, "h": n}
+    assert calls == {"A": 2 * n, "A^T": n + 1, "f": n, "grad_f": n + 1, "h*": n, "h": n}
 
 
 def test_stochastic_trace_row_evaluates_full_sums_once():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import quadratic_problem, run_history
-from dualprox import conjprox, linops, ppdg
+from dualprox import conjprox, dataio, linops, ppdg, problems
 from dualprox.ppdg import (
     LyapunovConstants,
     LyapunovViolation,
@@ -236,6 +236,29 @@ def test_kkt_zero_cases():
     r_x, r_y = record.kkt_x, record.kkt_y
     assert r_x == pytest.approx(0.0, abs=1e-15)
     assert r_y == pytest.approx(0.0, abs=1e-15)
+
+
+def test_kkt_x_is_the_recomputed_primal_residual(monkeypatch):
+    # the row reads the norm the step kept; it must be the one formed anew
+    img = dataio.add_gaussian_noise(problems.blocks_image(12, 10), 0.05, 3)
+    prob = problems.build_denoise(img)
+    states = []
+    step = ppdg.step
+
+    def keep_state(*args, **kwargs):
+        states.append(step(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(ppdg, "step", keep_state)
+    records = []
+    cfg = PpdgConfig(alpha=ppdg.default_alpha(prob.lipschitz_L), max_iters=30, tol_step=0.0)
+    ppdg.solve(prob, cfg, trace_sink=records.append)
+    assert len(records) == len(states) == 30
+    for record, state in zip(records, states):
+        residual = prob.grad_f(state.x_cur) + prob.operator.apply_adjoint(state.y_cur)
+        assert record.kkt_x == float(np.linalg.norm(residual)), record.iter
+    report = ppdg.solve(prob, PpdgConfig(alpha=cfg.alpha, max_iters=0))
+    assert report.kkt_x == float(np.linalg.norm(prob.grad_f(np.zeros(120)))) > 0
 
 
 # --- solve ---------------------------------------------------------------

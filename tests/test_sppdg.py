@@ -274,6 +274,26 @@ def test_lyapunov_column_matches_five_point_window(monkeypatch, estimator):
         assert record.lyapunov == ppdg.lyapunov_value(fsp, window, consts), k
 
 
+@pytest.mark.parametrize("estimator", ["saga", "svrg"])
+def test_kkt_x_uses_the_full_gradient_not_the_estimate(monkeypatch, estimator):
+    rows, labels = synthetic_fused_lasso_data(30, 4, seed=2)
+    prob = build_fused_lasso(rows, labels, build_precision_graph(rows), normalize_rows=True)
+    cfg = SppdgConfig(max_epochs=10, tol_step=0.0, seeds=(1,))
+    states = []
+    step = ppdg.step
+
+    def keep_state(*args, **kwargs):
+        states.append(step(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(ppdg, "step", keep_state)
+    run = solve_stochastic(prob, estimator, cfg, batch_size=2).per_seed[0]
+    assert len(run.records) == len(states) > 10
+    for record, state in zip(run.records, states):
+        residual = prob.full_grad(state.x_cur) + prob.operator.apply_adjoint(state.y_cur)
+        assert record.kkt_x == float(np.linalg.norm(residual)), record.iter
+
+
 def test_norm_cap_fails_the_seed():
     fsp = split_quadratic_finite_sum(4, 3)
     cfg = exact_cfg(max_epochs=20, seeds=(0, 1), norm_cap=0.5)

@@ -73,6 +73,15 @@ def test_estimate_requires_reset(quad_components):
         est.estimate(0, np.zeros(3))
 
 
+@pytest.mark.parametrize("kind", ["saga", "svrg", "sarah"])
+@pytest.mark.parametrize("period", [0, -3])
+def test_period_below_one_is_rejected(kind, period):
+    # k % -3 == 0 at multiples of 3, so a negative period would act as its absolute value
+    with pytest.raises(ValueError, match="period must be at least 1"):
+        make_estimator(kind, 8, 2, seed=0, period=period)
+    assert make_estimator(kind, 8, 2, seed=0, period=None).period == default_period(8, 2)
+
+
 def test_unknown_kind():
     with pytest.raises(ValueError):
         make_estimator("spider", 8, 2, seed=0)
