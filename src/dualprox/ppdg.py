@@ -92,6 +92,8 @@ class PpdgConfig:
     def validate(self, problem):
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
         if self.preconditioner not in ("exact_M", "scalar_beta"):
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
         if self.preconditioner == "exact_M" and problem.operator.kind not in _EXACT_M_KINDS:

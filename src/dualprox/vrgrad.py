@@ -60,19 +60,23 @@ def default_period(n_components, batch_size):
     return -(-n_components // batch_size)
 
 
+def _check_settings(n_components, batch_size, period):
+    if not 1 <= batch_size <= n_components:
+        raise ValueError(
+            f"batch size must be in [1, {n_components}], got {batch_size}"
+        )
+    if period is not None and period < 1:
+        raise ValueError(f"period must be at least 1, got {period}")
+
+
 class _EstimatorBase:
     kind = "abstract"
 
     def __init__(self, n_components, batch_size, seed, period=None):
-        if not 1 <= batch_size <= n_components:
-            raise ValueError(
-                f"batch size must be in [1, {n_components}], got {batch_size}"
-            )
+        _check_settings(n_components, batch_size, period)
         self.n_components = int(n_components)
         self.batch_size = int(batch_size)
         self.seed = int(seed)
-        if period is not None and period < 1:
-            raise ValueError(f"period must be at least 1, got {period}")
         self.period = default_period(n_components, batch_size) if period is None else int(period)
         self._ready = False
         #: component-gradient evaluations consumed so far
@@ -182,8 +186,12 @@ _KINDS = {
 
 
 def make_estimator(kind, n_components, batch_size, seed, period=None):
-    """An estimator of ``kind``; "full" is SVRG with batch N and period 1."""
+    """An estimator of ``kind``; "full" is SVRG with batch N and period 1.
+
+    ``batch_size`` and ``period`` are range-checked for "full" too.
+    """
     if kind == "full":
+        _check_settings(n_components, batch_size, period)
         return SvrgEstimator(n_components, n_components, seed, period=1)
     if kind not in _KINDS:
         raise ValueError(

@@ -58,6 +58,21 @@ def test_one_span_per_estimator_call(kind):
     assert metrics["vrgrad.comp_evals"][0] == sum(run.comp_evals[-1] for run in result.per_seed)
 
 
+@pytest.mark.parametrize("kind", ["saga", "svrg", "sarah", "full"])
+def test_one_full_value_and_full_grad_span_per_row(kind):
+    # the shared margin pass stays inside the two public full-sum oracles,
+    # so each stochastic row still shows one span of each and costs 2 N evaluations
+    tracer, result = _traced_run(kind)
+    rows = sum(len(run.records) for run in result.per_seed)
+    names = np.array(tracer.names)[np.frombuffer(tracer.name, dtype=np.int32)]
+    parents = np.frombuffer(tracer.parent, dtype=np.int64)
+    in_row = tracing._flag_descendants(names == "ppdg.make_record", parents)
+    assert np.count_nonzero(in_row & (names == "problems.full_value")) == rows
+    assert np.count_nonzero(in_row & (names == "problems.full_grad")) == rows
+    metrics, _ = tracing.layer_metrics(tracer, 1, 12)
+    assert metrics["sppdg.diag_evals"][0] == 2 * 12 * rows
+
+
 def test_instrument_restores_every_attribute():
     before = _attributes()
     with tracing.instrument(tracing.Tracer()):

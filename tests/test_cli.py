@@ -74,13 +74,16 @@ def test_denoise_negative_max_iters_is_a_usage_error(tmp_path, capsys):
 ])
 def test_zero_or_negative_setting_is_an_error_not_the_default(tmp_path, capsys, command,
                                                              flag, value):
-    # a zero is a value, not an absent flag: it must not fall back to the default
-    data = ["--synthetic", "16x16", "--max-iters", "5"] if command == "denoise" else [
-        "--synthetic", "40,4", "--seeds", "1", "--max-epochs", "1", "--estimator", "svrg"]
-    out = tmp_path / "run"
-    assert main([command, *data, flag, value, "--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (out / "summary.txt").exists()
+    # a zero is a value, not an absent flag: it must not fall back to the default;
+    # the "full" estimator runs with batch N and period 1 but still checks both flags
+    runs = [["--synthetic", "16x16", "--max-iters", "5"]] if command == "denoise" else [
+        ["--synthetic", "40,4", "--seeds", "1", "--max-epochs", "1", "--estimator", kind]
+        for kind in ("svrg", "full")]
+    for i, data in enumerate(runs):
+        out = tmp_path / f"run{i}"
+        assert main([command, *data, flag, value, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "summary.txt").exists()
 
 
 def test_denoise_sigma_zero_sentinel_and_trace(tmp_path):

@@ -3,7 +3,9 @@
 The step applies A, A^T and the gradient once each. A deterministic
 trace row evaluates A x^k, f, h* and h once and reads r_x from the
 norm the step kept, so A^T and grad f run once per iteration. Under a
-gradient estimate the row also evaluates A^T y^k and the full gradient.
+gradient estimate the row also evaluates A^T y^k and the full gradient;
+on the fused lasso that full gradient and the full value share one
+margin pass tanh(b * (rows @ x^k)).
 """
 
 from collections import Counter
@@ -11,7 +13,7 @@ from collections import Counter
 import numpy as np
 
 from conftest import quadratic_problem, split_quadratic_finite_sum
-from dualprox import conjprox, linops, ppdg
+from dualprox import conjprox, linops, ppdg, problems
 from dualprox.sppdg import SppdgConfig, solve_stochastic
 
 
@@ -63,3 +65,26 @@ def test_stochastic_trace_row_evaluates_full_sums_once():
     assert rows > 5
     assert calls == {"A": 2 * rows, "A^T": 2 * rows + 1, "f": rows, "grad_f": rows,
                      "h*": rows, "h": rows}
+
+
+def test_stochastic_fused_lasso_row_computes_the_margins_once(monkeypatch):
+    rows_data, labels = problems.synthetic_fused_lasso_data(12, 4, seed=2)
+    V = problems.build_precision_graph(rows_data, threshold=0.5)
+    fsp = problems.build_fused_lasso(rows_data, labels, V, normalize_rows=True)
+    calls = Counter()
+    count_calls(calls, fsp, "full_value", "f")
+    count_calls(calls, fsp, "full_grad", "grad_f")
+    tanh = np.tanh
+
+    def counted_tanh(u, *args, **kwargs):
+        # the margins are the only length-N tanh; a component's is a scalar
+        if np.shape(u) == (labels.size,):
+            calls["margins"] += 1
+        return tanh(u, *args, **kwargs)
+
+    monkeypatch.setattr(np, "tanh", counted_tanh)
+    cfg = SppdgConfig(max_epochs=3, tol_step=0.0, seeds=(1,))
+    rows = len(solve_stochastic(fsp, "saga", cfg, batch_size=2).per_seed[0].records)
+    assert rows > 5
+    # the row reads the N x n data twice: rows @ x^k once, the gradient's product once
+    assert calls == {"f": rows, "grad_f": rows, "margins": rows}

@@ -286,6 +286,12 @@ def test_solve_zero_iterations_returns_initial_point(scalar_problem):
     assert np.array_equal(report.x, [0.7])
 
 
+def test_solve_rejects_a_negative_iteration_limit(scalar_problem):
+    # zero iterations is a valid request (above); a negative count is not
+    with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+        ppdg.solve(scalar_problem, PpdgConfig(alpha=0.1, max_iters=-3))
+
+
 def test_solve_emits_one_record_per_iteration(descent_problem):
     records = []
     report = ppdg.solve(

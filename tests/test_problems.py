@@ -108,6 +108,49 @@ def test_fused_lasso_full_gradient_is_component_mean():
     assert np.allclose(prob.full_grad(x), mean, atol=1e-12)
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_fused_lasso_shared_margins_match_a_memo_free_reference():
+    prob, rows, labels = fused_lasso_fixture()
+
+    def value(x):
+        t = np.tanh(labels * (rows @ x))
+        return float(np.mean(1.0 - t))
+
+    def grad(x):
+        t = np.tanh(labels * (rows @ x))
+        return (-(labels * (1.0 - t * t)) @ rows) / labels.size
+
+    rng = np.random.default_rng(7)
+    x1, x2 = rng.standard_normal(6), rng.standard_normal(6)
+
+    def check(oracle, reference, x):
+        expected = reference(np.array(x, copy=True))
+        assert same_bits(oracle(x), expected)
+
+    check(prob.full_value, value, x1)
+    check(prob.full_grad, grad, x2)
+    check(prob.full_grad, grad, x1)
+    check(prob.full_value, value, x1)
+    # the same object, changed in place, must not be served the old margins
+    x1[2] += 0.5
+    check(prob.full_grad, grad, x1)
+    check(prob.full_value, value, x1)
+    # a caller writing into a returned gradient does not reach the memo
+    prob.full_grad(x1)[:] = 7.0
+    check(prob.full_grad, grad, x1)
+    check(prob.full_value, value, x1.tolist())
+    check(prob.full_grad, grad, x1.tolist())
+    signed_zero = np.where(np.arange(6) % 2 == 0, -0.0, 0.0)
+    for x in (np.zeros(6), signed_zero, np.zeros(6), np.full(6, np.nan),
+              np.array([np.nan, 1.0, -0.0, 2.0, 0.0, -1.0])):
+        check(prob.full_value, value, x)
+        check(prob.full_grad, grad, x)
+
+
 def test_finite_sum_f_is_its_full_mean_looked_up_per_call():
     prob, _, _ = fused_lasso_fixture()
     x = np.random.default_rng(5).standard_normal(6)

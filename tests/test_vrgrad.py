@@ -73,13 +73,22 @@ def test_estimate_requires_reset(quad_components):
         est.estimate(0, np.zeros(3))
 
 
-@pytest.mark.parametrize("kind", ["saga", "svrg", "sarah"])
+@pytest.mark.parametrize("kind", ["saga", "svrg", "sarah", "full"])
 @pytest.mark.parametrize("period", [0, -3])
 def test_period_below_one_is_rejected(kind, period):
     # k % -3 == 0 at multiples of 3, so a negative period would act as its absolute value
     with pytest.raises(ValueError, match="period must be at least 1"):
         make_estimator(kind, 8, 2, seed=0, period=period)
-    assert make_estimator(kind, 8, 2, seed=0, period=None).period == default_period(8, 2)
+    default = 1 if kind == "full" else default_period(8, 2)
+    assert make_estimator(kind, 8, 2, seed=0, period=None).period == default
+
+
+@pytest.mark.parametrize("kind", ["saga", "svrg", "sarah", "full"])
+@pytest.mark.parametrize("batch_size", [0, -2, 9])
+def test_batch_outside_one_to_n_is_rejected(kind, batch_size):
+    # "full" runs with batch N, but a bad --batch is still an error, not ignored
+    with pytest.raises(ValueError, match="batch size must be in"):
+        make_estimator(kind, 8, batch_size, seed=0)
 
 
 def test_unknown_kind():
