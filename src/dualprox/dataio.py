@@ -128,6 +128,8 @@ def read_pgm(path):
             raw = np.array([int(t) for t in tail[:count]], dtype=float)
         except ValueError:
             raise PgmParseError("non-numeric ASCII sample", pos) from None
+        if raw.min(initial=0.0) < 0:
+            raise PgmParseError("negative ASCII sample", pos)
     else:
         pos += 1  # single whitespace byte after maxval
         bpp = 1 if maxval <= 255 else 2
@@ -160,8 +162,8 @@ def parse_libsvm(path, n_hint=None):
     """Parse `label idx:val idx:val ...` lines into a SparseDataset.
 
     Indices are 1-based in the file and strictly increasing per row.
-    When the raw labels form a two-class set they are mapped to
-    {-1, +1}, smaller label to -1.
+    Labels and values must be finite. When the raw labels form a
+    two-class set they are mapped to {-1, +1}, smaller label to -1.
     """
     rows = []
     labels = []
@@ -173,9 +175,12 @@ def parse_libsvm(path, n_hint=None):
                 continue
             parts = line.split()
             try:
-                labels.append(float(parts[0]))
+                label = float(parts[0])
             except ValueError:
                 raise LibsvmParseError(f"non-numeric label {parts[0]!r}", lineno) from None
+            if not np.isfinite(label):
+                raise LibsvmParseError(f"non-finite label {parts[0]!r}", lineno)
+            labels.append(label)
             idx = []
             vals = []
             prev = 0
@@ -188,6 +193,8 @@ def parse_libsvm(path, n_hint=None):
                     v = float(v_str)
                 except ValueError:
                     raise LibsvmParseError(f"non-numeric token {tok!r}", lineno) from None
+                if not np.isfinite(v):
+                    raise LibsvmParseError(f"non-finite value {tok!r}", lineno)
                 if i <= prev:
                     raise LibsvmParseError(
                         f"indices must be strictly increasing, got {i} after {prev}",

@@ -24,6 +24,12 @@ evaluation budget. The step forms the primal residual grad f(x) + A^T y
 once; with the exact gradient its norm is the trace row's KKT residual,
 so a deterministic iteration applies A^T and grad f once each. A finite
 sum is a composite problem, so every function here takes either type.
+
+Divergence is a safety rule of this code, not a parameter of the
+algorithm: ``step`` checks each new iterate once, in the step that
+forms it (x^1, which ``init_state`` forms, in the first step), and
+raises SolverDivergence unless its norm is at most the fixed
+``NORM_CAP`` (a nan norm fails that test too).
 """
 
 import time
@@ -59,13 +65,19 @@ _EXACT_M_KINDS = ("identity", "scaled-identity")
 # the descent analysis fixes delta in the Lyapunov weights; the slack absorbs roundoff
 DELTA = 0.2
 DESCENT_SLACK = 1e-9
+# default step sizes sit this fraction of the way up to their bound
+STEP_MARGIN = 0.9
+# an iterate whose norm is not at most this (nan included) has diverged
+NORM_CAP = 1e12
 
 
 class SolverDivergence(RuntimeError):
-    """Iterates became non-finite or exceeded the norm cap."""
+    """A new iterate's norm exceeded NORM_CAP or was not a number."""
 
-    def __init__(self, iteration, detail="non-finite iterate"):
-        super().__init__(f"diverged at iteration {iteration}: {detail}")
+    def __init__(self, iteration):
+        super().__init__(
+            f"diverged at iteration {iteration}: iterate norm above {NORM_CAP:g} or not finite"
+        )
         self.iteration = iteration
 
 
@@ -87,7 +99,6 @@ class PpdgConfig:
     tol_step: float = 1e-8
     preconditioner: str = "scalar_beta"
     lyapunov_checks: bool = False
-    norm_cap: float = 1e12
 
     def validate(self, problem):
         if not self.alpha > 0:
@@ -114,9 +125,9 @@ class PpdgConfig:
                 )
 
 
-def default_alpha(lipschitz_L, margin=0.9):
-    """Step size with a safety margin under the 1/(3L) descent bound."""
-    return margin / (3.0 * lipschitz_L)
+def default_alpha(lipschitz_L):
+    """Step size STEP_MARGIN/(3L), a safety margin under the 1/(3L) descent bound."""
+    return STEP_MARGIN / (3.0 * lipschitz_L)
 
 
 @dataclass(frozen=True)
@@ -282,14 +293,20 @@ def step(problem, state, config, beta=None, gradient=None):
     ``beta`` defaults to ``dual_beta(problem, config)``. ``gradient(k, x)``
     gives the gradient of f at x = x^k; None means the exact
     ``problem.grad_f``, and only then is ``residual_norm`` kept.
-    Raises SolverDivergence when the new iterates are not finite.
+
+    The step forms y^{k+1} and x^{k+2}; x^{k+1} was formed, and checked,
+    one step earlier (x^1 by ``init_state``, so the first step checks it
+    too). It raises SolverDivergence(k + 1) unless every new norm is at
+    most NORM_CAP, which a nan or inf norm fails, so every vector a trace
+    row reads is finite and within the cap.
     """
     if beta is None:
         beta = dual_beta(problem, config)
     a_extrap = problem.operator.apply(2.0 * state.x_next - state.x_cur)
     y_next, g_next = dual_prox_step(problem.regularizer, state.y_cur, a_extrap, beta)
     x_after, norm = _primal_step(problem, config, gradient, state.k + 1, state.x_next, y_next)
-    if not (np.all(np.isfinite(x_after)) and np.all(np.isfinite(y_next))):
+    fresh = (x_after, y_next) if state.k else (state.x_next, x_after, y_next)
+    if not all(np.linalg.norm(v) <= NORM_CAP for v in fresh):
         raise SolverDivergence(state.k + 1)
     return SolverState(
         k=state.k + 1,
@@ -377,8 +394,8 @@ def _iterate(problem, config, gradient, proceed, limit_reason, weights, on_recor
     gradient. Step k + 1 is taken while ``proceed(k)`` holds, and a loop
     ended that way reports ``limit_reason``. ``on_record`` receives each
     TraceRecord, built with the Lyapunov ``weights`` of make_record. The
-    loop also stops once both step norms reach ``config.tol_step``, and
-    iterates beyond ``config.norm_cap`` raise SolverDivergence.
+    loop also stops once both step norms reach ``config.tol_step``; the
+    step raises SolverDivergence for an iterate beyond NORM_CAP.
     """
     beta = dual_beta(problem, config)
     state = init_state(problem, x0, y0, config, gradient)
@@ -387,8 +404,6 @@ def _iterate(problem, config, gradient, proceed, limit_reason, weights, on_recor
     reason = limit_reason
     while proceed(state.k):
         state = step(problem, state, config, beta, gradient)
-        if max(np.linalg.norm(state.x_cur), np.linalg.norm(state.y_cur)) > config.norm_cap:
-            raise SolverDivergence(state.k, detail="norm cap exceeded")
         record = make_record(
             problem, state, weights, elapsed_s=time.perf_counter() - started
         )
@@ -419,8 +434,9 @@ def solve(problem, config, trace_sink=None, x0=None, y0=None):
 
     Returns a SolveReport. With ``lyapunov_checks`` on, a descent
     violation raises LyapunovViolation in exact_M mode and is counted
-    on the report in scalar_beta mode. Iterates beyond ``norm_cap``
-    raise SolverDivergence.
+    on the report in scalar_beta mode. A step that forms an iterate
+    whose norm is not at most NORM_CAP (nan included) raises
+    SolverDivergence at that step's iteration.
 
     The caller is responsible for the problem being dual-bounded
     (inf_x of the Lagrangian finite for every y); that property cannot

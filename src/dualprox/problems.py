@@ -122,6 +122,8 @@ def build_fused_lasso(rows, labels, V, lam=1e-4, p=0.5, r=1.0, normalize_rows=Fa
     labels = np.asarray(labels, dtype=float)
     if rows.ndim != 2 or rows.shape[0] != labels.size:
         raise ValueError("rows must be (N, n) with one label per row")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("rows must be finite")
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
     if normalize_rows:

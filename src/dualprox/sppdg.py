@@ -23,6 +23,8 @@ from operator import attrgetter
 import numpy as np
 
 from .ppdg import (
+    DESCENT_SLACK,
+    STEP_MARGIN,
     PpdgConfig,
     SolveReport,
     SolverDivergence,
@@ -58,21 +60,21 @@ class SppdgConfig:
     max_epochs: int = 50
     tol_step: float = 0.0
     seeds: tuple = (0,)
-    norm_cap: float = 1e12
 
     def resolve_alpha(self, lipschitz_L):
         """Step size: explicit, or the safe default for the given L.
 
         With a positive kappa proxy the bound alpha < 1/(2(3+7L+6*kappa))
-        keeps the stochastic descent constant positive and is enforced;
-        with kappa_hat = 0 the deterministic rule 0.9/(3L) applies.
+        keeps the stochastic descent constant positive and is enforced,
+        and the default is STEP_MARGIN times it; with kappa_hat = 0 the
+        deterministic rule ``default_alpha`` = STEP_MARGIN/(3L) applies.
         """
         if self.kappa_hat < 0:
             raise ValueError("kappa_hat must be nonnegative")
         if self.kappa_hat > 0:
             bound = 1.0 / (2.0 * (3.0 + 7.0 * lipschitz_L + 6.0 * self.kappa_hat))
             if self.alpha is None:
-                return 0.9 * bound
+                return STEP_MARGIN * bound
             if not self.alpha < bound:
                 raise ValueError(
                     f"alpha must be below 1/(2(3+7L+6*kappa)) = {bound:.6g} "
@@ -94,7 +96,6 @@ class SppdgConfig:
         step_config = PpdgConfig(
             alpha=self.resolve_alpha(problem.lipschitz_L),
             tol_step=self.tol_step,
-            norm_cap=self.norm_cap,
         )
         step_config.validate(problem)
         return step_config
@@ -210,9 +211,10 @@ def solve_stochastic(problem, estimator_kind, config, trace_sink=None,
     One run per entry of ``config.seeds``; the iteration budget is
     ``max_epochs`` epochs where an epoch is N component-gradient
     evaluations (estimator initialization and snapshot refreshes count,
-    per-record diagnostics do not). A diverged seed is reported failed
-    and excluded from the aggregate, which covers the iteration range
-    common to the surviving seeds.
+    per-record diagnostics do not). A seed whose step raises
+    SolverDivergence (an iterate norm beyond ``ppdg.NORM_CAP``, nan
+    included) is reported failed and excluded from the aggregate, which
+    covers the iteration range common to the surviving seeds.
 
     Returns a StochasticSolveResult with ``per_seed`` SeedRunResults
     and ``aggregate`` AggregateRecords.
@@ -249,14 +251,15 @@ def solve_stochastic(problem, estimator_kind, config, trace_sink=None,
     return StochasticSolveResult(per_seed=per_seed, aggregate=aggregate)
 
 
-def expectation_descent_report(per_seed_records, constants, slack=1e-9):
+def expectation_descent_report(per_seed_records, constants):
     """Count iterations where the seed-averaged Lyapunov value rises.
 
     Advisory realization of the expected-descent property: with the
     uncomputable correction terms dropped, the average over seeds of
     Ls(z^k) should fall by at least e0 times the mean of the three
-    trailing squared primal steps. Returns (violations, checked).
-    Needs at least two seeds.
+    trailing squared primal steps, up to the deterministic check's
+    roundoff allowance DESCENT_SLACK * (1 + |Ls|). Returns
+    (violations, checked). Needs at least two seeds.
     """
     if len(per_seed_records) < 2:
         raise ValueError("expectation descent report needs at least 2 seeds")
@@ -269,7 +272,7 @@ def expectation_descent_report(per_seed_records, constants, slack=1e-9):
     checked = 0
     for j in range(depth - 2):
         allowed = -constants.e0 * (mean_sq[j] + mean_sq[j + 1] + mean_sq[j + 2])
-        tol = slack * (1.0 + abs(mean_lyap[j]))
+        tol = DESCENT_SLACK * (1.0 + abs(mean_lyap[j]))
         checked += 1
         if mean_lyap[j + 1] - mean_lyap[j] > allowed + tol:
             violations += 1

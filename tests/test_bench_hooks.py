@@ -1,9 +1,12 @@
-"""The benchmark's span tracing still hooks the solver layers.
+"""The benchmark's span tracing still hooks the solver layers, and its
+workloads still run against the public API.
 
 ``perfbench/tracing.py`` patches dualprox callables from outside the
 package. A renamed or dropped callable, or an estimator method that calls
 its parent's, breaks the traced benchmark runs without failing any
-solver test; these tests catch that.
+solver test; these tests catch that. ``perfbench/workloads.py`` passes
+config fields and keywords of its own, so its pipelines are run here on
+tiny instances.
 """
 
 import sys
@@ -16,6 +19,7 @@ from dualprox import conjprox, dataio, linops, ppdg, problems, sppdg, vrgrad
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 SEEDS = (0, 1)
 
@@ -83,3 +87,27 @@ def test_instrument_restores_every_attribute():
     assert (sppdg, "lagrangian") in patched
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def _tiny_denoise():
+    workload = workloads.Denoise("tiny-denoise")
+    workload.height = workload.width = 8
+    workload.max_iters = 20
+    return workload
+
+
+@pytest.mark.parametrize("workload", [
+    _tiny_denoise(),
+    workloads.Lasso("tiny-saga", 40, 4, "saga", batch=2, max_epochs=2),
+    workloads.Lasso("tiny-svrg", 40, 4, "svrg", batch=2, max_epochs=2, period=5),
+], ids=lambda w: w.name)
+def test_workload_pipelines_run_on_tiny_instances(tmp_path, workload):
+    # the benchmark calls the solvers with the config fields and keywords
+    # it names (such as preconditioner), so dropping one fails here too
+    run = workloads.run_pipeline(workload, 3, tmp_path)
+    assert run.solves and not any(s.failed for s in run.solves)
+    if isinstance(workload, workloads.Lasso):
+        iters, evals = workload.budget()
+        assert all((s.iters, s.comp_evals) == (iters, evals) for s in run.solves)
+    else:
+        assert run.solves[0].iters == workload.max_iters

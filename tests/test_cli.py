@@ -46,6 +46,15 @@ def test_denoise_synthetic_writes_outputs(tmp_path):
     assert header[1] == "iter,elapsed_s,objective,lagrangian,lyapunov,dx_norm,dy_norm,kkt_x,kkt_y"
 
 
+def test_denoise_divergence_exits_1_at_the_step_that_formed_it(tmp_path, capsys):
+    code = main([
+        "denoise", "--synthetic", "16x16", "--alpha", "1e9", "--max-iters", "50",
+        "--out-dir", str(tmp_path / "run"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: diverged at iteration 1: ")
+
+
 def test_denoise_zero_iterations_outputs_noisy_unchanged(tmp_path):
     out = tmp_path / "run"
     code = main([
@@ -208,6 +217,15 @@ def test_lasso_libsvm_input(tmp_path):
         "--out-dir", str(out),
     ])
     assert code == 0
+
+
+def test_lasso_non_finite_libsvm_value_names_the_line(tmp_path, capsys):
+    data = tmp_path / "d.svm"
+    data.write_text("1 1:0.5 2:1\n-1 1:nan 2:1\n1 1:2 2:0.5\n")
+    code = main(["lasso", "--data", str(data), "--out-dir", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite value") and "(line 2)" in err
 
 
 def test_lasso_v_file_and_mismatch(tmp_path):

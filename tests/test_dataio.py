@@ -93,6 +93,14 @@ def test_pgm_header_errors(tmp_path):
         read_pgm(truncated)
 
 
+def test_p2_negative_sample_reports_the_samples_offset(tmp_path):
+    path = tmp_path / "n.pgm"
+    path.write_text("P2\n2 2\n255\n0 -5 10 255\n")
+    with pytest.raises(PgmParseError, match="negative") as err:
+        read_pgm(path)
+    assert err.value.offset == len("P2\n2 2\n255")
+
+
 def test_image_buffer_validation():
     with pytest.raises(ValueError):
         ImageBuffer(2, 2, np.array([1.0, 2.0, 3.0]))
@@ -133,6 +141,20 @@ def test_parse_libsvm_errors_carry_line_numbers(tmp_path):
     bad_label.write_text("one 1:0.5\n")
     with pytest.raises(LibsvmParseError, match="label"):
         parse_libsvm(bad_label)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_parse_libsvm_rejects_non_finite_values_with_the_line(tmp_path, token):
+    value = tmp_path / "v.txt"
+    value.write_text(f"1 1:0.5\n-1 1:{token} 2:1\n")
+    with pytest.raises(LibsvmParseError, match="non-finite value") as err:
+        parse_libsvm(value)
+    assert err.value.line == 2
+    label = tmp_path / "l.txt"
+    label.write_text(f"1 1:0.5\n1 2:1\n{token} 1:2\n")
+    with pytest.raises(LibsvmParseError, match="non-finite label") as err:
+        parse_libsvm(label)
+    assert err.value.line == 3
 
 
 def test_parse_serialize_parse_identity(tmp_path):

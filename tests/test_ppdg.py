@@ -110,10 +110,64 @@ def test_prox_near_identity_in_interior():
 
 def test_step_divergence_error():
     prob = quadratic_problem(np.ones(2), linops.Identity(2), conjprox.L0Box(0.1, -1, 1))
-    cfg = PpdgConfig(alpha=1e8, preconditioner="exact_M", max_iters=50, norm_cap=1e10)
+    cfg = PpdgConfig(alpha=1e8, preconditioner="exact_M", max_iters=50)
     with pytest.raises(SolverDivergence) as err:
         ppdg.solve(prob, cfg)
     assert err.value.iteration >= 1
+
+
+def test_nan_gradient_diverges_at_the_step_that_formed_it():
+    # grad_f runs once in init_state (x^1), then once per step: the third
+    # call is step 2's, which forms x^3
+    calls = []
+
+    def grad_f(x):
+        calls.append(1)
+        return x - 2.0 if len(calls) < 3 else np.full_like(x, np.nan)
+
+    prob = CompositeProblem(
+        f_value=lambda x: 0.5 * float(np.sum((x - 2.0) ** 2)), grad_f=grad_f,
+        lipschitz_L=1.0, operator=linops.Identity(3), regularizer=conjprox.L0Box(0.1, -1, 1),
+    )
+    rows = []
+    with pytest.raises(SolverDivergence, match="diverged at iteration 2") as err:
+        ppdg.solve(prob, PpdgConfig(alpha=0.3, max_iters=10, tol_step=0.0), trace_sink=rows.append)
+    assert err.value.iteration == 2 and len(calls) == 3
+    assert [r.iter for r in rows] == [1]
+    assert all(np.isfinite(value) for r in rows for value in vars(r).values())
+
+
+def test_norm_cap_stops_at_the_step_that_formed_the_iterate(monkeypatch):
+    # x^k rises monotonically towards b (norm 5) and |y| stays below 0.015;
+    # state k's x_next is x^{k+1}, formed by step k, and x^5 (4.15) is the
+    # first beyond 4
+    prob = quadratic_problem(np.array([3.0, 4.0]), linops.Identity(2), conjprox.L1(0.01))
+    cfg = PpdgConfig(alpha=0.3, max_iters=20, tol_step=0.0)
+    history = run_history(prob, cfg, np.zeros(2), np.zeros(2), 6)
+    formed = [np.linalg.norm(s.x_next) for s in history]
+    assert formed.index(next(v for v in formed if v > 4.0)) == 4
+    assert max(np.linalg.norm(s.y_cur) for s in history) < 0.015
+    monkeypatch.setattr(ppdg, "NORM_CAP", 4.0)
+    rows = []
+    with pytest.raises(SolverDivergence, match="iteration 4: iterate norm above 4 "):
+        ppdg.solve(prob, cfg, trace_sink=rows.append)
+    assert [r.iter for r in rows] == [1, 2, 3]
+
+
+def test_first_step_checks_the_iterate_init_state_formed(monkeypatch):
+    # at alpha = 1, x^{k+1} = b - y^k: a far y^0 puts x^1 at norm 103, while
+    # the L1 box clamps y^1 and so x^2 and every later iterate near b
+    prob = quadratic_problem(np.array([3.0, 4.0]), linops.Identity(2), conjprox.L1(0.01))
+    cfg = PpdgConfig(alpha=1.0, max_iters=20, tol_step=0.0)
+    y0 = np.array([-100.0, 0.0])
+    history = run_history(prob, cfg, np.zeros(2), y0, 3)
+    assert np.linalg.norm(history[0].x_next) > 100
+    assert all(np.linalg.norm(s.x_next) < 6 for s in history[1:])
+    monkeypatch.setattr(ppdg, "NORM_CAP", 50.0)
+    with pytest.raises(SolverDivergence, match="iteration 1:"):
+        ppdg.solve(prob, cfg, y0=y0)
+    # a run that takes no step never reads x^1
+    assert ppdg.solve(prob, PpdgConfig(alpha=1.0, max_iters=0), y0=y0).iters == 0
 
 
 # --- lyapunov value ------------------------------------------------------

@@ -89,6 +89,16 @@ def test_fused_lasso_rejects_bad_labels():
         build_fused_lasso(rows, np.array([1.0, 0.0, -1.0]), np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fused_lasso_rejects_non_finite_rows(bad):
+    rows = np.ones((3, 2))
+    rows[1, 0] = bad
+    for normalize_rows in (False, True):
+        with pytest.raises(ValueError, match="rows must be finite"):
+            build_fused_lasso(rows, np.array([1.0, -1.0, 1.0]), np.zeros((2, 2)),
+                              normalize_rows=normalize_rows)
+
+
 def test_fused_lasso_component_grads_match_finite_differences():
     prob, _, _ = fused_lasso_fixture()
     rng = np.random.default_rng(2)

@@ -294,12 +294,31 @@ def test_kkt_x_uses_the_full_gradient_not_the_estimate(monkeypatch, estimator):
         assert record.kkt_x == float(np.linalg.norm(residual)), record.iter
 
 
-def test_norm_cap_fails_the_seed():
+def test_norm_cap_fails_the_seed(monkeypatch):
     fsp = split_quadratic_finite_sum(4, 3)
-    cfg = exact_cfg(max_epochs=20, seeds=(0, 1), norm_cap=0.5)
-    with pytest.warns(RuntimeWarning, match="norm cap exceeded"):
+    cfg = exact_cfg(max_epochs=20, seeds=(0, 1))
+    monkeypatch.setattr(ppdg, "NORM_CAP", 0.5)
+    with pytest.warns(RuntimeWarning, match="iterate norm above 0.5"):
         res = solve_stochastic(fsp, "saga", cfg, batch_size=2)
-    assert all(r.failed and "norm cap exceeded" in r.error for r in res.per_seed)
+    assert all(r.failed and "iterate norm above 0.5" in r.error for r in res.per_seed)
+    assert res.aggregate == []
+
+
+def test_nan_component_gradient_fails_the_seed():
+    # component 2 returns nan; SAGA's reset stores every component gradient,
+    # so the anchor mean, the first estimate and x^1 are nan, and step 1 raises
+    good = split_quadratic_finite_sum(4, 3)
+    component_grad = good.component_grad
+    fsp = FiniteSumProblem(
+        n_components=4, component_value=good.component_value,
+        component_grad=lambda i, x: np.full_like(x, np.nan) if i == 2 else component_grad(i, x),
+        lipschitz_L=1.0, operator=good.operator, regularizer=good.regularizer,
+        full_value=good.full_value, full_grad=good.full_grad,
+    )
+    cfg = SppdgConfig(alpha=ppdg.default_alpha(1.0), max_epochs=5, seeds=(0, 1))
+    with pytest.warns(RuntimeWarning, match="diverged"):
+        res = solve_stochastic(fsp, "saga", cfg, batch_size=2)
+    assert all(r.failed and r.error.startswith("diverged at iteration 1:") for r in res.per_seed)
     assert res.aggregate == []
 
 
