@@ -98,16 +98,23 @@ class Regularizer:
         np.copyto(out, np.inf, where=(x > above) | (x < below))
         return out
 
-    # Each linear piece is evaluated only where it applies, so an infinite
-    # slope never meets a zero excess (inf * 0) or an infinite input
-    # (inf - inf). The output arrays are made up front so that 0-d inputs
-    # stay arrays. The upper piece also takes nan, which it keeps.
+    # With finite slopes h* is the larger of the two lines and 0, in one
+    # pass. 0.0 is the second operand because np.maximum returns the second
+    # of two equal zeros, and the lower line is -0.0 at y == lo. nan stays in
+    # the upper line, which np.maximum keeps. Infinite slopes (L1) would
+    # multiply a zero excess or meet inf - inf there, so each line is then
+    # evaluated only where it applies. The output arrays are made up front
+    # so that 0-d inputs stay arrays.
     def _conj_elem(self, y):
         lo, hi, s_lo, s_hi = self._ramp()
-        out = np.zeros_like(y)
-        np.multiply(s_hi, y - hi, out=out, where=~(y <= hi))
-        np.multiply(s_lo, y - lo, out=out, where=y < lo)
-        return out
+        if s_hi == np.inf:
+            out = np.zeros_like(y)
+            np.multiply(s_hi, y - hi, out=out, where=~(y <= hi))
+            np.multiply(s_lo, y - lo, out=out, where=y < lo)
+            return out
+        out = np.multiply(s_hi, y - hi, out=np.empty_like(y))
+        np.maximum(out, s_lo * (y - lo), out=out)
+        return np.maximum(out, 0.0, out=out)
 
     def _prox_elem(self, v, beta):
         lo, hi, s_lo, s_hi = self._ramp()
@@ -204,15 +211,28 @@ class ScadBox(Regularizer):
         else:
             self.theta = lam_**2 * (gam + 1.0) / (2.0 * r_)
 
+    # Each piece is evaluated everywhere on |x| capped to its own end, so no
+    # entry overflows or meets inf - inf, and each is then weighted by its
+    # 0/1 mask and summed. That is exact: p*1 = p, p*0 = ±0 and p ± 0 = p.
+    # nan passes the caps and lands in every piece, so it stays nan. Masked
+    # writes (np.where, where=) took longer than all the arithmetic here.
+    # The out= arrays keep a 0-d input an array.
     def _penalty_elem(self, x):
         lam, gam = self.lam, self.gamma
-        a = np.abs(x)
-        out = np.where(a <= lam, lam * a, lam**2 * (gam + 1.0) / 2.0)
-        # the quadratic is evaluated only where it applies, so a = inf never
-        # meets inf - inf; nan fails both tests and lands there, which keeps it
-        mid = ~((a <= lam) | (a > gam * lam))
-        q = a[mid]
-        out[mid] = (2.0 * gam * lam * q - q**2 - lam**2) / (2.0 * (gam - 1.0))
+        a = np.abs(x, out=np.empty_like(x))
+        low = a <= lam
+        high = a > gam * lam
+        q = np.minimum(a, gam * lam, out=np.empty_like(a))
+        out = np.multiply(2.0 * gam * lam, q, out=np.empty_like(a))
+        out -= np.square(q, out=q)
+        out -= lam**2
+        out /= 2.0 * (gam - 1.0)
+        out *= ~(low | high)
+        np.minimum(a, lam, out=q)
+        q *= lam
+        q *= low
+        out += q
+        out += np.multiply(high, lam**2 * (gam + 1.0) / 2.0, out=q)
         return out
 
     def _ramp(self):

@@ -32,6 +32,50 @@ __all__ = [
 # max |d^2/du^2 (1 - tanh u)| = 4/(3*sqrt(3)), rounded up so the bound stays valid
 SIGMOID_CURVATURE = 0.7699
 
+# Rows per block when the fused-lasso setup streams over the N x n data, so
+# that each pass holds one block-sized temporary, not a full-size one.
+BLOCK_ROWS = 1024
+
+
+def _row_blocks(n_rows):
+    """Slices of at most BLOCK_ROWS consecutive rows covering range(n_rows)."""
+    return [slice(i, min(i + BLOCK_ROWS, n_rows)) for i in range(0, n_rows, BLOCK_ROWS)]
+
+
+def _row_sq_sums(rows):
+    """np.sum(rows**2, axis=1), one row block at a time.
+
+    Each row's sum is a reduction over that row alone, so it comes out
+    the same whichever block the row sits in.
+    """
+    out = np.empty(rows.shape[0])
+    for blk in _row_blocks(rows.shape[0]):
+        out[blk] = np.sum(rows[blk] ** 2, axis=1)
+    return out
+
+
+def _column_std(centered):
+    """centered.std(axis=0), with no full-size temporary.
+
+    numpy reduces axis 0 of a C-ordered array with two or more columns
+    row by row into one accumulator row. Each block's buffer carries the
+    running sum of squared deviations as its first row, so the squares
+    are added in the same order as in one full-array pass, and the result
+    is bit for bit the same (the running sum starts at 0.0, which adds
+    exactly to a square). A single column or a Fortran-ordered array is
+    reduced pairwise instead, so there the last bits may differ.
+    """
+    n_rows, n_cols = centered.shape
+    mean = np.add.reduce(centered, axis=0) / n_rows
+    buf = np.empty((min(BLOCK_ROWS, n_rows) + 1, n_cols))
+    buf[0] = 0.0
+    for blk in _row_blocks(n_rows):
+        stop = blk.stop - blk.start + 1
+        work = np.subtract(centered[blk], mean, out=buf[1:stop])
+        np.square(work, out=work)
+        buf[0] = np.add.reduce(buf[:stop], axis=0)
+    return np.sqrt(buf[0] / n_rows)
+
 
 @dataclass
 class CompositeProblem:
@@ -127,7 +171,8 @@ def build_fused_lasso(rows, labels, V, lam=1e-4, p=0.5, r=1.0, normalize_rows=Fa
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
     if normalize_rows:
-        norms = np.linalg.norm(rows, axis=1)
+        # np.linalg.norm(rows, axis=1) is the root of the same row sums
+        norms = np.sqrt(_row_sq_sums(rows))
         rows = rows / np.where(norms > 0, norms, 1.0)[:, None]
 
     def component_value(i, x):
@@ -157,7 +202,7 @@ def build_fused_lasso(rows, labels, V, lam=1e-4, p=0.5, r=1.0, normalize_rows=Fa
         t = margins(x)
         return (-(labels * (1.0 - t * t)) @ rows) / labels.size
 
-    L = SIGMOID_CURVATURE * float(np.max(np.sum(rows**2, axis=1)))
+    L = SIGMOID_CURVATURE * float(np.max(_row_sq_sums(rows)))
     return FiniteSumProblem(
         n_components=labels.size,
         component_value=component_value,
@@ -194,6 +239,8 @@ def build_precision_graph(rows, threshold=0.5):
 
     V[j, k] = 1 when |corr(feature j, feature k)| > threshold (j != k),
     zero diagonal, symmetric. Constant features correlate with nothing.
+    Non-finite rows raise ValueError. Beside the data it holds one
+    full-size array, the centered and then standardized rows.
     This is a documented substitute: the faithful path loads V from a
     file produced by an external sparse inverse covariance estimate.
     """
@@ -202,10 +249,18 @@ def build_precision_graph(rows, threshold=0.5):
         raise ValueError("need at least two data rows")
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    centered = rows - rows.mean(axis=0)
-    std = centered.std(axis=0)
+    # A nan or inf entry makes its column's mean non-finite, so the means
+    # double as the finiteness check; the full scan runs only then, to tell
+    # such an entry from a sum that overflowed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = rows.mean(axis=0)
+    if not np.all(np.isfinite(mean)) and not np.all(np.isfinite(rows)):
+        raise ValueError("rows must be finite")
+    centered = rows - mean
+    std = _column_std(centered)
     safe = np.where(std > 0, std, 1.0)
-    corr = (centered / safe).T @ (centered / safe) / rows.shape[0]
+    centered /= safe
+    corr = centered.T @ centered / rows.shape[0]
     corr[std == 0, :] = 0.0
     corr[:, std == 0] = 0.0
     V = (np.abs(corr) > threshold).astype(float)
@@ -241,15 +296,24 @@ def synthetic_fused_lasso_data(n_rows, n_features, seed=0, pair_noise=0.3):
 
     Half the features are latent Gaussians, the other half noisy copies
     of them, so the correlation-threshold graph has one edge per pair.
-    Labels come from a random linear rule and land in {-1, +1}.
+    Labels come from a random linear rule and land in {-1, +1}. The rows
+    are written into one preallocated (n_rows, n_features) array.
     """
     if n_features % 2 != 0:
         raise ValueError("n_features must be even (features come in pairs)")
     rng = np.random.default_rng(seed)
     half = n_features // 2
-    latent = rng.standard_normal((n_rows, half))
-    copies = latent + pair_noise * rng.standard_normal((n_rows, half))
-    rows = np.concatenate([latent, copies], axis=1)
+    rows = np.empty((n_rows, n_features))
+    latent, copies = rows[:, :half], rows[:, half:]
+    # Drawn in row blocks, all latent blocks first, so the normals come from
+    # the stream in the same order as one (n_rows, half) draw of each.
+    for blk in _row_blocks(n_rows):
+        latent[blk] = rng.standard_normal(latent[blk].shape)
+    for blk in _row_blocks(n_rows):
+        noise = rng.standard_normal(copies[blk].shape)
+        noise *= pair_noise
+        noise += latent[blk]
+        copies[blk] = noise
     w_true = rng.standard_normal(n_features)
     margin = rows @ w_true + 0.1 * rng.standard_normal(n_rows)
     labels = np.where(margin >= 0, 1.0, -1.0)

@@ -345,3 +345,69 @@ def test_operations_are_coordinate_wise():
         assert reg.conj_value(v) == pytest.approx(
             sum(reg.conj_value(np.array([vi])) for vi in v), abs=1e-12
         )
+
+
+# --- the one-pass forms against the masked forms they replaced -----------
+
+
+def masked_conj(reg, y):
+    lo, hi, s_lo, s_hi = reg._ramp()
+    out = np.zeros_like(y)
+    np.multiply(s_hi, y - hi, out=out, where=~(y <= hi))
+    np.multiply(s_lo, y - lo, out=out, where=y < lo)
+    return out
+
+
+def gather_scatter_scad(reg, x):
+    lam, gam = reg.lam, reg.gamma
+    a = np.abs(x)
+    out = np.where(a <= lam, lam * a, lam**2 * (gam + 1.0) / 2.0)
+    mid = ~((a <= lam) | (a > gam * lam))
+    q = a[mid]
+    out[mid] = (2.0 * gam * lam * q - q**2 - lam**2) / (2.0 * (gam - 1.0))
+    return out
+
+
+def special_points(*ends):
+    points = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 0.3, -0.7, 2.5]
+    for end in ends:
+        points += [end, np.nextafter(end, np.inf), np.nextafter(end, -np.inf)]
+    return np.array(points)
+
+
+def assert_bitwise_equal(got, want):
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_conj_matches_the_masked_form_at_ends_zeros_and_non_finite_inputs():
+    for reg in catalog():
+        lo, hi, _, _ = reg._ramp()
+        y = special_points(lo, hi, -lo, -hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_bitwise_equal(reg._conj_elem(y), masked_conj(reg, y))
+            for v in y:
+                assert_bitwise_equal(reg._conj_elem(np.array(v)), masked_conj(reg, np.array(v)))
+
+
+def test_conj_is_plus_zero_on_the_flat_part():
+    for reg in catalog():
+        lo, hi, _, _ = reg._ramp()
+        got = reg._conj_elem(np.array([lo, hi, 0.0, -0.0, 0.5 * (lo + hi)]))
+        assert np.all(got == 0.0) and not np.any(np.signbit(got)), reg.kind
+
+
+def test_scad_penalty_matches_the_gather_scatter_form():
+    rng = np.random.default_rng(3)
+    for reg in (r for r in catalog() if isinstance(r, ScadBox)):
+        ends = (reg.lam, reg.gamma * reg.lam, reg.r)
+        x = np.concatenate([special_points(*ends, *(-e for e in ends)),
+                            rng.uniform(-2 * reg.r, 2 * reg.r, 500)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_bitwise_equal(reg._penalty_elem(x), gather_scatter_scad(reg, x))
+            for v in x[:20]:
+                assert_bitwise_equal(reg._penalty_elem(np.array(v)),
+                                     gather_scatter_scad(reg, np.array(v)))

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from dualprox.problems import (
     synthetic_fused_lasso_data,
     validate_graph_matrix,
 )
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def finite_difference_grad(f, x, eps=1e-6):
@@ -296,3 +302,119 @@ def test_objective_bounded_below(denoise_problem):
     for _ in range(20):
         x = rng.uniform(size=16)
         assert prob.objective(x) >= 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_precision_graph_rejects_non_finite_rows_without_warnings(bad):
+    rows = np.ones((3, 2))
+    rows[1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="rows must be finite"):
+            build_precision_graph(rows)
+
+
+def test_precision_graph_overflowing_mean_is_not_reported_as_non_finite():
+    rows = np.array([[1e308, 1.0], [1e308, 2.0], [1.0, 4.0]])
+    with np.errstate(all="ignore"):
+        V = build_precision_graph(rows)
+    assert V.shape == (2, 2)
+
+
+# --- the blocked fused-lasso setup against the full-array expressions ----
+
+BLOCK = problems.BLOCK_ROWS
+
+
+def full_array_synthetic(n_rows, n_features, seed, pair_noise=0.3):
+    rng = np.random.default_rng(seed)
+    half = n_features // 2
+    latent = rng.standard_normal((n_rows, half))
+    copies = latent + pair_noise * rng.standard_normal((n_rows, half))
+    rows = np.concatenate([latent, copies], axis=1)
+    w_true = rng.standard_normal(n_features)
+    margin = rows @ w_true + 0.1 * rng.standard_normal(n_rows)
+    return rows, np.where(margin >= 0, 1.0, -1.0)
+
+
+def full_array_graph(rows, threshold):
+    centered = rows - rows.mean(axis=0)
+    std = centered.std(axis=0)
+    safe = np.where(std > 0, std, 1.0)
+    corr = (centered / safe).T @ (centered / safe) / rows.shape[0]
+    corr[std == 0, :] = 0.0
+    corr[:, std == 0] = 0.0
+    V = (np.abs(corr) > threshold).astype(float)
+    np.fill_diagonal(V, 0.0)
+    return V, std
+
+
+def full_array_L(rows, normalize_rows):
+    if normalize_rows:
+        norms = np.linalg.norm(rows, axis=1)
+        rows = rows / np.where(norms > 0, norms, 1.0)[:, None]
+    return problems.SIGMOID_CURVATURE * float(np.max(np.sum(rows**2, axis=1)))
+
+
+def assert_setup_matches_full_arrays(rows, labels, threshold=0.5):
+    V_ref, std_ref = full_array_graph(rows, threshold)
+    assert np.array_equal(problems._column_std(rows - rows.mean(axis=0)), std_ref)
+    V = build_precision_graph(rows, threshold=threshold)
+    assert np.array_equal(V, V_ref)
+    for normalize_rows in (False, True):
+        prob = build_fused_lasso(rows, labels, V, normalize_rows=normalize_rows)
+        assert prob.lipschitz_L == full_array_L(rows, normalize_rows)
+
+
+@pytest.mark.parametrize("n_features", [2, 6, 40])
+@pytest.mark.parametrize("n_rows", [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_blocked_setup_is_bit_identical_to_full_arrays(n_rows, n_features):
+    rows, labels = synthetic_fused_lasso_data(n_rows, n_features, seed=n_rows + n_features)
+    rows_ref, labels_ref = full_array_synthetic(n_rows, n_features, seed=n_rows + n_features)
+    assert np.array_equal(rows, rows_ref)
+    assert np.array_equal(labels, labels_ref)
+    assert_setup_matches_full_arrays(rows, labels)
+
+
+@pytest.mark.parametrize("n_rows", [3, BLOCK + 1, 2 * BLOCK + 3])
+def test_blocked_setup_with_a_constant_column(n_rows):
+    rows, labels = synthetic_fused_lasso_data(n_rows, 6, seed=4)
+    rows[:, 2] = 0.1   # a column mean that does not round back to 0.1
+    assert_setup_matches_full_arrays(rows, labels, threshold=0.3)
+    assert np.all(build_precision_graph(rows, threshold=0.3)[2] == 0.0)
+
+
+def test_fortran_ordered_rows_give_the_same_graph():
+    rows, _ = synthetic_fused_lasso_data(2 * BLOCK + 3, 40, seed=6)
+    V = build_precision_graph(np.asfortranarray(rows))
+    assert np.array_equal(V, full_array_graph(rows, 0.5)[0])
+    assert V.sum() == 40.0
+
+
+MEMORY_PROBE = """
+import resource, sys
+from dualprox import problems
+
+def build(n_rows, n_features):
+    rows, labels = problems.synthetic_fused_lasso_data(n_rows, n_features, seed=1)
+    V = problems.build_precision_graph(rows)
+    return problems.build_fused_lasso(rows, labels, V)
+
+build(40, 6)
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+build(20000, 200)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_fused_lasso_setup_peak_memory_stays_within_three_times_the_data():
+    # the synthetic 20000 x 200 matrix is 32 MB; a fresh process measures the
+    # growth of its high-water mark over a baseline taken after a tiny build
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    growth = int(out.stdout.split()[-1]) * 1024
+    data = 20000 * 200 * 8
+    assert growth <= 3 * data, f"setup grew the peak by {growth / data:.2f}x the data"
