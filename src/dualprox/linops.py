@@ -149,15 +149,21 @@ class Gradient2D(LinearOperator):
 
     def apply(self, x):
         img = self._check(x, self.in_dim).reshape(self.height, self.width)
+        out = np.empty(self.out_dim)
+        dh = out[: self.in_dim].reshape(self.height, self.width)
+        dv = out[self.in_dim :].reshape(self.height, self.width)
         if self.boundary == "periodic":
-            dh = np.roll(img, -1, axis=1) - img
-            dv = np.roll(img, -1, axis=0) - img
+            # the wrapped last column and row are written apart from the rest
+            np.subtract(img[:, 1:], img[:, :-1], out=dh[:, :-1])
+            np.subtract(img[:, :1], img[:, -1:], out=dh[:, -1:])
+            np.subtract(img[1:, :], img[:-1, :], out=dv[:-1, :])
+            np.subtract(img[:1, :], img[-1:, :], out=dv[-1:, :])
         else:
-            dh = -img.copy()
+            np.negative(img, out=dh)
             dh[:, :-1] += img[:, 1:]
-            dv = -img.copy()
+            np.negative(img, out=dv)
             dv[:-1, :] += img[1:, :]
-        return np.concatenate([dh.ravel(), dv.ravel()])
+        return out
 
     def apply_adjoint(self, y):
         y = self._check(y, self.out_dim)

@@ -17,13 +17,26 @@ plus weighted squared distances between consecutive primal iterates,
 which decreases monotonically in exact_M mode for small enough steps;
 the solver can assert that descent on every iteration.
 
-The loop takes a gradient oracle and a stop rule: ``solve`` runs it
-with the exact gradient (oracle None) and an iteration cap,
+The loop takes a gradient estimator and a stop rule: ``solve`` runs it
+with the exact gradient (estimator None) and an iteration cap,
 :mod:`dualprox.sppdg` with a variance-reduced estimate and an
 evaluation budget. The step forms the primal residual grad f(x) + A^T y
 once; with the exact gradient its norm is the trace row's KKT residual,
 so a deterministic iteration applies A^T and grad f once each. A finite
 sum is a composite problem, so every function here takes either type.
+
+Each iteration stamps its trace row's step norms and ``elapsed_s`` at
+once, and the stop test reads those norms. A row under the exact
+gradient is built and delivered in the same iteration. Under a gradient
+estimate the row needs f(x^k) and grad f(x^k), full sums that never feed
+the iterates, so the loop evaluates them for up to ``ROW_BATCH`` pending
+rows in one ``full_sums`` call: the rows reach ``trace_sink`` in order,
+in batches of up to ROW_BATCH, each with the ``elapsed_s`` and the
+estimator's evaluation count of its own iteration. On the fused lasso
+that call sums in another order than the per-point oracles, so the
+objective, lagrangian, lyapunov and kkt_x columns may differ from a
+per-point evaluation at roundoff; the iterates and every other column
+do not.
 
 Divergence is a safety rule of this code, not a parameter of the
 algorithm: ``step`` checks each new iterate once, in the step that
@@ -69,6 +82,9 @@ DESCENT_SLACK = 1e-9
 STEP_MARGIN = 0.9
 # an iterate whose norm is not at most this (nan included) has diverged
 NORM_CAP = 1e12
+# stochastic trace rows whose full sums are evaluated together, in one
+# problem.full_sums call; the rows never feed the iterates
+ROW_BATCH = 32
 
 
 class SolverDivergence(RuntimeError):
@@ -222,10 +238,10 @@ def lagrangian(problem, x, y):
     )
 
 
-def _window_value(lag, weights, du, dv, dw):
-    """lag - a||du||^2 + b||dv||^2 (+ c||dw||^2 unless c is None), in that order."""
+def _window_value(lag, weights, du, dv_sq, dw):
+    """lag - a||du||^2 + b dv_sq (+ c||dw||^2 unless c is None), in that order."""
     a, b, c = weights
-    value = lag - a * float(du @ du) + b * float(dv @ dv)
+    value = lag - a * float(du @ du) + b * dv_sq
     if c is not None:
         value += c * float(dw @ dw)
     return value
@@ -240,7 +256,8 @@ def lyapunov_value(problem, z, constants):
     x, y, u, v, *w = z
     weights = (constants.a, constants.b, constants.c if w else None)
     dw = v - w[0] if w else None
-    return _window_value(lagrangian(problem, x, y), weights, x - u, x - v, dw)
+    dv = x - v
+    return _window_value(lagrangian(problem, x, y), weights, x - u, float(dv @ dv), dw)
 
 
 def dual_beta(problem, config):
@@ -267,16 +284,29 @@ def _primal_step(problem, config, gradient, k, x, y):
     return x - s, norm
 
 
-def _primal_residual(problem, state):
-    """grad f(x^k) + A^T y^k with the exact gradient, formed anew."""
-    return problem.grad_f(state.x_cur) + problem.operator.apply_adjoint(state.y_cur)
+def _primal_residual(problem, state, grad=None):
+    """grad f(x^k) + A^T y^k with the exact gradient, ``grad`` when given."""
+    if grad is None:
+        grad = problem.grad_f(state.x_cur)
+    return grad + problem.operator.apply_adjoint(state.y_cur)
 
 
-def _residual_norm(problem, state):
+def _residual_norm(problem, state, grad=None):
     """r_x = ||grad f(x^k) + A^T y^k||: the step's, or formed anew under an estimate."""
     if state.residual_norm is not None:
         return state.residual_norm
-    return float(np.linalg.norm(_primal_residual(problem, state)))
+    return float(np.linalg.norm(_primal_residual(problem, state, grad)))
+
+
+def _step_norms(state):
+    """(||x^k - x^{k-1}||^2, ||x^k - x^{k-1}||, ||y^k - y^{k-1}||), one dot per difference.
+
+    np.linalg.norm of a 1-d float array is sqrt(v.dot(v)), so both norms
+    are those of np.linalg.norm bit for bit.
+    """
+    dv = state.x_cur - state.x_prev
+    dv_sq = float(dv.dot(dv))
+    return dv_sq, float(np.sqrt(dv_sq)), float(np.linalg.norm(state.y_cur - state.y_prev))
 
 
 def init_state(problem, x0, y0, config, gradient=None):
@@ -348,7 +378,7 @@ def subgradient_bound_gammas(constants, alpha, op_norm, L):
     return gamma1, gamma2
 
 
-def make_record(problem, state, weights, elapsed_s=0.0):
+def make_record(problem, state, weights, elapsed_s=0.0, norms=None, sums=None):
     """Diagnostics row for the current state; needs k >= 1.
 
     ``weights = (a, b, c)`` weigh ||x^k - x^{k+1}||^2, ||x^k - x^{k-1}||^2
@@ -361,15 +391,20 @@ def make_record(problem, state, weights, elapsed_s=0.0):
     bounds the distance of A x^k to the subdifferential of h* at y^k.
     r_x is the norm the step kept when its gradient was exact; under a
     gradient estimate grad f(x^k) and A^T y^k are evaluated once here.
+
+    ``norms`` is ``_step_norms(state)`` when the caller has it; the
+    Lyapunov column reuses its ||x^k - x^{k-1}||^2. ``sums`` is
+    (f(x^k), grad f(x^k)) when the caller has evaluated the full sums
+    already, as the loop does for a batch of stochastic rows.
     """
     if state.k < 1 or state.g_cur is None:
         raise ValueError("make_record needs k >= 1 (a completed dual step)")
     reg = problem.regularizer
     x, y = state.x_cur, state.y_cur
+    dv_sq, dx_norm, dy_norm = _step_norms(state) if norms is None else norms
     ax = problem.operator.apply(x)
-    f_x = problem.f_value(x)
+    f_x, grad = (problem.f_value(x), None) if sums is None else sums
     lag = _lagrangian_from(f_x, y, ax, reg.conj_value(y))
-    dv = x - state.x_prev
     dw = None
     if weights[2] is not None:
         dw = state.x_prev - (state.x_prev if state.x_prev2 is None else state.x_prev2)
@@ -378,39 +413,68 @@ def make_record(problem, state, weights, elapsed_s=0.0):
         elapsed_s=elapsed_s,
         objective=float(f_x + reg.value_h(ax)),
         lagrangian=lag,
-        lyapunov=_window_value(lag, weights, x - state.x_next, dv, dw),
-        dx_norm=float(np.linalg.norm(dv)),
-        dy_norm=float(np.linalg.norm(y - state.y_prev)),
-        kkt_x=_residual_norm(problem, state),
+        lyapunov=_window_value(lag, weights, x - state.x_next, dv_sq, dw),
+        dx_norm=dx_norm,
+        dy_norm=dy_norm,
+        kkt_x=_residual_norm(problem, state, grad),
         kkt_y=float(np.linalg.norm(ax - state.g_cur)),
     )
 
 
-def _iterate(problem, config, gradient, proceed, limit_reason, weights, on_record,
+def _iterate(problem, config, estimator, proceed, limit_reason, weights, on_record,
              x0, y0):
     """The primal-dual loop of both solvers; returns a SolveReport.
 
-    ``gradient(k, x)`` is the oracle of ``step``, None for the exact
-    gradient. Step k + 1 is taken while ``proceed(k)`` holds, and a loop
-    ended that way reports ``limit_reason``. ``on_record`` receives each
-    TraceRecord, built with the Lyapunov ``weights`` of make_record. The
-    loop also stops once both step norms reach ``config.tol_step``; the
-    step raises SolverDivergence for an iterate beyond NORM_CAP.
+    ``estimator`` is None for the exact gradient, or a gradient estimator
+    whose ``estimate(k, x)`` is the oracle of ``step`` and whose ``evals``
+    counts its component-gradient evaluations. Step k + 1 is taken while
+    ``proceed(k)`` holds, and a loop ended that way reports
+    ``limit_reason``. ``on_record(record, evals)`` receives each
+    TraceRecord, built with the Lyapunov ``weights`` of make_record, and
+    the estimator's ``evals`` at that iteration (None for the exact
+    gradient). The loop also stops once both step norms reach
+    ``config.tol_step``; the step raises SolverDivergence for an iterate
+    beyond NORM_CAP.
+
+    Each iteration stamps its row's step norms, ``elapsed_s`` and
+    ``evals`` at once. With the exact gradient the row is built and
+    delivered in the same iteration. Under an estimate its full sums
+    f(x^k) and grad f(x^k) wait, for up to ROW_BATCH iterates, for one
+    ``problem.full_sums`` call; the pending rows are then built and
+    delivered in order, and the last ones before the loop returns. Rows
+    still pending when a step diverges are dropped.
     """
+    gradient = None if estimator is None else estimator.estimate
     beta = dual_beta(problem, config)
     state = init_state(problem, x0, y0, config, gradient)
     started = time.perf_counter()
+    pending = []
     record = None
     reason = limit_reason
+
+    def deliver():
+        nonlocal record
+        sums = [None] * len(pending)
+        if estimator is not None:
+            values, grads = problem.full_sums(np.stack([row[0].x_cur for row in pending]))
+            sums = zip(values, grads)
+        for (st, norms, elapsed_s, evals), row_sums in zip(pending, sums):
+            record = make_record(problem, st, weights, elapsed_s, norms, row_sums)
+            on_record(record, evals)
+        pending.clear()
+
     while proceed(state.k):
         state = step(problem, state, config, beta, gradient)
-        record = make_record(
-            problem, state, weights, elapsed_s=time.perf_counter() - started
-        )
-        on_record(record)
-        if max(record.dx_norm, record.dy_norm) <= config.tol_step:
+        norms = _step_norms(state)
+        evals = None if estimator is None else estimator.evals
+        pending.append((state, norms, time.perf_counter() - started, evals))
+        if estimator is None or len(pending) == ROW_BATCH:
+            deliver()
+        if max(norms[1], norms[2]) <= config.tol_step:
             reason = "converged"
             break
+    if pending:
+        deliver()
     if record is None:
         kkt_x = _residual_norm(problem, state)
         kkt_y = dx = dy = float("nan")
@@ -453,7 +517,7 @@ def solve(problem, config, trace_sink=None, x0=None, y0=None):
     prev_record = None
     violations = 0
 
-    def check_descent(record):
+    def check_descent(record, _evals):
         nonlocal prev_record, violations
         if trace_sink is not None:
             trace_sink(record)

@@ -4,7 +4,9 @@ A CompositeProblem bundles a smooth term f (value, gradient, Lipschitz
 constant of the gradient) with a linear operator and a regularizer, so
 the solvers never see application specifics. A FiniteSumProblem is the
 case f = (1/N) sum f_i, with the same interface plus per-component
-access for the stochastic estimators, so both solvers take it as is.
+access for the stochastic estimators, so both solvers take it as is,
+and ``full_sums``, f and grad f at a stack of points, for the trace
+rows of the stochastic solver.
 """
 
 from dataclasses import dataclass
@@ -101,12 +103,16 @@ class FiniteSumProblem:
     # vectorized overrides; default to averaging the components
     full_value: Callable = None
     full_grad: Callable = None
+    # (f, grad f) at each row of a (K, n) stack of points
+    full_sums: Callable = None
 
     def __post_init__(self):
         if self.full_value is None:
             self.full_value = self._mean_value
         if self.full_grad is None:
             self.full_grad = self._mean_grad
+        if self.full_sums is None:
+            self.full_sums = self._sums_by_point
 
     def _mean_value(self, x):
         return sum(self.component_value(i, x) for i in range(self.n_components)) / self.n_components
@@ -116,6 +122,15 @@ class FiniteSumProblem:
         for i in range(self.n_components):
             total += self.component_grad(i, x)
         return total / self.n_components
+
+    def _sums_by_point(self, xs):
+        """(values (K,), gradients (K, n)): full_value and full_grad at each row of xs."""
+        values = np.empty(len(xs))
+        grads = np.empty(np.shape(xs))
+        for j, x in enumerate(xs):
+            values[j] = self.full_value(x)
+            grads[j] = self.full_grad(x)
+        return values, grads
 
     # the composite interface: f and grad f are the full means, looked up per call
     def f_value(self, x):
@@ -157,10 +172,18 @@ def build_fused_lasso(rows, labels, V, lam=1e-4, p=0.5, r=1.0, normalize_rows=Fa
 
     ``full_value`` and ``full_grad`` read the margins
     tanh(b * (rows @ x)) from one memo of the last x, keyed on its shape,
-    dtype and bytes. A trace row evaluates both at the same x^k, so it
-    reads the N x n data twice (rows @ x, then the gradient's product
-    with rows), not three times. The arithmetic is unchanged, so the
-    results are bit for bit those of two separate margin passes.
+    dtype and bytes. A deterministic solve evaluates both at each x^k
+    (the step's gradient, then the row's value), so it reads the N x n
+    data twice per iteration (rows @ x, then the gradient's product with
+    rows), not three times. The arithmetic is unchanged, so the results
+    are bit for bit those of two separate margin passes.
+
+    ``full_sums`` evaluates both at a (K, n) stack of points X with two
+    matrix-matrix products per block of BLOCK_ROWS data rows: the block's
+    margins T = tanh(b * (X @ rows[blk].T)), then the gradient terms
+    (b * (T^2 - 1)) @ rows[blk]. Its working arrays are O(BLOCK_ROWS K).
+    Its sums run in another order than the per-point oracles', so they
+    agree with them to roundoff, not bit for bit.
     """
     rows = np.asarray(rows, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -202,6 +225,21 @@ def build_fused_lasso(rows, labels, V, lam=1e-4, p=0.5, r=1.0, normalize_rows=Fa
         t = margins(x)
         return (-(labels * (1.0 - t * t)) @ rows) / labels.size
 
+    def full_sums(xs):
+        xs = np.asarray(xs, dtype=float)
+        values = np.zeros(xs.shape[0])
+        grads = np.zeros(xs.shape)
+        for blk in _row_blocks(labels.size):
+            t = xs @ rows[blk].T
+            t *= labels[blk]
+            np.tanh(t, out=t)
+            values += np.sum(1.0 - t, axis=1)
+            t *= t
+            t -= 1.0
+            t *= labels[blk]
+            grads += t @ rows[blk]
+        return values / labels.size, grads / labels.size
+
     L = SIGMOID_CURVATURE * float(np.max(_row_sq_sums(rows)))
     return FiniteSumProblem(
         n_components=labels.size,
@@ -212,6 +250,7 @@ def build_fused_lasso(rows, labels, V, lam=1e-4, p=0.5, r=1.0, normalize_rows=Fa
         regularizer=LpBall(lam, p, r),
         full_value=full_value,
         full_grad=full_grad,
+        full_sums=full_sums,
     )
 
 

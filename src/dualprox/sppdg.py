@@ -14,6 +14,14 @@ deterministic part of that Lyapunov function is computable (the
 geometrically decaying correction terms of the variance-reduction
 analysis have no closed form), so descent reporting is advisory.
 ``ppdg.lyapunov_value`` evaluates that part at a five-point window.
+
+A seed's trace rows reach ``trace_sink`` in order, in batches of up to
+``ppdg.ROW_BATCH``, because the loop evaluates the rows' full sums for a
+batch of iterates in one ``problem.full_sums`` call. Each row's
+``elapsed_s`` and ``comp_evals`` are stamped at its own iteration. On the
+fused lasso the batched sums may move the objective, lagrangian,
+lyapunov and kkt_x columns at roundoff against a per-point evaluation.
+A seed that diverges drops the rows still pending.
 """
 
 import warnings
@@ -175,15 +183,15 @@ def _run_one_seed(problem, estimator_kind, config, step_config, weights, seed,
     records = []
     evals_at = []
 
-    def keep(record):
+    def keep(record, evals):
         records.append(record)
-        evals_at.append(estimator.evals)
+        evals_at.append(evals)
         if trace_sink is not None:
             trace_sink(seed, record)
 
     try:
         report = _iterate(
-            problem, step_config, estimator.estimate,
+            problem, step_config, estimator,
             lambda k: estimator.evals < budget, "epoch-budget",
             weights, keep, x0, np.array(y0, dtype=float),
         )

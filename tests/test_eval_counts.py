@@ -3,9 +3,15 @@
 The step applies A, A^T and the gradient once each. A deterministic
 trace row evaluates A x^k, f, h* and h once and reads r_x from the
 norm the step kept, so A^T and grad f run once per iteration. Under a
-gradient estimate the row also evaluates A^T y^k and the full gradient;
-on the fused lasso that full gradient and the full value share one
-margin pass tanh(b * (rows @ x^k)).
+gradient estimate the row also evaluates A^T y^k, f(x^k) and the full
+gradient. Its elapsed_s is stamped at its own iteration, but its full
+sums wait: the rows reach the trace sink in order, in batches of up to
+ppdg.ROW_BATCH, after one problem.full_sums call per batch. By default
+that call evaluates full_value and full_grad at each point; the fused
+lasso evaluates all the points' margins tanh(b * (X @ rows.T)) in one
+matrix-matrix product per block of data rows, so its objective,
+lagrangian, lyapunov and kkt_x columns may differ from a per-point
+evaluation at roundoff.
 """
 
 from collections import Counter
@@ -74,17 +80,31 @@ def test_stochastic_fused_lasso_row_computes_the_margins_once(monkeypatch):
     calls = Counter()
     count_calls(calls, fsp, "full_value", "f")
     count_calls(calls, fsp, "full_grad", "grad_f")
+    full_sums = fsp.full_sums
+
+    def counted_sums(xs):
+        calls["full_sums"] += 1
+        # f and grad f at each point: N component values and N component gradients
+        calls["evals"] += 2 * labels.size * len(xs)
+        return full_sums(xs)
+
+    fsp.full_sums = counted_sums
     tanh = np.tanh
 
     def counted_tanh(u, *args, **kwargs):
-        # the margins are the only length-N tanh; a component's is a scalar
-        if np.shape(u) == (labels.size,):
-            calls["margins"] += 1
+        # a component's margin is a scalar; the full sums' margins of one block
+        # of data rows at a stack of points form a (points, rows) array
+        if np.ndim(u) == 2:
+            calls["margin blocks"] += 1
+        elif np.ndim(u) == 1:
+            calls["margin vectors"] += 1
         return tanh(u, *args, **kwargs)
 
     monkeypatch.setattr(np, "tanh", counted_tanh)
-    cfg = SppdgConfig(max_epochs=3, tol_step=0.0, seeds=(1,))
+    cfg = SppdgConfig(max_epochs=12, tol_step=0.0, seeds=(1,))
     rows = len(solve_stochastic(fsp, "saga", cfg, batch_size=2).per_seed[0].records)
-    assert rows > 5
-    # the row reads the N x n data twice: rows @ x^k once, the gradient's product once
-    assert calls == {"f": rows, "grad_f": rows, "margins": rows}
+    batches = -(-rows // ppdg.ROW_BATCH)
+    assert rows > ppdg.ROW_BATCH and rows % ppdg.ROW_BATCH
+    # N < BLOCK_ROWS, so each batch reads the N x n data twice: X @ rows.T once,
+    # the gradients' product with rows once; no row calls full_value or full_grad
+    assert calls == {"full_sums": batches, "margin blocks": batches, "evals": 2 * 12 * rows}

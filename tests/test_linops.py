@@ -199,3 +199,22 @@ def test_load_dense_csv(tmp_path):
     op = linops.load_dense_csv(path)
     assert op.kind == "dense-matrix"
     assert np.array_equal(op.matrix, [[1.5, 0.0], [-2.0, 4.0]])
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (5, 7), (16, 4), (9, 9)])
+def test_gradient2d_apply_equals_the_roll_and_pad_formulas(shape):
+    h, w = shape
+    x = np.random.default_rng(h * w).standard_normal(h * w)
+    x[::5] = -0.0
+    img = x.reshape(h, w)
+    periodic = np.concatenate([
+        (np.roll(img, -1, axis=1) - img).ravel(), (np.roll(img, -1, axis=0) - img).ravel()
+    ])
+    dh, dv = -img.copy(), -img.copy()
+    dh[:, :-1] += img[:, 1:]
+    dv[:-1, :] += img[1:, :]
+    zero_pad = np.concatenate([dh.ravel(), dv.ravel()])
+    for boundary, want in (("periodic", periodic), ("zero-pad", zero_pad)):
+        got = linops.Gradient2D(h, w, boundary=boundary).apply(x)
+        assert np.array_equal(got, want), boundary
+        assert np.array_equal(np.signbit(got), np.signbit(want)), boundary

@@ -471,3 +471,23 @@ def test_kkt_consistency_scalar_problem(scalar_problem):
     report = ppdg.solve(scalar_problem, exact_cfg(max_iters=20000, tol_step=1e-10))
     assert report.reason == "converged"
     assert report.kkt_x <= 1e-8
+
+
+def test_row_step_norms_are_np_linalg_norm_exactly(monkeypatch):
+    # the loop forms (x^k - x^{k-1}) . itself once; its root is the norm, bit for bit
+    img = dataio.add_gaussian_noise(problems.blocks_image(12, 10), 0.05, 3)
+    prob = problems.build_denoise(img)
+    states = []
+    step = ppdg.step
+
+    def keep_state(*args, **kwargs):
+        states.append(step(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(ppdg, "step", keep_state)
+    records = []
+    ppdg.solve(prob, PpdgConfig(alpha=0.3, max_iters=40, tol_step=0.0), trace_sink=records.append)
+    assert len(records) == len(states) == 40
+    for record, state in zip(records, states):
+        assert record.dx_norm == float(np.linalg.norm(state.x_cur - state.x_prev))
+        assert record.dy_norm == float(np.linalg.norm(state.y_cur - state.y_prev))

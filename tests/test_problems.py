@@ -418,3 +418,22 @@ def test_fused_lasso_setup_peak_memory_stays_within_three_times_the_data():
     growth = int(out.stdout.split()[-1]) * 1024
     data = 20000 * 200 * 8
     assert growth <= 3 * data, f"setup grew the peak by {growth / data:.2f}x the data"
+
+
+@pytest.mark.parametrize("n_points", [1, 5, ppdg.ROW_BATCH])
+def test_fused_lasso_full_sums_match_the_per_point_oracles(n_points):
+    # N is not a multiple of BLOCK_ROWS, so the last block of data rows is short
+    n_rows = problems.BLOCK_ROWS + 37
+    rows, labels = synthetic_fused_lasso_data(n_rows, 6, seed=7)
+    prob = build_fused_lasso(rows, labels, build_precision_graph(rows), normalize_rows=True)
+    xs = 0.5 * np.random.default_rng(n_points).standard_normal((n_points, 6))
+    values, grads = prob.full_sums(xs)
+    assert values.shape == (n_points,) and grads.shape == (n_points, 6)
+    for x, value, grad in zip(xs, values, grads):
+        want_value, want_grad = prob.full_value(x), prob.full_grad(x)
+        assert abs(value - want_value) <= 1e-12 * abs(want_value)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+    # the default evaluates full_value and full_grad at each point, bit for bit
+    by_point = prob._sums_by_point(xs)
+    assert by_point[0].tolist() == [prob.full_value(x) for x in xs]
+    assert np.array_equal(by_point[1], np.stack([prob.full_grad(x) for x in xs]))

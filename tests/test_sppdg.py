@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import quadratic_problem, split_quadratic_finite_sum
-from dualprox import conjprox, linops, ppdg
+from dualprox import conjprox, linops, ppdg, vrgrad
 from dualprox.problems import FiniteSumProblem, build_fused_lasso, build_precision_graph, synthetic_fused_lasso_data
 from dualprox.sppdg import (
     SppdgConfig,
@@ -287,10 +287,23 @@ def test_kkt_x_uses_the_full_gradient_not_the_estimate(monkeypatch, estimator):
         return states[-1]
 
     monkeypatch.setattr(ppdg, "step", keep_state)
+    # the rows take grad f(x^k) from the batched full sums; keep what they return
+    points, grads = [], []
+    full_sums = prob.full_sums
+
+    def keep_sums(xs):
+        values, batch_grads = full_sums(xs)
+        points.extend(xs)
+        grads.extend(batch_grads)
+        return values, batch_grads
+
+    prob.full_sums = keep_sums
     run = solve_stochastic(prob, estimator, cfg, batch_size=2).per_seed[0]
-    assert len(run.records) == len(states) > 10
-    for record, state in zip(run.records, states):
-        residual = prob.full_grad(state.x_cur) + prob.operator.apply_adjoint(state.y_cur)
+    assert len(run.records) == len(states) == len(grads) > 10
+    for record, state, x, grad in zip(run.records, states, points, grads):
+        assert np.array_equal(x, state.x_cur), record.iter
+        np.testing.assert_allclose(grad, prob.full_grad(state.x_cur), rtol=1e-12, atol=1e-15)
+        residual = grad + prob.operator.apply_adjoint(state.y_cur)
         assert record.kkt_x == float(np.linalg.norm(residual)), record.iter
 
 
@@ -386,3 +399,138 @@ def test_final_epoch_mean_step_norm_small():
     cfg = SppdgConfig(max_epochs=50, tol_step=0.0, seeds=tuple(range(10)))
     res = solve_stochastic(prob, "saga", cfg, batch_size=2)
     assert res.aggregate[-1].mean_dx < 1e-4
+
+
+# --- deferred trace rows -------------------------------------------------
+
+
+def _quadratic_l0(n_components=6, dim=4):
+    return split_quadratic_finite_sum(n_components, dim, regularizer=conjprox.L0Box(0.1, -1, 1))
+
+
+def _keep_states(monkeypatch):
+    states = []
+    step = ppdg.step
+
+    def keep_state(*args, **kwargs):
+        states.append(step(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(ppdg, "step", keep_state)
+    return states
+
+
+def _row_values(record):
+    return [value for name, value in vars(record).items() if name != "elapsed_s"]
+
+
+@pytest.mark.parametrize("kind", ["saga", "svrg", "sarah", "full"])
+def test_comp_evals_are_stamped_at_each_rows_iteration(monkeypatch, kind):
+    # the estimator's count after its estimate at k, recorded as it happens
+    after = {}
+    for cls in (vrgrad.SagaEstimator, vrgrad.SvrgEstimator):
+        def counted(self, k, x, _estimate=cls.estimate):
+            value = _estimate(self, k, x)
+            after[(self.seed, k)] = self.evals
+            return value
+
+        monkeypatch.setattr(cls, "estimate", counted)
+    fsp = _quadratic_l0(8, 3)
+    cfg = exact_cfg(max_epochs=60, seeds=(0, 1))
+    result = solve_stochastic(fsp, kind, cfg, batch_size=2, period=5)
+    for run in result.per_seed:
+        assert len(run.records) > ppdg.ROW_BATCH and len(run.records) % ppdg.ROW_BATCH
+        assert run.comp_evals == [after[(run.seed, r.iter)] for r in run.records]
+    assert len(result.aggregate) > ppdg.ROW_BATCH
+    assert [row.comp_evals for row in result.aggregate] == [
+        after[(0, row.iter)] for row in result.aggregate
+    ]
+    # the stamps rise within a batch; a count read when the batch is built would not
+    assert len(set(result.per_seed[0].comp_evals[: ppdg.ROW_BATCH])) > 1
+
+
+@pytest.mark.parametrize("kind", ["saga", "svrg"])
+def test_rows_without_a_full_sums_override_are_the_per_row_rows(monkeypatch, kind):
+    # the default full_sums evaluates full_value and full_grad at each point,
+    # so each row is make_record's own, built at its state, bit for bit
+    states = _keep_states(monkeypatch)
+    fsp = _quadratic_l0()
+    cfg = exact_cfg(max_epochs=30, seeds=(2,))
+    run = solve_stochastic(fsp, kind, cfg, batch_size=2).per_seed[0]
+    consts = SppdgLyapunovConstants.from_parameters(cfg.alpha, 1.0, 0.0)
+    assert len(run.records) == len(states) > ppdg.ROW_BATCH
+    assert len(run.records) % ppdg.ROW_BATCH
+    for record, state in zip(run.records, states):
+        own = ppdg.make_record(fsp, state, (consts.a, consts.b, consts.c))
+        assert _row_values(record) == _row_values(own), record.iter
+
+
+@pytest.mark.parametrize("kind", ["saga", "svrg"])
+def test_fused_lasso_rows_match_per_point_rows_within_roundoff(kind):
+    rows, labels = synthetic_fused_lasso_data(60, 6, seed=4)
+    prob = build_fused_lasso(rows, labels, build_precision_graph(rows), normalize_rows=True)
+    per_point = build_fused_lasso(rows, labels, build_precision_graph(rows), normalize_rows=True)
+    per_point.full_sums = per_point._sums_by_point
+    cfg = SppdgConfig(max_epochs=8, seeds=(0, 1))
+    batched = solve_stochastic(prob, kind, cfg, batch_size=2)
+    reference = solve_stochastic(per_point, kind, cfg, batch_size=2)
+    for a, b in zip(batched.per_seed, reference.per_seed):
+        assert len(a.records) == len(b.records) > ppdg.ROW_BATCH
+        assert np.array_equal(a.report.x, b.report.x) and np.array_equal(a.report.y, b.report.y)
+        assert (a.report.iters, a.report.reason, a.comp_evals) == (
+            b.report.iters, b.report.reason, b.comp_evals)
+        for ra, rb in zip(a.records, b.records):
+            for name in ("iter", "dx_norm", "dy_norm", "kkt_y"):
+                assert getattr(ra, name) == getattr(rb, name), (name, ra.iter)
+            for name in ("objective", "lagrangian", "lyapunov", "kkt_x"):
+                va, vb = getattr(ra, name), getattr(rb, name)
+                # h(Ax) is +inf outside the box, in both rows alike
+                assert va == vb or abs(va - vb) <= 1e-12 * max(1.0, abs(vb)), (name, ra.iter)
+
+
+def test_step_tolerance_stop_inside_a_batch_completes_the_last_row(monkeypatch):
+    fsp = split_quadratic_finite_sum(6, 4)
+    cfg = exact_cfg(max_epochs=400, tol_step=1e-6, seeds=(0,))
+    batched = solve_stochastic(fsp, "svrg", cfg, batch_size=2).per_seed[0]
+    batch = ppdg.ROW_BATCH
+    monkeypatch.setattr(ppdg, "ROW_BATCH", 1)
+    single = solve_stochastic(fsp, "svrg", cfg, batch_size=2).per_seed[0]
+    assert batched.report.reason == single.report.reason == "converged"
+    assert batched.report.iters == single.report.iters > batch
+    assert batched.report.iters % batch not in (0, 1)
+    assert [_row_values(r) for r in batched.records] == [_row_values(r) for r in single.records]
+    last = batched.records[-1]
+    assert last.iter == batched.report.iters
+    assert max(last.dx_norm, last.dy_norm) <= cfg.tol_step
+    assert all(np.isfinite(_row_values(last)))
+    assert (batched.report.kkt_x, batched.report.kkt_y) == (last.kkt_x, last.kkt_y)
+    assert batched.comp_evals == single.comp_evals
+
+
+def test_divergence_inside_a_batch_fails_the_seed_with_no_rows():
+    # alpha far above 1/L makes the iterates grow until the step rejects one
+    fsp = _quadratic_l0()
+    cfg = SppdgConfig(alpha=1.2, max_epochs=400, seeds=(0,))
+    delivered = []
+    with pytest.warns(RuntimeWarning, match="diverged at iteration 47"):
+        res = solve_stochastic(fsp, "saga", cfg, batch_size=2,
+                               trace_sink=lambda seed, record: delivered.append(record.iter))
+    run = res.per_seed[0]
+    assert run.failed and run.report is None
+    assert run.records == [] and run.comp_evals == []
+    assert res.aggregate == []
+    # the full batch reached the sink in order; the 14 rows pending at the step were dropped
+    assert delivered == list(range(1, ppdg.ROW_BATCH + 1))
+
+
+@pytest.mark.parametrize("kind", ["saga", "full"])
+def test_step_norms_are_np_linalg_norm_exactly(monkeypatch, kind):
+    states = _keep_states(monkeypatch)
+    rows, labels = synthetic_fused_lasso_data(30, 4, seed=2)
+    prob = build_fused_lasso(rows, labels, build_precision_graph(rows), normalize_rows=True)
+    run = solve_stochastic(prob, kind, SppdgConfig(max_epochs=12, seeds=(1,)),
+                           batch_size=2).per_seed[0]
+    assert len(run.records) == len(states) > 5
+    for record, state in zip(run.records, states):
+        assert record.dx_norm == float(np.linalg.norm(state.x_cur - state.x_prev))
+        assert record.dy_norm == float(np.linalg.norm(state.y_cur - state.y_prev))
