@@ -61,6 +61,8 @@ def _parse_seeds(text):
         seeds = tuple(range(seeds[0]))
     if not seeds or len(seeds) < len(parts):
         raise UsageError(f"--seeds expects a positive count or a comma list of seeds, got {text!r}")
+    if len(set(seeds)) < len(seeds):
+        raise UsageError(f"--seeds lists a seed more than once: {text!r}")
     return seeds
 
 
@@ -317,7 +319,7 @@ def build_parser():
     l.add_argument("--synthetic", help="N,n synthetic instance, e.g. 200,20")
     l.add_argument("--data-seed", dest="data_seed", type=int, default=0)
     l.add_argument("--estimator", choices=("saga", "svrg", "sarah", "full"), default="svrg")
-    l.add_argument("--seeds", default="10", help="seed count, or comma list of seeds")
+    l.add_argument("--seeds", default="10", help="seed count, or comma list of distinct seeds")
     l.add_argument("--batch", type=int, default=None, help="mini-batch size (default 1%% of N)")
     l.add_argument("--period", type=int, default=None, help="snapshot/restart period")
     l.add_argument("--lam", type=float, default=1e-4)

@@ -6,7 +6,6 @@ and the stacked map x -> (Vx; x). Every operator is immutable after
 construction; ``apply`` and ``apply_adjoint`` are pure.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,21 +300,13 @@ class SpectralBounds:
         return self.min_eig_gram > 0.0
 
     @classmethod
-    def from_operator(cls, op, iterations=200, seed=0, materialize_cap=4096, warn=False):
+    def from_operator(cls, op, iterations=200, seed=0, materialize_cap=4096):
         norm = op.op_norm(iterations=iterations, seed=seed)
         raw = estimate_min_eig_gram(
             op, iterations=iterations, seed=seed, materialize_cap=materialize_cap
         )
         hat = float(np.sqrt(raw))
-        bounds = cls(op_norm=norm, min_eig_gram=hat * hat, hat_lambda=hat)
-        if warn and not bounds.is_surjective:
-            warnings.warn(
-                f"{op.kind}: AA^T is singular (operator not surjective); "
-                "the dual step falls back to the scalar preconditioner",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return bounds
+        return cls(op_norm=norm, min_eig_gram=hat * hat, hat_lambda=hat)
 
 
 def load_dense_csv(path):

@@ -4,9 +4,12 @@ A CompositeProblem bundles a smooth term f (value, gradient, Lipschitz
 constant of the gradient) with a linear operator and a regularizer, so
 the solvers never see application specifics. A FiniteSumProblem is the
 case f = (1/N) sum f_i, with the same interface plus per-component
-access for the stochastic estimators, so both solvers take it as is,
-and ``full_sums``, f and grad f at a stack of points, for the trace
-rows of the stochastic solver.
+access for the stochastic estimators, so both solvers take it as is.
+Its full sums are methods that average the components: ``full_value``,
+``full_grad`` and ``full_sums``, f and grad f at a stack of points for
+the trace rows of the stochastic solver. A subclass overrides them with
+vectorized forms; the fused lasso is one such class, SigmoidLossSum,
+over its ``rows`` and ``labels``.
 """
 
 from dataclasses import dataclass
@@ -21,6 +24,7 @@ from .linops import Gradient2D, StackedOverIdentity
 __all__ = [
     "CompositeProblem",
     "FiniteSumProblem",
+    "SigmoidLossSum",
     "build_denoise",
     "build_fused_lasso",
     "psnr",
@@ -100,30 +104,19 @@ class FiniteSumProblem:
     lipschitz_L: float
     operator: object
     regularizer: object
-    # vectorized overrides; default to averaging the components
-    full_value: Callable = None
-    full_grad: Callable = None
-    # (f, grad f) at each row of a (K, n) stack of points
-    full_sums: Callable = None
 
-    def __post_init__(self):
-        if self.full_value is None:
-            self.full_value = self._mean_value
-        if self.full_grad is None:
-            self.full_grad = self._mean_grad
-        if self.full_sums is None:
-            self.full_sums = self._sums_by_point
-
-    def _mean_value(self, x):
+    # The full sums average the components; a subclass overrides them with
+    # vectorized forms.
+    def full_value(self, x):
         return sum(self.component_value(i, x) for i in range(self.n_components)) / self.n_components
 
-    def _mean_grad(self, x):
+    def full_grad(self, x):
         total = np.zeros_like(np.asarray(x, dtype=float))
         for i in range(self.n_components):
             total += self.component_grad(i, x)
         return total / self.n_components
 
-    def _sums_by_point(self, xs):
+    def full_sums(self, xs):
         """(values (K,), gradients (K, n)): full_value and full_grad at each row of xs."""
         values = np.empty(len(xs))
         grads = np.empty(np.shape(xs))
@@ -140,6 +133,76 @@ class FiniteSumProblem:
         return self.full_grad(x)
 
     objective = CompositeProblem.objective
+
+
+class SigmoidLossSum(FiniteSumProblem):
+    """f = (1/N) sum_i 1 - tanh(b_i <a_i, x>) over ``rows`` a_i and ``labels`` b_i.
+
+    ``build_fused_lasso`` checks and normalizes the two arrays. L is the
+    analytic curvature bound of the sigmoid loss times max_i ||a_i||^2.
+    ``full_value`` and ``full_grad`` read the margins tanh(b * (rows @ x))
+    from one memo of the last x, keyed on its shape, dtype and bytes, so a
+    deterministic solve, which evaluates both at each x^k, reads the N x n
+    data twice per iteration, not three times, with results bit for bit
+    those of two separate margin passes.
+
+    ``full_sums`` evaluates both at a (K, n) stack of points X with two
+    matrix-matrix products per block of BLOCK_ROWS data rows: the block's
+    margins T = tanh(b * (X @ rows[blk].T)), then the gradient terms
+    (b * (T^2 - 1)) @ rows[blk]. Its working arrays are O(BLOCK_ROWS K).
+    Its sums run in another order than the per-point oracles', so they
+    agree with them to roundoff, not bit for bit.
+    """
+
+    def __init__(self, rows, labels, operator, regularizer):
+        # not FiniteSumProblem.__init__: component_value and component_grad are methods here
+        self.rows = rows
+        self.labels = labels
+        self.n_components = labels.size
+        self.lipschitz_L = SIGMOID_CURVATURE * float(np.max(_row_sq_sums(rows)))
+        self.operator = operator
+        self.regularizer = regularizer
+        self._memo_key = self._memo_t = None
+
+    def component_value(self, i, x):
+        return float(1.0 - np.tanh(self.labels[i] * (self.rows[i] @ x)))
+
+    def component_grad(self, i, x):
+        t = np.tanh(self.labels[i] * (self.rows[i] @ x))
+        return (-self.labels[i] * (1.0 - t * t)) * self.rows[i]
+
+    def _margins(self, x):
+        # one-entry memo keyed on x's contents, so that an x changed in place misses it
+        x = np.asarray(x)
+        key = (x.shape, x.dtype.str, x.tobytes())
+        if key != self._memo_key:
+            t = np.tanh(self.labels * (self.rows @ x))
+            t.flags.writeable = False
+            self._memo_t, self._memo_key = t, key
+        return self._memo_t
+
+    def full_value(self, x):
+        return float(np.mean(1.0 - self._margins(x)))
+
+    def full_grad(self, x):
+        t = self._margins(x)
+        return (-(self.labels * (1.0 - t * t)) @ self.rows) / self.labels.size
+
+    def full_sums(self, xs):
+        rows, labels = self.rows, self.labels
+        xs = np.asarray(xs, dtype=float)
+        values = np.zeros(xs.shape[0])
+        grads = np.zeros(xs.shape)
+        for blk in _row_blocks(labels.size):
+            t = xs @ rows[blk].T
+            t *= labels[blk]
+            np.tanh(t, out=t)
+            values += np.sum(1.0 - t, axis=1)
+            t *= t
+            t -= 1.0
+            t *= labels[blk]
+            grads += t @ rows[blk]
+        return values / labels.size, grads / labels.size
 
 
 def build_denoise(img, lam=0.1, c1=-1.0, c2=1.0, boundary="periodic"):
@@ -164,26 +227,9 @@ def build_denoise(img, lam=0.1, c1=-1.0, c2=1.0, boundary="periodic"):
 def build_fused_lasso(rows, labels, V, lam=1e-4, p=0.5, r=1.0, normalize_rows=False):
     """Sigmoid-loss classification with a graph-guided lp penalty.
 
-    Components f_i(x) = 1 - tanh(b_i <a_i, x>), the operator stacks the
-    graph matrix V over the identity, and the regularizer is
-    lam*||.||_p^p on the inf-ball of radius r. The gradient Lipschitz
-    constant uses the analytic curvature bound of the sigmoid loss
-    times max_i ||a_i||^2.
-
-    ``full_value`` and ``full_grad`` read the margins
-    tanh(b * (rows @ x)) from one memo of the last x, keyed on its shape,
-    dtype and bytes. A deterministic solve evaluates both at each x^k
-    (the step's gradient, then the row's value), so it reads the N x n
-    data twice per iteration (rows @ x, then the gradient's product with
-    rows), not three times. The arithmetic is unchanged, so the results
-    are bit for bit those of two separate margin passes.
-
-    ``full_sums`` evaluates both at a (K, n) stack of points X with two
-    matrix-matrix products per block of BLOCK_ROWS data rows: the block's
-    margins T = tanh(b * (X @ rows[blk].T)), then the gradient terms
-    (b * (T^2 - 1)) @ rows[blk]. Its working arrays are O(BLOCK_ROWS K).
-    Its sums run in another order than the per-point oracles', so they
-    agree with them to roundoff, not bit for bit.
+    A SigmoidLossSum over the rows and labels, with the operator that
+    stacks the graph matrix V over the identity, and the regularizer
+    lam*||.||_p^p on the inf-ball of radius r.
     """
     rows = np.asarray(rows, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -197,60 +243,11 @@ def build_fused_lasso(rows, labels, V, lam=1e-4, p=0.5, r=1.0, normalize_rows=Fa
         # np.linalg.norm(rows, axis=1) is the root of the same row sums
         norms = np.sqrt(_row_sq_sums(rows))
         rows = rows / np.where(norms > 0, norms, 1.0)[:, None]
-
-    def component_value(i, x):
-        return float(1.0 - np.tanh(labels[i] * (rows[i] @ x)))
-
-    def component_grad(i, x):
-        t = np.tanh(labels[i] * (rows[i] @ x))
-        return (-labels[i] * (1.0 - t * t)) * rows[i]
-
-    memo_key, memo_t = None, None
-
-    def margins(x):
-        # one-entry memo keyed on x's contents, so that an x changed in place misses it
-        nonlocal memo_key, memo_t
-        x = np.asarray(x)
-        key = (x.shape, x.dtype.str, x.tobytes())
-        if key != memo_key:
-            memo_t = np.tanh(labels * (rows @ x))
-            memo_t.flags.writeable = False
-            memo_key = key
-        return memo_t
-
-    def full_value(x):
-        return float(np.mean(1.0 - margins(x)))
-
-    def full_grad(x):
-        t = margins(x)
-        return (-(labels * (1.0 - t * t)) @ rows) / labels.size
-
-    def full_sums(xs):
-        xs = np.asarray(xs, dtype=float)
-        values = np.zeros(xs.shape[0])
-        grads = np.zeros(xs.shape)
-        for blk in _row_blocks(labels.size):
-            t = xs @ rows[blk].T
-            t *= labels[blk]
-            np.tanh(t, out=t)
-            values += np.sum(1.0 - t, axis=1)
-            t *= t
-            t -= 1.0
-            t *= labels[blk]
-            grads += t @ rows[blk]
-        return values / labels.size, grads / labels.size
-
-    L = SIGMOID_CURVATURE * float(np.max(_row_sq_sums(rows)))
-    return FiniteSumProblem(
-        n_components=labels.size,
-        component_value=component_value,
-        component_grad=component_grad,
-        lipschitz_L=L,
+    return SigmoidLossSum(
+        rows,
+        labels,
         operator=StackedOverIdentity(np.asarray(V, dtype=float)),
         regularizer=LpBall(lam, p, r),
-        full_value=full_value,
-        full_grad=full_grad,
-        full_sums=full_sums,
     )
 
 

@@ -77,7 +77,7 @@ class SppdgConfig:
         and the default is STEP_MARGIN times it; with kappa_hat = 0 the
         deterministic rule ``default_alpha`` = STEP_MARGIN/(3L) applies.
         """
-        if self.kappa_hat < 0:
+        if not self.kappa_hat >= 0:
             raise ValueError("kappa_hat must be nonnegative")
         if self.kappa_hat > 0:
             bound = 1.0 / (2.0 * (3.0 + 7.0 * lipschitz_L + 6.0 * self.kappa_hat))

@@ -80,6 +80,8 @@ def test_denoise_negative_max_iters_is_a_usage_error(tmp_path, capsys):
     ("denoise", "--alpha", "0"), ("denoise", "--alpha", "-1"),
     ("lasso", "--alpha", "0"), ("lasso", "--batch", "0"), ("lasso", "--batch", "-2"),
     ("lasso", "--period", "0"), ("lasso", "--period", "-3"),
+    ("denoise", "--tol", "nan"), ("denoise", "--tol", "-1"), ("lasso", "--tol", "nan"),
+    ("lasso", "--kappa-hat", "nan"),
 ])
 def test_zero_or_negative_setting_is_an_error_not_the_default(tmp_path, capsys, command,
                                                              flag, value):
@@ -177,7 +179,7 @@ def test_lasso_zero_epochs_summary_reads_the_starting_objective(tmp_path):
     assert summary["mean_final_penalized_objective"] == "1"
 
 
-@pytest.mark.parametrize("seeds", ["abc", "1,x", "0", "-2", "1,-1", "3,"])
+@pytest.mark.parametrize("seeds", ["abc", "1,x", "0", "-2", "1,-1", "3,", "3,3", "1,2,1"])
 def test_lasso_bad_seed_list_is_a_usage_error(tmp_path, seeds, capsys):
     code = main([
         "lasso", "--synthetic", "40,4", "--seeds", seeds, "--max-epochs", "1",

@@ -26,3 +26,14 @@ def test_denoise_image_improves_psnr(capsys, monkeypatch, tmp_path):
     assert gain > 0.0
     assert (tmp_path / "denoise_demo_noisy.pgm").exists()
     assert (tmp_path / "denoise_demo_out.pgm").exists()
+
+
+def test_fused_lasso_estimators_reach_the_deterministic_reference(capsys, monkeypatch, tmp_path):
+    out = run_demo("fused_lasso.py", capsys, monkeypatch, tmp_path)
+    # the reference stops on its step tolerance, before its 20000-iteration cap
+    iters = int(re.search(r"deterministic reference: (\d+) iterations", out)[1])
+    assert 0 < iters < 20000
+    gaps = dict(re.findall(r"^\s*(saga|svrg|sarah) +\d+ +\S+ +(\S+) +\S+$", out, re.MULTILINE))
+    assert sorted(gaps) == ["saga", "sarah", "svrg"]
+    assert all(float(gap) < 1e-2 for gap in gaps.values()), gaps
+    assert re.search(r"seed-averaged descent report \(advisory\): \d+/\d+ iterations", out)

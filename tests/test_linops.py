@@ -188,11 +188,6 @@ def test_spectral_bounds_consistency_and_sandwich():
             assert aty <= (bounds.op_norm + tol) * ny + 1e-9
 
 
-def test_non_surjective_warning():
-    with pytest.warns(RuntimeWarning, match="not surjective"):
-        linops.SpectralBounds.from_operator(linops.Gradient2D(3, 3), warn=True)
-
-
 def test_load_dense_csv(tmp_path):
     path = tmp_path / "mat.csv"
     path.write_text("1.5,0.0\n-2.0,4.0\n")

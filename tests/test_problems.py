@@ -1,7 +1,9 @@
+import gc
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +223,43 @@ def test_fused_lasso_normalized_rows_L():
     assert prob.lipschitz_L == pytest.approx(problems.SIGMOID_CURVATURE)
 
 
+@pytest.mark.parametrize("normalize_rows", [False, True])
+def test_fused_lasso_is_a_finite_sum_over_its_rows_and_labels(normalize_rows):
+    raw, labels = synthetic_fused_lasso_data(30, 4, seed=1)
+    prob = build_fused_lasso(raw.copy(), labels, np.zeros((4, 4)), normalize_rows=normalize_rows)
+    assert isinstance(prob, FiniteSumProblem)
+    want = raw / np.linalg.norm(raw, axis=1)[:, None] if normalize_rows else raw
+    assert np.array_equal(prob.rows, want) and np.array_equal(prob.labels, labels)
+    # every oracle reads those two arrays, with the arithmetic written out here
+    rows, labels = prob.rows, prob.labels
+    x = np.random.default_rng(6).standard_normal(4)
+    for i in (0, 11, 29):
+        t = np.tanh(labels[i] * (rows[i] @ x))
+        assert prob.component_value(i, x) == float(1.0 - t)
+        assert np.array_equal(prob.component_grad(i, x), (-labels[i] * (1.0 - t * t)) * rows[i])
+    t = np.tanh(labels * (rows @ x))
+    assert prob.full_value(x) == float(np.mean(1.0 - t))
+    assert np.array_equal(prob.full_grad(x), (-(labels * (1.0 - t * t)) @ rows) / 30)
+    assert prob.lipschitz_L == problems.SIGMOID_CURVATURE * float(np.max(np.sum(rows**2, axis=1)))
+    assert prob.n_components == 30
+
+
+def test_fused_lasso_problem_is_freed_without_the_cyclic_collector():
+    # the problem keeps no reference to itself, such as a stored bound method,
+    # so its N x n data is freed as soon as the last reference goes
+    rows, labels = synthetic_fused_lasso_data(30, 4, seed=1)
+    prob = build_fused_lasso(rows, labels, build_precision_graph(rows), normalize_rows=True)
+    x = np.ones(4)
+    prob.objective(x), prob.grad_f(x), prob.component_grad(0, x), prob.full_sums(np.stack([x, -x]))
+    freed = weakref.ref(prob)
+    gc.disable()
+    try:
+        del prob
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 def test_psnr_direct_formula():
     # 2x2, max 1, ||diff||^2 = 0.04 -> 10 log10(4 / 0.04) = 20 dB
     x = np.array([1.0, 0.5, 0.5, 0.5])
@@ -434,6 +473,6 @@ def test_fused_lasso_full_sums_match_the_per_point_oracles(n_points):
         assert abs(value - want_value) <= 1e-12 * abs(want_value)
         assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
     # the default evaluates full_value and full_grad at each point, bit for bit
-    by_point = prob._sums_by_point(xs)
+    by_point = FiniteSumProblem.full_sums(prob, xs)
     assert by_point[0].tolist() == [prob.full_value(x) for x in xs]
     assert np.array_equal(by_point[1], np.stack([prob.full_grad(x) for x in xs]))

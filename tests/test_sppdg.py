@@ -53,6 +53,11 @@ def test_alpha_rule_enforced_when_kappa_positive():
     assert auto < 1.0 / (2.0 * (3.0 + 7.0 + 6.0))
 
 
+def test_nan_kappa_hat_is_rejected_not_taken_for_zero():
+    with pytest.raises(ValueError, match="kappa_hat"):
+        SppdgConfig(kappa_hat=float("nan")).resolve_alpha(1.0)
+
+
 def test_alpha_fallback_without_kappa():
     assert SppdgConfig().resolve_alpha(2.0) == pytest.approx(0.9 / 6.0)
 
@@ -326,8 +331,8 @@ def test_nan_component_gradient_fails_the_seed():
         n_components=4, component_value=good.component_value,
         component_grad=lambda i, x: np.full_like(x, np.nan) if i == 2 else component_grad(i, x),
         lipschitz_L=1.0, operator=good.operator, regularizer=good.regularizer,
-        full_value=good.full_value, full_grad=good.full_grad,
     )
+    fsp.full_value, fsp.full_grad = good.full_value, good.full_grad
     cfg = SppdgConfig(alpha=ppdg.default_alpha(1.0), max_epochs=5, seeds=(0, 1))
     with pytest.warns(RuntimeWarning, match="diverged"):
         res = solve_stochastic(fsp, "saga", cfg, batch_size=2)
@@ -470,7 +475,7 @@ def test_fused_lasso_rows_match_per_point_rows_within_roundoff(kind):
     rows, labels = synthetic_fused_lasso_data(60, 6, seed=4)
     prob = build_fused_lasso(rows, labels, build_precision_graph(rows), normalize_rows=True)
     per_point = build_fused_lasso(rows, labels, build_precision_graph(rows), normalize_rows=True)
-    per_point.full_sums = per_point._sums_by_point
+    per_point.full_sums = lambda xs: FiniteSumProblem.full_sums(per_point, xs)
     cfg = SppdgConfig(max_epochs=8, seeds=(0, 1))
     batched = solve_stochastic(prob, kind, cfg, batch_size=2)
     reference = solve_stochastic(per_point, kind, cfg, batch_size=2)
