@@ -45,6 +45,7 @@ raises SolverDivergence unless its norm is at most the fixed
 ``NORM_CAP`` (a nan norm fails that test too).
 """
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, fields
@@ -131,7 +132,7 @@ class PpdgConfig:
                 "use scalar_beta for general ones"
             )
         if self.lyapunov_checks:
-            L = problem.lipschitz_L
+            L = _checked_lipschitz(problem.lipschitz_L)
             if not self.alpha < 1.0 / (3.0 * L):
                 raise ValueError(
                     f"descent checks with delta={DELTA} need alpha < 1/(3L) = {1/(3*L):.6g}"
@@ -143,9 +144,16 @@ class PpdgConfig:
                 )
 
 
+def _checked_lipschitz(L):
+    """L itself; ValueError unless 0 < L < inf, the range the 1/(3L) bound needs."""
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"the gradient's Lipschitz constant must be positive and finite, got {L}")
+    return L
+
+
 def default_alpha(lipschitz_L):
     """Step size STEP_MARGIN/(3L), a safety margin under the 1/(3L) descent bound."""
-    return STEP_MARGIN / (3.0 * lipschitz_L)
+    return STEP_MARGIN / (3.0 * _checked_lipschitz(lipschitz_L))
 
 
 @dataclass(frozen=True)
@@ -262,6 +270,11 @@ def lyapunov_value(problem, z, constants):
     return _window_value(lagrangian(problem, x, y), weights, x - u, float(dv @ dv), dw)
 
 
+def _norm(v):
+    """||v|| for a 1-d float array: the sqrt(v.dot(v)) np.linalg.norm evaluates, bit for bit."""
+    return math.sqrt(v.dot(v))
+
+
 def dual_beta(problem, config):
     """Scalar dual prox weight 1/(alpha ||A||^2), shared by both modes."""
     norm = problem.operator.op_norm()
@@ -281,7 +294,7 @@ def _primal_step(problem, config, gradient, k, x, y):
     """(x - alpha s, ||s||) for s = grad + A^T y; the norm is None under an estimate."""
     exact = gradient is None
     s = (problem.grad_f(x) if exact else gradient(k, x)) + problem.operator.apply_adjoint(y)
-    norm = float(np.linalg.norm(s)) if exact else None
+    norm = _norm(s) if exact else None
     s *= config.alpha
     return x - s, norm
 
@@ -297,18 +310,14 @@ def _residual_norm(problem, state, grad=None):
     """r_x = ||grad f(x^k) + A^T y^k||: the step's, or formed anew under an estimate."""
     if state.residual_norm is not None:
         return state.residual_norm
-    return float(np.linalg.norm(_primal_residual(problem, state, grad)))
+    return _norm(_primal_residual(problem, state, grad))
 
 
 def _step_norms(state):
-    """(||x^k - x^{k-1}||^2, ||x^k - x^{k-1}||, ||y^k - y^{k-1}||), one dot per difference.
-
-    np.linalg.norm of a 1-d float array is sqrt(v.dot(v)), so both norms
-    are those of np.linalg.norm bit for bit.
-    """
+    """(||x^k - x^{k-1}||^2, ||x^k - x^{k-1}||, ||y^k - y^{k-1}||), one dot per difference."""
     dv = state.x_cur - state.x_prev
     dv_sq = float(dv.dot(dv))
-    return dv_sq, float(np.sqrt(dv_sq)), float(np.linalg.norm(state.y_cur - state.y_prev))
+    return dv_sq, math.sqrt(dv_sq), _norm(state.y_cur - state.y_prev)
 
 
 def init_state(problem, x0, y0, config, gradient=None):
@@ -337,8 +346,9 @@ def step(problem, state, config, beta=None, gradient=None):
     a_extrap = problem.operator.apply(2.0 * state.x_next - state.x_cur)
     y_next, g_next = dual_prox_step(problem.regularizer, state.y_cur, a_extrap, beta)
     x_after, norm = _primal_step(problem, config, gradient, state.k + 1, state.x_next, y_next)
-    fresh = (x_after, y_next) if state.k else (state.x_next, x_after, y_next)
-    if not all(np.linalg.norm(v) <= NORM_CAP for v in fresh):
+    # x^1, formed by init_state, is checked in the first step
+    if not (_norm(x_after) <= NORM_CAP and _norm(y_next) <= NORM_CAP
+            and (state.k > 0 or _norm(state.x_next) <= NORM_CAP)):
         raise SolverDivergence(state.k + 1)
     return SolverState(
         k=state.k + 1,
@@ -419,7 +429,7 @@ def make_record(problem, state, weights, elapsed_s=0.0, norms=None, sums=None):
         dx_norm=dx_norm,
         dy_norm=dy_norm,
         kkt_x=_residual_norm(problem, state, grad),
-        kkt_y=float(np.linalg.norm(ax - state.g_cur)),
+        kkt_y=_norm(ax - state.g_cur),
     )
 
 

@@ -60,27 +60,35 @@ def _row_sq_sums(rows):
     return out
 
 
-def _column_std(centered):
-    """centered.std(axis=0), with no full-size temporary.
+def _column_std(rows, mean):
+    """(rows - mean).std(axis=0), in two passes over one block-sized buffer.
 
     numpy reduces axis 0 of a C-ordered array with two or more columns
-    row by row into one accumulator row. Each block's buffer carries the
-    running sum of squared deviations as its first row, so the squares
-    are added in the same order as in one full-array pass, and the result
-    is bit for bit the same (the running sum starts at 0.0, which adds
-    exactly to a square). A single column or a Fortran-ordered array is
-    reduced pairwise instead, so there the last bits may differ.
+    row by row into one accumulator row. The buffer carries the running
+    sum as its first row and a block of ``rows - mean`` below it, so the
+    column sums (pass 1) and then the squared deviations from their mean
+    (pass 2) are added in the same order as in one pass over the full
+    centered array, and the result is bit for bit that of its ``std``
+    (the running sum starts at 0.0, which adds exactly). With a single
+    column numpy reduces pairwise instead, so there the last bits may
+    differ.
     """
-    n_rows, n_cols = centered.shape
-    mean = np.add.reduce(centered, axis=0) / n_rows
+    n_rows, n_cols = rows.shape
     buf = np.empty((min(BLOCK_ROWS, n_rows) + 1, n_cols))
-    buf[0] = 0.0
-    for blk in _row_blocks(n_rows):
-        stop = blk.stop - blk.start + 1
-        work = np.subtract(centered[blk], mean, out=buf[1:stop])
-        np.square(work, out=work)
-        buf[0] = np.add.reduce(buf[:stop], axis=0)
-    return np.sqrt(buf[0] / n_rows)
+
+    def column_means(center=None):
+        # of rows - mean, or of (rows - mean - center)**2 when center is given
+        buf[0] = 0.0
+        for blk in _row_blocks(n_rows):
+            stop = blk.stop - blk.start + 1
+            work = np.subtract(rows[blk], mean, out=buf[1:stop])
+            if center is not None:
+                work -= center
+                np.square(work, out=work)
+            buf[0] = np.add.reduce(buf[:stop], axis=0)
+        return buf[0] / n_rows
+
+    return np.sqrt(column_means(column_means()))
 
 
 @dataclass
@@ -235,6 +243,8 @@ def build_fused_lasso(rows, labels, V, lam=1e-4, p=0.5, r=1.0, normalize_rows=Fa
     labels = np.asarray(labels, dtype=float)
     if rows.ndim != 2 or rows.shape[0] != labels.size:
         raise ValueError("rows must be (N, n) with one label per row")
+    if rows.shape[1] == 0:
+        raise ValueError("rows must have at least one column")
     if not np.all(np.isfinite(rows)):
         raise ValueError("rows must be finite")
     if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -275,8 +285,13 @@ def build_precision_graph(rows, threshold=0.5):
 
     V[j, k] = 1 when |corr(feature j, feature k)| > threshold (j != k),
     zero diagonal, symmetric. Constant features correlate with nothing.
-    Non-finite rows raise ValueError. Beside the data it holds one
-    full-size array, the centered and then standardized rows.
+    Non-finite rows raise ValueError. It holds no full-size array: three
+    passes read the data in blocks of BLOCK_ROWS rows, each through one
+    block-sized buffer: two for the column std and one that standardizes
+    each block and adds its Gram matrix. The column std is bit for bit
+    that of the full centered array; the Gram sum runs in another order
+    than one product of the full standardized array, so corr agrees with
+    that product at roundoff.
     This is a documented substitute: the faithful path loads V from a
     file produced by an external sparse inverse covariance estimate.
     """
@@ -292,11 +307,16 @@ def build_precision_graph(rows, threshold=0.5):
         mean = rows.mean(axis=0)
     if not np.all(np.isfinite(mean)) and not np.all(np.isfinite(rows)):
         raise ValueError("rows must be finite")
-    centered = rows - mean
-    std = _column_std(centered)
+    n_rows, n_cols = rows.shape
+    std = _column_std(rows, mean)
     safe = np.where(std > 0, std, 1.0)
-    centered /= safe
-    corr = centered.T @ centered / rows.shape[0]
+    buf = np.empty((min(BLOCK_ROWS, n_rows), n_cols))
+    gram = np.zeros((n_cols, n_cols))
+    for blk in _row_blocks(n_rows):
+        work = np.subtract(rows[blk], mean, out=buf[: blk.stop - blk.start])
+        work /= safe
+        gram += work.T @ work
+    corr = gram / n_rows
     corr[std == 0, :] = 0.0
     corr[:, std == 0] = 0.0
     V = (np.abs(corr) > threshold).astype(float)
@@ -335,8 +355,8 @@ def synthetic_fused_lasso_data(n_rows, n_features, seed=0, pair_noise=0.3):
     Labels come from a random linear rule and land in {-1, +1}. The rows
     are written into one preallocated (n_rows, n_features) array.
     """
-    if n_features % 2 != 0:
-        raise ValueError("n_features must be even (features come in pairs)")
+    if n_features < 2 or n_features % 2 != 0:
+        raise ValueError("n_features must be even and at least 2 (features come in pairs)")
     rng = np.random.default_rng(seed)
     half = n_features // 2
     rows = np.empty((n_rows, n_features))

@@ -104,10 +104,14 @@ class _EstimatorBase:
         return self._corrected(batch, x)[0]
 
     def _corrected(self, batch, x):
-        """(estimate, fresh rows, fresh rows - anchor rows) for ``batch`` at x."""
+        """(estimate, fresh rows, column sum of fresh - anchor rows) for ``batch`` at x.
+
+        The estimate divides that one column sum by the batch size, which is
+        the differences' ``mean(axis=0)`` bit for bit.
+        """
         fresh = np.stack([self.component_grad(i, x) for i in batch])
-        diffs = fresh - self._anchor_rows(batch)
-        return diffs.mean(axis=0) + self.anchor_mean, fresh, diffs
+        total = np.add.reduce(fresh - self._anchor_rows(batch), axis=0)
+        return total / len(batch) + self.anchor_mean, fresh, total
 
     # memory pieces, implemented per kind
     def _anchor_at(self, x):
@@ -135,10 +139,10 @@ class SagaEstimator(_EstimatorBase):
     def estimate(self, k, x):
         self._require_ready()
         batch = self.sample_batch(k)
-        estimate, fresh, diffs = self._corrected(batch, x)
+        estimate, fresh, total = self._corrected(batch, x)
         self.evals += len(batch)
         # incremental mean update keeps the invariant mean(table) == anchor_mean
-        self.anchor_mean = self.anchor_mean + diffs.sum(axis=0) / self.n_components
+        self.anchor_mean = self.anchor_mean + total / self.n_components
         self.table[batch] = fresh
         return estimate
 

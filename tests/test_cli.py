@@ -97,6 +97,19 @@ def test_zero_or_negative_setting_is_an_error_not_the_default(tmp_path, capsys, 
         assert not (out / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("source", ["synthetic", "libsvm"])
+def test_lasso_without_a_nonzero_feature_is_an_error(tmp_path, capsys, source):
+    # no features, or only zero ones, give L = 0 and no default step size
+    data = ["--synthetic", "60,0"]
+    if source == "libsvm":
+        data = ["--data", str(tmp_path / "zero.svm")]
+        (tmp_path / "zero.svm").write_text("1 1:0 2:0\n-1 1:0 2:0\n")
+    out = tmp_path / "run"
+    assert main(["lasso", *data, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "summary.txt").exists()
+
+
 def test_denoise_sigma_zero_sentinel_and_trace(tmp_path):
     out = tmp_path / "run"
     code = main([

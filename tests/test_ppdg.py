@@ -73,6 +73,16 @@ def test_config_validation(scalar_problem):
         exact_cfg().validate(grad_prob)
 
 
+@pytest.mark.parametrize("L", [0.0, -1.0, np.nan, np.inf])
+def test_step_rules_need_a_positive_finite_lipschitz_constant(scalar_problem, L):
+    # L = 0 arises from all-zero data; it must be an error, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="Lipschitz constant"):
+        ppdg.default_alpha(L)
+    scalar_problem.lipschitz_L = L
+    with pytest.raises(ValueError, match="Lipschitz constant"):
+        exact_cfg(alpha=0.1, lyapunov_checks=True).validate(scalar_problem)
+
+
 # --- step ----------------------------------------------------------------
 
 
