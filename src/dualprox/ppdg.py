@@ -118,9 +118,9 @@ class PpdgConfig:
     lyapunov_checks: bool = False
 
     def validate(self, problem):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if self.max_iters < 0:
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not self.max_iters >= 0:
             raise ValueError("max_iters must be nonnegative")
         if not self.tol_step >= 0:
             raise ValueError("tol_step must be nonnegative")
@@ -278,8 +278,8 @@ def _norm(v):
 def dual_beta(problem, config):
     """Scalar dual prox weight 1/(alpha ||A||^2), shared by both modes."""
     norm = problem.operator.op_norm()
-    if norm == 0.0:
-        raise ValueError("dual step undefined for a zero operator")
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"dual step needs a positive finite operator norm ||A||, got {norm}")
     return 1.0 / (config.alpha * norm**2)
 
 

@@ -5,11 +5,11 @@ constant of the gradient) with a linear operator and a regularizer, so
 the solvers never see application specifics. A FiniteSumProblem is the
 case f = (1/N) sum f_i, with the same interface plus per-component
 access for the stochastic estimators, so both solvers take it as is.
-Its full sums are methods that average the components: ``full_value``,
-``full_grad`` and ``full_sums``, f and grad f at a stack of points for
-the trace rows of the stochastic solver. A subclass overrides them with
-vectorized forms; the fused lasso is one such class, SigmoidLossSum,
-over its ``rows`` and ``labels``.
+Its full sums ``full_value``, ``full_grad`` and ``full_sums`` (f and
+grad f at a stack of points) average the components; the fused lasso,
+SigmoidLossSum over its ``rows`` and ``labels``, overrides them with
+vectorized forms. Its setup reads the N x n data in blocks of
+BLOCK_ROWS rows, so it needs no full-size temporary array.
 """
 
 from dataclasses import dataclass
@@ -58,37 +58,6 @@ def _row_sq_sums(rows):
     for blk in _row_blocks(rows.shape[0]):
         out[blk] = np.sum(rows[blk] ** 2, axis=1)
     return out
-
-
-def _column_std(rows, mean):
-    """(rows - mean).std(axis=0), in two passes over one block-sized buffer.
-
-    numpy reduces axis 0 of a C-ordered array with two or more columns
-    row by row into one accumulator row. The buffer carries the running
-    sum as its first row and a block of ``rows - mean`` below it, so the
-    column sums (pass 1) and then the squared deviations from their mean
-    (pass 2) are added in the same order as in one pass over the full
-    centered array, and the result is bit for bit that of its ``std``
-    (the running sum starts at 0.0, which adds exactly). With a single
-    column numpy reduces pairwise instead, so there the last bits may
-    differ.
-    """
-    n_rows, n_cols = rows.shape
-    buf = np.empty((min(BLOCK_ROWS, n_rows) + 1, n_cols))
-
-    def column_means(center=None):
-        # of rows - mean, or of (rows - mean - center)**2 when center is given
-        buf[0] = 0.0
-        for blk in _row_blocks(n_rows):
-            stop = blk.stop - blk.start + 1
-            work = np.subtract(rows[blk], mean, out=buf[1:stop])
-            if center is not None:
-                work -= center
-                np.square(work, out=work)
-            buf[0] = np.add.reduce(buf[:stop], axis=0)
-        return buf[0] / n_rows
-
-    return np.sqrt(column_means(column_means()))
 
 
 @dataclass
@@ -148,11 +117,6 @@ class SigmoidLossSum(FiniteSumProblem):
 
     ``build_fused_lasso`` checks and normalizes the two arrays. L is the
     analytic curvature bound of the sigmoid loss times max_i ||a_i||^2.
-    ``full_value`` and ``full_grad`` read the margins tanh(b * (rows @ x))
-    from one memo of the last x, keyed on its shape, dtype and bytes, so a
-    deterministic solve, which evaluates both at each x^k, reads the N x n
-    data twice per iteration, not three times, with results bit for bit
-    those of two separate margin passes.
 
     ``full_sums`` evaluates both at a (K, n) stack of points X with two
     matrix-matrix products per block of BLOCK_ROWS data rows: the block's
@@ -170,7 +134,6 @@ class SigmoidLossSum(FiniteSumProblem):
         self.lipschitz_L = SIGMOID_CURVATURE * float(np.max(_row_sq_sums(rows)))
         self.operator = operator
         self.regularizer = regularizer
-        self._memo_key = self._memo_t = None
 
     def component_value(self, i, x):
         return float(1.0 - np.tanh(self.labels[i] * (self.rows[i] @ x)))
@@ -179,21 +142,11 @@ class SigmoidLossSum(FiniteSumProblem):
         t = np.tanh(self.labels[i] * (self.rows[i] @ x))
         return (-self.labels[i] * (1.0 - t * t)) * self.rows[i]
 
-    def _margins(self, x):
-        # one-entry memo keyed on x's contents, so that an x changed in place misses it
-        x = np.asarray(x)
-        key = (x.shape, x.dtype.str, x.tobytes())
-        if key != self._memo_key:
-            t = np.tanh(self.labels * (self.rows @ x))
-            t.flags.writeable = False
-            self._memo_t, self._memo_key = t, key
-        return self._memo_t
-
     def full_value(self, x):
-        return float(np.mean(1.0 - self._margins(x)))
+        return float(np.mean(1.0 - np.tanh(self.labels * (self.rows @ x))))
 
     def full_grad(self, x):
-        t = self._margins(x)
+        t = np.tanh(self.labels * (self.rows @ x))
         return (-(self.labels * (1.0 - t * t)) @ self.rows) / self.labels.size
 
     def full_sums(self, xs):
@@ -237,7 +190,8 @@ def build_fused_lasso(rows, labels, V, lam=1e-4, p=0.5, r=1.0, normalize_rows=Fa
 
     A SigmoidLossSum over the rows and labels, with the operator that
     stacks the graph matrix V over the identity, and the regularizer
-    lam*||.||_p^p on the inf-ball of radius r.
+    lam*||.||_p^p on the inf-ball of radius r. V must be a finite n x n
+    matrix for n features; it need not be symmetric.
     """
     rows = np.asarray(rows, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -245,10 +199,18 @@ def build_fused_lasso(rows, labels, V, lam=1e-4, p=0.5, r=1.0, normalize_rows=Fa
         raise ValueError("rows must be (N, n) with one label per row")
     if rows.shape[1] == 0:
         raise ValueError("rows must have at least one column")
+    if rows.shape[0] == 0:
+        raise ValueError("rows must hold at least one data row")
     if not np.all(np.isfinite(rows)):
         raise ValueError("rows must be finite")
     if not np.all(np.isin(labels, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
+    V = np.asarray(V, dtype=float)
+    n = rows.shape[1]
+    if V.shape != (n, n):
+        raise ValueError(f"graph matrix V must be {n}x{n} for {n} features, got shape {V.shape}")
+    if not np.all(np.isfinite(V)):
+        raise ValueError("graph matrix V must be finite")
     if normalize_rows:
         # np.linalg.norm(rows, axis=1) is the root of the same row sums
         norms = np.sqrt(_row_sq_sums(rows))
@@ -256,7 +218,7 @@ def build_fused_lasso(rows, labels, V, lam=1e-4, p=0.5, r=1.0, normalize_rows=Fa
     return SigmoidLossSum(
         rows,
         labels,
-        operator=StackedOverIdentity(np.asarray(V, dtype=float)),
+        operator=StackedOverIdentity(V),
         regularizer=LpBall(lam, p, r),
     )
 
@@ -284,14 +246,14 @@ def build_precision_graph(rows, threshold=0.5):
     """Correlation-thresholded stand-in for a precision-pattern graph.
 
     V[j, k] = 1 when |corr(feature j, feature k)| > threshold (j != k),
-    zero diagonal, symmetric. Constant features correlate with nothing.
-    Non-finite rows raise ValueError. It holds no full-size array: three
-    passes read the data in blocks of BLOCK_ROWS rows, each through one
-    block-sized buffer: two for the column std and one that standardizes
-    each block and adds its Gram matrix. The column std is bit for bit
-    that of the full centered array; the Gram sum runs in another order
-    than one product of the full standardized array, so corr agrees with
-    that product at roundoff.
+    zero diagonal, symmetric. Non-finite rows raise ValueError. It holds
+    no full-size array: one pass centers the data in blocks of BLOCK_ROWS
+    rows, through one block-sized buffer, and adds each block's Gram
+    matrix G; corr = G / outer(s, s) with s = sqrt(diag G). A feature
+    correlates with nothing when it is constant, found exactly by its max
+    equal to its min (its centered entries need not be 0, as its mean may
+    not round back to its value), or when its s underflows to 0. corr
+    agrees with the product of the full standardized array at roundoff.
     This is a documented substitute: the faithful path loads V from a
     file produced by an external sparse inverse covariance estimate.
     """
@@ -308,17 +270,17 @@ def build_precision_graph(rows, threshold=0.5):
     if not np.all(np.isfinite(mean)) and not np.all(np.isfinite(rows)):
         raise ValueError("rows must be finite")
     n_rows, n_cols = rows.shape
-    std = _column_std(rows, mean)
-    safe = np.where(std > 0, std, 1.0)
     buf = np.empty((min(BLOCK_ROWS, n_rows), n_cols))
     gram = np.zeros((n_cols, n_cols))
     for blk in _row_blocks(n_rows):
         work = np.subtract(rows[blk], mean, out=buf[: blk.stop - blk.start])
-        work /= safe
         gram += work.T @ work
-    corr = gram / n_rows
-    corr[std == 0, :] = 0.0
-    corr[:, std == 0] = 0.0
+    scale = np.sqrt(np.diag(gram))
+    flat = (rows.max(axis=0) == rows.min(axis=0)) | (scale == 0.0)
+    scale[flat] = 1.0
+    corr = gram / np.outer(scale, scale)
+    corr[flat, :] = 0.0
+    corr[:, flat] = 0.0
     V = (np.abs(corr) > threshold).astype(float)
     np.fill_diagonal(V, 0.0)
     return V

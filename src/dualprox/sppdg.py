@@ -97,7 +97,7 @@ class SppdgConfig:
 
     def validate(self, problem):
         """Check the settings; returns the PpdgConfig each seed's loop runs."""
-        if self.max_epochs < 0:
+        if not self.max_epochs >= 0:
             raise ValueError("max_epochs must be nonnegative")
         if len(self.seeds) == 0:
             raise ValueError("need at least one seed")

@@ -110,6 +110,29 @@ def test_lasso_without_a_nonzero_feature_is_an_error(tmp_path, capsys, source):
     assert not (out / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("command, data", [
+    ("denoise", ["--synthetic", "8x8"]), ("lasso", ["--synthetic", "60,4"]),
+])
+def test_infinite_step_is_rejected_before_the_solve(tmp_path, capsys, command, data):
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, *data, "--alpha", "inf", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: alpha must be positive and finite")
+    assert not (out / "summary.txt").exists()
+
+
+def test_lasso_without_data_rows_is_an_error(tmp_path, capsys):
+    (tmp_path / "empty.svm").write_text("")
+    np.savetxt(tmp_path / "v4.csv", np.zeros((4, 4)), delimiter=",")
+    out = tmp_path / "run"
+    code = main(["lasso", "--data", str(tmp_path / "empty.svm"), "--n-hint", "4",
+                 "--v-file", str(tmp_path / "v4.csv"), "--out-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: rows must hold at least one data row")
+    assert not (out / "summary.txt").exists()
+
+
 def test_denoise_sigma_zero_sentinel_and_trace(tmp_path):
     out = tmp_path / "run"
     code = main([

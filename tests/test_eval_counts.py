@@ -2,9 +2,11 @@
 
 The step applies A, A^T and the gradient once each. A deterministic
 trace row evaluates A x^k, f, h* and h once and reads r_x from the
-norm the step kept, so A^T and grad f run once per iteration. Under a
-gradient estimate the row also evaluates A^T y^k, f(x^k) and the full
-gradient. Its elapsed_s is stamped at its own iteration, but its full
+norm the step kept, so A^T and grad f run once per iteration. The fused
+lasso's full_value and full_grad each form the margins
+tanh(b * (rows @ x)), so a deterministic iteration forms them twice.
+Under a gradient estimate the row also evaluates A^T y^k, f(x^k) and
+the full gradient. Its elapsed_s is stamped at its own iteration, but its full
 sums wait: the rows reach the trace sink in order, in batches of up to
 ppdg.ROW_BATCH, after one problem.full_sums call per batch. By default
 that call evaluates full_value and full_grad at each point; the fused
@@ -57,6 +59,27 @@ def test_ppdg_iteration_evaluates_each_callable_once_per_row():
     assert report.iters == len(records) == n
     # init_state adds one gradient and one A^T y^0
     assert calls == {"A": 2 * n, "A^T": n + 1, "f": n, "grad_f": n + 1, "h*": n, "h": n}
+
+
+def test_deterministic_fused_lasso_forms_the_margins_twice_per_iteration(monkeypatch):
+    rows_data, labels = problems.synthetic_fused_lasso_data(12, 4, seed=2)
+    V = problems.build_precision_graph(rows_data, threshold=0.5)
+    prob = problems.build_fused_lasso(rows_data, labels, V, normalize_rows=True)
+    calls = Counter()
+    tanh = np.tanh
+
+    def counted_tanh(u, *args, **kwargs):
+        calls[np.shape(u)] += 1
+        return tanh(u, *args, **kwargs)
+
+    monkeypatch.setattr(np, "tanh", counted_tanh)
+    n = 9
+    report = ppdg.solve(prob, ppdg.PpdgConfig(alpha=0.1, max_iters=n, tol_step=0.0),
+                        trace_sink=lambda record: None)
+    assert report.iters == n
+    # each iteration: the margins tanh(b * (rows @ x)) of the step's gradient and
+    # of the row's value; init_state adds the first gradient's
+    assert calls == {(12,): 2 * n + 1}
 
 
 def test_stochastic_trace_row_evaluates_full_sums_once():

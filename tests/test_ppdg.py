@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -354,6 +356,25 @@ def test_solve_rejects_a_negative_iteration_limit(scalar_problem):
     # zero iterations is a valid request (above); a negative count is not
     with pytest.raises(ValueError, match="max_iters must be nonnegative"):
         ppdg.solve(scalar_problem, PpdgConfig(alpha=0.1, max_iters=-3))
+
+
+def test_solve_rejects_a_nan_iteration_limit(scalar_problem):
+    # a nan limit would otherwise run no iteration and report success
+    with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+        ppdg.solve(scalar_problem, PpdgConfig(alpha=0.1, max_iters=float("nan")))
+
+
+@pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
+def test_config_rejects_a_non_finite_step(scalar_problem, alpha):
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        PpdgConfig(alpha=alpha).validate(scalar_problem)
+
+
+@pytest.mark.parametrize("norm", [0.0, np.inf, np.nan])
+def test_dual_beta_needs_a_positive_finite_operator_norm(norm):
+    problem = SimpleNamespace(operator=SimpleNamespace(op_norm=lambda: norm))
+    with pytest.raises(ValueError, match="positive finite operator norm"):
+        ppdg.dual_beta(problem, PpdgConfig(alpha=0.1))
 
 
 def test_solve_emits_one_record_per_iteration(descent_problem):

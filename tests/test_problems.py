@@ -113,6 +113,31 @@ def test_fused_lasso_rejects_rows_without_columns():
         build_fused_lasso(np.ones((3, 0)), np.array([1.0, -1.0, 1.0]), np.zeros((0, 0)))
 
 
+def test_fused_lasso_rejects_zero_rows():
+    with pytest.raises(ValueError, match="at least one data row"):
+        build_fused_lasso(np.ones((0, 4)), np.ones(0), np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("V, match", [
+    (np.zeros((3, 3)), r"must be 4x4 for 4 features, got shape \(3, 3\)"),
+    (np.zeros((4, 5)), r"must be 4x4 for 4 features, got shape \(4, 5\)"),
+    (np.zeros(4), r"must be 4x4 for 4 features, got shape \(4,\)"),
+    (np.where(np.eye(4) == 1, np.nan, 0.0), "graph matrix V must be finite"),
+    (np.where(np.eye(4) == 1, 0.0, np.inf), "graph matrix V must be finite"),
+], ids=["3x3", "4x5", "1-d", "nan", "inf"])
+def test_fused_lasso_rejects_a_bad_graph_matrix(V, match):
+    rows, labels = synthetic_fused_lasso_data(10, 4, seed=1)
+    with pytest.raises(ValueError, match=match):
+        build_fused_lasso(rows, labels, V)
+
+
+def test_fused_lasso_takes_an_asymmetric_graph_matrix():
+    rows, labels = synthetic_fused_lasso_data(10, 4, seed=1)
+    V = np.zeros((4, 4))
+    V[0, 1] = 1.0
+    assert np.array_equal(build_fused_lasso(rows, labels, V).operator.V, V)
+
+
 @pytest.mark.parametrize("n_features", [0, 1, 3])
 def test_synthetic_data_needs_an_even_feature_count_of_at_least_two(n_features):
     with pytest.raises(ValueError, match="n_features"):
@@ -165,11 +190,11 @@ def test_fused_lasso_shared_margins_match_a_memo_free_reference():
     check(prob.full_grad, grad, x2)
     check(prob.full_grad, grad, x1)
     check(prob.full_value, value, x1)
-    # the same object, changed in place, must not be served the old margins
+    # the same object, changed in place, gives the new margins
     x1[2] += 0.5
     check(prob.full_grad, grad, x1)
     check(prob.full_value, value, x1)
-    # a caller writing into a returned gradient does not reach the memo
+    # a caller writing into a returned gradient does not reach later results
     prob.full_grad(x1)[:] = 7.0
     check(prob.full_grad, grad, x1)
     check(prob.full_value, value, x1.tolist())
@@ -397,7 +422,7 @@ def full_array_graph(rows, threshold):
     corr[:, std == 0] = 0.0
     V = (np.abs(corr) > threshold).astype(float)
     np.fill_diagonal(V, 0.0)
-    return V, std
+    return V
 
 
 def full_array_L(rows, normalize_rows):
@@ -408,8 +433,7 @@ def full_array_L(rows, normalize_rows):
 
 
 def assert_setup_matches_full_arrays(rows, labels, threshold=0.5):
-    V_ref, std_ref = full_array_graph(rows, threshold)
-    assert np.array_equal(problems._column_std(rows, rows.mean(axis=0)), std_ref)
+    V_ref = full_array_graph(rows, threshold)
     V = build_precision_graph(rows, threshold=threshold)
     assert np.array_equal(V, V_ref)
     for normalize_rows in (False, True):
@@ -433,6 +457,10 @@ def test_blocked_setup_with_a_constant_column(n_rows):
     rows[:, 2] = 0.1   # a column mean that does not round back to 0.1
     assert_setup_matches_full_arrays(rows, labels, threshold=0.3)
     assert np.all(build_precision_graph(rows, threshold=0.3)[2] == 0.0)
+    # its centered entries are a tiny nonzero constant, which correlates with
+    # the other columns' roundoff unless the column is found to be constant
+    V = build_precision_graph(rows, threshold=1e-300)
+    assert np.all(V[2] == 0.0) and np.all(V[:, 2] == 0.0)
 
 
 def test_precision_graph_streams_the_rows_through_a_block_sized_buffer():
@@ -453,18 +481,26 @@ def test_precision_graph_of_a_single_column_is_a_zero_1x1():
     assert V.shape == (1, 1) and V[0, 0] == 0.0
 
 
+def test_precision_graph_links_nothing_to_a_column_whose_squares_underflow():
+    rows, _ = synthetic_fused_lasso_data(50, 4, seed=1)
+    rows[:, 0] *= 1e-170   # not constant, but its Gram diagonal rounds to 0
+    V = build_precision_graph(rows)
+    assert np.all(V[0] == 0.0) and np.all(V[:, 0] == 0.0)
+    assert np.array_equal(V, full_array_graph(rows, 0.5))
+
+
 def test_precision_graph_links_an_affine_copy_across_blocks():
     rows, _ = synthetic_fused_lasso_data(2 * BLOCK + 3, 6, seed=9)
     rows[:, 4] = 3.0 * rows[:, 1] + 5.0
     V = build_precision_graph(rows, threshold=0.99)
     assert V[1, 4] == 1.0 and V[4, 1] == 1.0
-    assert np.array_equal(V, full_array_graph(rows, 0.99)[0])
+    assert np.array_equal(V, full_array_graph(rows, 0.99))
 
 
 def test_fortran_ordered_rows_give_the_same_graph():
     rows, _ = synthetic_fused_lasso_data(2 * BLOCK + 3, 40, seed=6)
     V = build_precision_graph(np.asfortranarray(rows))
-    assert np.array_equal(V, full_array_graph(rows, 0.5)[0])
+    assert np.array_equal(V, full_array_graph(rows, 0.5))
     assert V.sum() == 40.0
 
 

@@ -58,6 +58,16 @@ def test_nan_kappa_hat_is_rejected_not_taken_for_zero():
         SppdgConfig(kappa_hat=float("nan")).resolve_alpha(1.0)
 
 
+@pytest.mark.parametrize("setting, match", [
+    ({"max_epochs": float("nan")}, "max_epochs must be nonnegative"),
+    ({"alpha": float("inf")}, "alpha must be positive and finite"),
+])
+def test_nan_epoch_limit_or_infinite_step_is_rejected(setting, match):
+    fsp = split_quadratic_finite_sum(6, 4)
+    with pytest.raises(ValueError, match=match):
+        solve_stochastic(fsp, "svrg", exact_cfg(**setting), batch_size=2)
+
+
 def test_alpha_fallback_without_kappa():
     assert SppdgConfig().resolve_alpha(2.0) == pytest.approx(0.9 / 6.0)
 
