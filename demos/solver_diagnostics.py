@@ -25,10 +25,7 @@ problem = CompositeProblem(
     regularizer=conjprox.L0Box(0.1, -1.0, 1.0),
 )
 
-config = ppdg.PpdgConfig(
-    alpha=0.3, preconditioner="exact_M",
-    max_iters=200, tol_step=0.0, lyapunov_checks=True,
-)
+config = ppdg.PpdgConfig(alpha=0.3, max_iters=200, tol_step=0.0, lyapunov_checks=True)
 constants = ppdg.LyapunovConstants.from_parameters(0.3, 0.2, 1.0)
 print(f"descent constants: a={constants.a:.4f} b={constants.b:.4f} c={constants.c:.4f}")
 

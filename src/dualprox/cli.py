@@ -69,8 +69,6 @@ def _parse_seeds(text):
 def cmd_denoise(args):
     if args.max_iters < 0:
         raise UsageError("denoise needs --max-iters >= 0")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if args.input:
         original = dataio.read_pgm(args.input)
     elif args.synthetic:
@@ -84,12 +82,7 @@ def cmd_denoise(args):
         noisy, lam=args.lam, c1=args.c1, c2=args.c2, boundary=args.boundary
     )
     alpha = ppdg.default_alpha(problem.lipschitz_L) if args.alpha is None else args.alpha
-    config = ppdg.PpdgConfig(
-        alpha=alpha,
-        max_iters=args.max_iters,
-        tol_step=args.tol,
-        preconditioner="scalar_beta",
-    )
+    config = ppdg.PpdgConfig(alpha=alpha, max_iters=args.max_iters, tol_step=args.tol)
     records = []
     started = time.perf_counter()
     report = ppdg.solve(problem, config, trace_sink=records.append)
@@ -108,6 +101,8 @@ def cmd_denoise(args):
         ["input", "synthetic", "sigma", "seed", "lam", "c1", "c2",
          "boundary", "alpha", "max_iters", "tol"],
     )
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     dataio.write_trace_csv(
         out / "trace.csv", records, fieldnames=TRACE_FIELDS, comment=f"denoise {echo}"
     )
@@ -152,8 +147,6 @@ def _load_lasso_problem(args):
 
 
 def cmd_lasso(args):
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     problem = _load_lasso_problem(args)
     n = problem.n_components
     batch = max(1, int(0.01 * n)) if args.batch is None else args.batch
@@ -174,6 +167,8 @@ def cmd_lasso(args):
          "lam", "p", "r", "threshold", "v_file", "normalize_rows",
          "max_epochs", "tol", "alpha", "kappa_hat"],
     )
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for run in result.per_seed:
         dataio.write_trace_csv(
             out / f"seed_{run.seed}_trace.csv",
@@ -273,6 +268,8 @@ def _build_operator(args):
 
 
 def cmd_spectra(args):
+    if args.iterations < 1:
+        raise UsageError("spectra needs --iterations >= 1")
     op = _build_operator(args)
     bounds = linops.SpectralBounds.from_operator(op, iterations=args.iterations)
     print(f"kind: {op.kind}  ({op.out_dim} x {op.in_dim})")

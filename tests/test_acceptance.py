@@ -85,8 +85,7 @@ def test_criterion_03_moreau_identity():
 @pytest.fixture(scope="module")
 def descent_history():
     prob = descent_problem()
-    cfg = PpdgConfig(alpha=0.3, preconditioner="exact_M",
-                     max_iters=502, tol_step=0.0)
+    cfg = PpdgConfig(alpha=0.3, max_iters=502, tol_step=0.0)
     states = run_history(prob, cfg, np.zeros(10), np.zeros(10), 502)
     consts = LyapunovConstants.from_parameters(0.3, 0.2, 1.0)
     return prob, states, consts
@@ -134,8 +133,7 @@ def test_criterion_05_subgradient_and_dual_bounds(descent_history):
 
 def test_criterion_06_deterministic_convergence():
     prob = descent_problem()
-    cfg = PpdgConfig(alpha=0.3, preconditioner="exact_M", max_iters=5000,
-                     tol_step=1e-8, lyapunov_checks=True)
+    cfg = PpdgConfig(alpha=0.3, max_iters=5000, tol_step=1e-8, lyapunov_checks=True)
     started = time.perf_counter()
     report = ppdg.solve(prob, cfg)
     elapsed = time.perf_counter() - started
@@ -151,7 +149,7 @@ def test_criterion_07_convex_sanity():
     prob = quadratic_problem(
         2.0 * np.ones(5), linops.Identity(5), conjprox.L1(0.5)
     )
-    cfg = PpdgConfig(alpha=0.3, preconditioner="exact_M", max_iters=5000, tol_step=1e-12)
+    cfg = PpdgConfig(alpha=0.3, max_iters=5000, tol_step=1e-12)
     report = ppdg.solve(prob, cfg)
     err = float(np.max(np.abs(report.x - 1.5)))
     assert report.iters <= 5000
@@ -248,8 +246,7 @@ def test_criterion_10_full_batch_degeneracy():
     ))
     for fsp, alpha in cases:
         pp_recs = []
-        pp_cfg = PpdgConfig(alpha=alpha, preconditioner="exact_M",
-                            max_iters=400, tol_step=1e-10)
+        pp_cfg = PpdgConfig(alpha=alpha, max_iters=400, tol_step=1e-10)
         pp = ppdg.solve(fsp, pp_cfg, trace_sink=pp_recs.append)
         sp_cfg = SppdgConfig(alpha=alpha, max_epochs=5000, tol_step=1e-10, seeds=(0,))
         run = sppdg.solve_stochastic(
@@ -278,7 +275,7 @@ def test_criterion_11_stochastic_convergence():
     )
     ref_cfg = PpdgConfig(
         alpha=ppdg.default_alpha(prob.lipschitz_L),
-        max_iters=20000, tol_step=1e-12, preconditioner="scalar_beta",
+        max_iters=20000, tol_step=1e-12,
     )
     ref = ppdg.solve(prob, ref_cfg)
     assert ref.reason == "converged"

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dualprox import dataio, ppdg
+from dualprox import cli, dataio, ppdg
 from dualprox.cli import main
 
 
@@ -95,6 +95,20 @@ def test_zero_or_negative_setting_is_an_error_not_the_default(tmp_path, capsys, 
         assert main([command, *data, flag, value, "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("command, data, rejected", [
+    ("denoise", ["--synthetic", "8x8", "--max-iters", "3"], ["--alpha", "inf"]),
+    ("lasso", ["--synthetic", "60,4", "--seeds", "1", "--max-epochs", "1"], ["--batch", "0"]),
+], ids=["denoise", "lasso"])
+def test_out_dir_is_made_only_by_a_run_that_writes(tmp_path, capsys, command, data, rejected):
+    out = tmp_path / "d"
+    assert main([command, *data, *rejected, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    nested = tmp_path / "a" / "b"
+    assert main([command, *data, "--out-dir", str(nested)]) == 0
+    assert (nested / "summary.txt").exists()
 
 
 @pytest.mark.parametrize("source", ["synthetic", "libsvm"])
@@ -339,6 +353,20 @@ def test_spectra_stacked_identity_over_identity(tmp_path, capsys):
     # gram of [I; I] is [[I, I], [I, I]]: singular
     assert "min_eig_gram: 0" in out
     assert "surjective: no" in out
+
+
+@pytest.mark.parametrize("op, iterations", [
+    (["--op", "identity"], "0"),
+    (["--op", "gradient2d"], "-5"),
+    (["--op", "gradient2d", "--boundary", "zero-pad"], "0"),
+], ids=["identity", "gradient2d", "gradient2d-zero-pad"])
+def test_spectra_needs_a_positive_iteration_count(monkeypatch, capsys, op, iterations):
+    # rejected before any operator is built, whether or not its norm is known exactly
+    monkeypatch.setattr(cli, "_build_operator", lambda args: pytest.fail("operator built"))
+    assert main(["spectra", *op, "--iterations", iterations]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: spectra needs --iterations >= 1\n"
+    assert captured.out == ""
 
 
 def test_unknown_subcommand_usage_error():

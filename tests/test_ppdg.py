@@ -20,7 +20,6 @@ from dualprox.problems import CompositeProblem
 
 
 def exact_cfg(alpha=0.3, **kw):
-    kw.setdefault("preconditioner", "exact_M")
     return PpdgConfig(alpha=alpha, **kw)
 
 
@@ -68,11 +67,9 @@ def test_config_validation(scalar_problem):
         PpdgConfig(alpha=0.0).validate(scalar_problem)
     with pytest.raises(ValueError, match="1/\\(3L\\)"):
         exact_cfg(alpha=0.5, lyapunov_checks=True).validate(scalar_problem)
-    grad_prob = quadratic_problem(
-        np.zeros(4), linops.Gradient2D(2, 2), conjprox.L0Box(0.1, -1, 1)
-    )
-    with pytest.raises(ValueError, match="exact_M"):
-        exact_cfg().validate(grad_prob)
+    # the operator's kind decides the descent contract; no mode selects it
+    with pytest.raises(ValueError, match="'exact_M' is not a setting"):
+        exact_cfg(preconditioner="exact_M").validate(scalar_problem)
 
 
 @pytest.mark.parametrize("L", [0.0, -1.0, np.nan, np.inf])
@@ -122,7 +119,7 @@ def test_prox_near_identity_in_interior():
 
 def test_step_divergence_error():
     prob = quadratic_problem(np.ones(2), linops.Identity(2), conjprox.L0Box(0.1, -1, 1))
-    cfg = PpdgConfig(alpha=1e8, preconditioner="exact_M", max_iters=50)
+    cfg = PpdgConfig(alpha=1e8, max_iters=50)
     with pytest.raises(SolverDivergence) as err:
         ppdg.solve(prob, cfg)
     assert err.value.iteration >= 1
@@ -388,17 +385,6 @@ def test_solve_emits_one_record_per_iteration(descent_problem):
     assert [r.iter for r in records] == list(range(1, 41))
 
 
-def test_scalar_beta_equals_exact_m_for_identity(descent_problem):
-    # for A = I the scalar weight is the exact metric, so modes agree bitwise
-    recs1, recs2 = [], []
-    r1 = ppdg.solve(descent_problem, exact_cfg(max_iters=60, tol_step=0.0),
-                    trace_sink=recs1.append)
-    cfg2 = PpdgConfig(alpha=0.3, preconditioner="scalar_beta", max_iters=60, tol_step=0.0)
-    r2 = ppdg.solve(descent_problem, cfg2, trace_sink=recs2.append)
-    assert np.array_equal(r1.x, r2.x) and np.array_equal(r1.y, r2.y)
-    assert [a.objective for a in recs1] == [b.objective for b in recs2]
-
-
 # --- descent and bound properties on the seeded run -----------------------
 
 
@@ -470,31 +456,33 @@ def test_lyapunov_checks_pass_in_exact_mode(descent_problem):
     assert report.lyapunov_violations == 0
 
 
-def understated_curvature_problem():
+def understated_curvature_problem(operator):
     """f = 2||x - b||^2 (gradient Lipschitz constant 4) declared with L = 1."""
     b = np.full(4, 0.5)
     return CompositeProblem(
         f_value=lambda x: 2.0 * float(np.sum((x - b) ** 2)),
         grad_f=lambda x: 4.0 * (x - b),
         lipschitz_L=1.0,
-        operator=linops.Identity(4),
+        operator=operator,
         regularizer=conjprox.L0Box(0.1, -1.0, 1.0),
     )
 
 
 def test_descent_violation_raises_under_exact_metric():
-    # alpha = 0.3 passes the 1/(3L) check for the declared L but not the true one
+    # alpha = 0.3 passes the 1/(3L) check for the declared L but not the true one;
+    # on these kinds beta is the exact metric, so the violation raises
     cfg = exact_cfg(max_iters=50, tol_step=0.0, lyapunov_checks=True)
-    with pytest.raises(LyapunovViolation, match="iteration 2:") as info:
-        ppdg.solve(understated_curvature_problem(), cfg)
-    assert info.value.iteration == 2
+    for operator in (linops.Identity(4), linops.ScaledIdentity(4, 2.0)):
+        with pytest.raises(LyapunovViolation, match="iteration 2:") as info:
+            ppdg.solve(understated_curvature_problem(operator), cfg)
+        assert info.value.iteration == 2
 
 
 def test_descent_violation_counted_under_scalar_beta():
-    cfg = exact_cfg(max_iters=50, tol_step=0.0, lyapunov_checks=True,
-                    preconditioner="scalar_beta")
-    with pytest.warns(RuntimeWarning, match="descent violated"):
-        report = ppdg.solve(understated_curvature_problem(), cfg)
+    # the same matrix as a dense operator: beta only stands in for the metric there
+    cfg = exact_cfg(max_iters=50, tol_step=0.0, lyapunov_checks=True)
+    with pytest.warns(RuntimeWarning, match="violated on 1 iterations on a dense-matrix"):
+        report = ppdg.solve(understated_curvature_problem(linops.DenseMatrix(np.eye(4))), cfg)
     assert report.lyapunov_violations == 1
 
 
