@@ -28,7 +28,6 @@ from .linops import (
     Gradient2D,
     Identity,
     ScaledIdentity,
-    SpectralBounds,
     StackedOverIdentity,
 )
 from .ppdg import LyapunovConstants, PpdgConfig, SolveReport, TraceRecord, solve

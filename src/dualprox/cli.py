@@ -28,8 +28,20 @@ class UsageError(Exception):
     pass
 
 
-def _flag_echo(args, names):
-    return " ".join(f"{n}={getattr(args, n)}" for n in names)
+def _flag_echo(args):
+    """Every parsed flag but the output directory, in the parser's order."""
+    return " ".join(
+        f"{name}={value}" for name, value in vars(args).items()
+        if name not in ("command", "func", "out_dir")
+    )
+
+
+def _check_out_dir(out_dir):
+    """Fail before any work when ``out_dir`` cannot be made; creates nothing."""
+    path = Path(out_dir).absolute()
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out-dir {out_dir}: {existing} is not a directory")
 
 
 def _write_summary(path, pairs):
@@ -69,6 +81,7 @@ def _parse_seeds(text):
 def cmd_denoise(args):
     if args.max_iters < 0:
         raise UsageError("denoise needs --max-iters >= 0")
+    _check_out_dir(args.out_dir)
     if args.input:
         original = dataio.read_pgm(args.input)
     elif args.synthetic:
@@ -96,11 +109,7 @@ def cmd_denoise(args):
         noisy.height,
         noisy.width,
     )
-    echo = _flag_echo(
-        args,
-        ["input", "synthetic", "sigma", "seed", "lam", "c1", "c2",
-         "boundary", "alpha", "max_iters", "tol"],
-    )
+    echo = _flag_echo(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_trace_csv(
@@ -147,6 +156,7 @@ def _load_lasso_problem(args):
 
 
 def cmd_lasso(args):
+    _check_out_dir(args.out_dir)
     problem = _load_lasso_problem(args)
     n = problem.n_components
     batch = max(1, int(0.01 * n)) if args.batch is None else args.batch
@@ -161,12 +171,7 @@ def cmd_lasso(args):
     result = sppdg.solve_stochastic(
         problem, args.estimator, config, batch_size=batch, period=args.period
     )
-    echo = _flag_echo(
-        args,
-        ["data", "synthetic", "data_seed", "estimator", "seeds", "batch", "period",
-         "lam", "p", "r", "threshold", "v_file", "normalize_rows",
-         "max_epochs", "tol", "alpha", "kappa_hat"],
-    )
+    echo = _flag_echo(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for run in result.per_seed:
@@ -220,11 +225,7 @@ def _build_regularizer(args):
         return conjprox.L0Box(args.lam, args.c1, args.c2)
     if args.reg == "lp":
         return conjprox.LpBall(args.lam, args.p, args.r)
-    if args.reg == "scad":
-        if args.gamma <= 2:
-            raise UsageError("scad needs gamma > 2")
-        return conjprox.ScadBox(args.lam, args.gamma, args.r)
-    raise UsageError(f"unknown regularizer {args.reg!r}")
+    return conjprox.ScadBox(args.lam, args.gamma, args.r)
 
 
 def cmd_prox_check(args):
@@ -248,38 +249,42 @@ def cmd_prox_check(args):
 
 
 def _build_operator(args):
-    if args.op == "identity":
-        return linops.Identity(args.n)
-    if args.op == "scaled":
-        return linops.ScaledIdentity(args.n, args.scale)
     if args.op == "dense":
         if not args.csv:
             raise UsageError("dense operator needs --csv")
         return linops.load_dense_csv(args.csv)
-    if args.op == "gradient2d":
-        return linops.Gradient2D(args.height, args.width, boundary=args.boundary)
     if args.op == "stacked":
         if not args.csv:
             raise UsageError("stacked operator needs --csv with the top block")
         return linops.StackedOverIdentity(
             np.loadtxt(args.csv, delimiter=",", ndmin=2)
         )
-    raise UsageError(f"unknown operator {args.op!r}")
+    # the other kinds are built from flags alone, so a rejected value is a usage error
+    try:
+        if args.op == "identity":
+            return linops.Identity(args.n)
+        if args.op == "scaled":
+            return linops.ScaledIdentity(args.n, args.scale)
+        return linops.Gradient2D(args.height, args.width, boundary=args.boundary)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_spectra(args):
     if args.iterations < 1:
         raise UsageError("spectra needs --iterations >= 1")
     op = _build_operator(args)
-    bounds = linops.SpectralBounds.from_operator(op, iterations=args.iterations)
+    norm = op.op_norm(iterations=args.iterations)
+    min_eig = linops.estimate_min_eig_gram(op)
     print(f"kind: {op.kind}  ({op.out_dim} x {op.in_dim})")
-    print(f"op_norm: {bounds.op_norm:.12g}")
-    print(f"min_eig_gram: {bounds.min_eig_gram:.12g}")
-    print(f"hat_lambda: {bounds.hat_lambda:.12g}")
-    if bounds.is_surjective:
+    print(f"op_norm: {norm:.12g}")
+    print(f"min_eig_gram: {min_eig:.12g}")
+    print(f"hat_lambda: {np.sqrt(min_eig):.12g}")
+    if min_eig > 0.0:
         print("surjective: yes (exact metric preconditioning is well posed)")
     else:
         print("surjective: no (AA^T is singular)")
+    if not op.gram_is_scalar:
         print(
             "note: the dual step then relies on the scalar approximation "
             "beta = 1/(alpha ||A||^2), as the denoising experiments do"

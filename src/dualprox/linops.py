@@ -4,9 +4,12 @@ Only the operator kinds the solvers need are provided: identity,
 scaled identity, dense matrices, the 2D forward-difference gradient,
 and the stacked map x -> (Vx; x). Every operator is immutable after
 construction; ``apply`` and ``apply_adjoint`` are pure.
-"""
 
-from dataclasses import dataclass
+The smallest eigenvalue of the gram AA^T is read off the structure
+where the structure decides it: 0 when A has more rows than columns,
+||A||^2 when AA^T is a multiple of the identity (``gram_is_scalar``),
+and an exact eigensolve of the assembled gram otherwise.
+"""
 
 import numpy as np
 
@@ -17,7 +20,6 @@ __all__ = [
     "DenseMatrix",
     "Gradient2D",
     "StackedOverIdentity",
-    "SpectralBounds",
     "estimate_op_norm",
     "estimate_min_eig_gram",
     "materialize",
@@ -30,12 +32,15 @@ class LinearOperator:
 
     Subclasses set ``in_dim``, ``out_dim``, ``kind`` and implement
     ``apply`` / ``apply_adjoint``. The pair must satisfy
-    <Ax, y> = <x, A^T y> exactly (up to roundoff).
+    <Ax, y> = <x, A^T y> exactly (up to roundoff). ``gram_is_scalar``
+    states that AA^T = ||A||^2 I, the case in which the scalar dual
+    weight is the exact dual metric; it is a fact of the kind.
     """
 
     in_dim = 0
     out_dim = 0
     kind = "abstract"
+    gram_is_scalar = False
 
     def apply(self, x):
         raise NotImplementedError
@@ -72,6 +77,7 @@ class LinearOperator:
 
 class Identity(LinearOperator):
     kind = "identity"
+    gram_is_scalar = True
 
     def __init__(self, n):
         if n < 1:
@@ -90,12 +96,15 @@ class Identity(LinearOperator):
 
 class ScaledIdentity(LinearOperator):
     kind = "scaled-identity"
+    gram_is_scalar = True
 
     def __init__(self, n, scale):
         if n < 1:
             raise ValueError("scaled-identity: dimension must be positive")
         self.in_dim = self.out_dim = int(n)
         self.scale = float(scale)
+        if not np.isfinite(self.scale):
+            raise ValueError("scaled-identity: scale must be finite")
 
     def apply(self, x):
         return self.scale * self._check(x, self.in_dim)
@@ -248,65 +257,23 @@ def materialize(op):
     return cols
 
 
-def estimate_min_eig_gram(op, iterations=200, seed=0, materialize_cap=4096):
+def estimate_min_eig_gram(op):
     """Smallest eigenvalue of AA^T, clamped to be nonnegative.
 
-    Below the materialization cap the gram matrix is assembled and
-    eigensolved exactly; eigenvalues under 1e-10 of the largest are
-    reported as exactly 0 (A is then not surjective, a legal outcome).
-    Above the cap a shifted power iteration on s*I - AA^T is used,
-    which needs only operator applications.
+    A with more rows than columns has rank(AA^T) <= in_dim < out_dim,
+    so the answer is 0 (A is then not surjective, a legal outcome). A
+    kind with ``gram_is_scalar`` gives ||A||^2. Otherwise the gram
+    matrix is assembled and eigensolved exactly, and an eigenvalue at
+    most 1e-10 of the largest is reported as exactly 0.
     """
-    if op.out_dim <= materialize_cap:
-        A = materialize(op)
-        eigs = np.linalg.eigvalsh(A @ A.T)
-        lo, hi = float(eigs[0]), float(eigs[-1])
-        if lo < 1e-10 * max(hi, 1.0):
-            return 0.0
-        return lo
-    shift = op.op_norm(iterations=iterations, seed=seed) ** 2 * (1.0 + 1e-9) + 1e-12
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(op.out_dim)
-    v /= np.linalg.norm(v)
-    rayleigh = 0.0
-    for _ in range(iterations):
-        w = shift * v - op.apply(op.apply_adjoint(v))
-        rayleigh = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-    lam = shift - rayleigh
-    if lam < 1e-8 * shift:
+    if op.out_dim > op.in_dim:
         return 0.0
-    return lam
-
-
-@dataclass(frozen=True)
-class SpectralBounds:
-    """Cached spectral data for a linear operator.
-
-    ``hat_lambda`` is sqrt of the smallest eigenvalue of AA^T and
-    ``min_eig_gram`` is stored as ``hat_lambda**2`` so the two agree
-    bit for bit.
-    """
-
-    op_norm: float
-    min_eig_gram: float
-    hat_lambda: float
-
-    @property
-    def is_surjective(self):
-        return self.min_eig_gram > 0.0
-
-    @classmethod
-    def from_operator(cls, op, iterations=200, seed=0, materialize_cap=4096):
-        norm = op.op_norm(iterations=iterations, seed=seed)
-        raw = estimate_min_eig_gram(
-            op, iterations=iterations, seed=seed, materialize_cap=materialize_cap
-        )
-        hat = float(np.sqrt(raw))
-        return cls(op_norm=norm, min_eig_gram=hat * hat, hat_lambda=hat)
+    if op.gram_is_scalar:
+        return op.op_norm() ** 2
+    A = materialize(op)
+    eigs = np.linalg.eigvalsh(A @ A.T)
+    lo, hi = float(eigs[0]), float(eigs[-1])
+    return 0.0 if lo <= 1e-10 * hi else lo
 
 
 def load_dense_csv(path):

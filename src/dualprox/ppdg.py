@@ -73,8 +73,6 @@ __all__ = [
     "solve",
 ]
 
-_EXACT_METRIC_KINDS = ("identity", "scaled-identity")
-
 # the descent analysis fixes delta in the Lyapunov weights; the slack absorbs roundoff
 DELTA = 0.2
 DESCENT_SLACK = 1e-9
@@ -524,7 +522,7 @@ def solve(problem, config, trace_sink=None, x0=None, y0=None):
     if y0 is None:
         y0 = np.zeros(op.out_dim)
     constants = LyapunovConstants.from_parameters(config.alpha, DELTA, problem.lipschitz_L)
-    strict = op.kind in _EXACT_METRIC_KINDS
+    strict = op.gram_is_scalar
     prev_record = None
     violations = 0
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dualprox import cli, dataio, ppdg
+from dualprox import cli, dataio, ppdg, sppdg
 from dualprox.cli import main
 
 
@@ -109,6 +109,23 @@ def test_out_dir_is_made_only_by_a_run_that_writes(tmp_path, capsys, command, da
     nested = tmp_path / "a" / "b"
     assert main([command, *data, "--out-dir", str(nested)]) == 0
     assert (nested / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("command, data, solver", [
+    ("denoise", ["--synthetic", "8x8", "--max-iters", "3"], (ppdg, "solve")),
+    ("lasso", ["--synthetic", "60,4", "--seeds", "1", "--max-epochs", "1"],
+     (sppdg, "solve_stochastic")),
+], ids=["denoise", "lasso"])
+def test_out_dir_under_a_file_fails_before_the_solve(tmp_path, monkeypatch, capsys, command,
+                                                     data, solver):
+    monkeypatch.setattr(*solver, lambda *a, **k: pytest.fail("solver called"))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, *data, "--out-dir", str(afile / "sub")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --out-dir {afile / 'sub'}: {afile} is not a directory\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("source", ["synthetic", "libsvm"])
@@ -297,6 +314,22 @@ def test_lasso_non_finite_libsvm_value_names_the_line(tmp_path, capsys):
     assert err.startswith("error: non-finite value") and "(line 2)" in err
 
 
+def test_lasso_flag_echo_names_every_flag_but_the_output_directory(tmp_path):
+    # two features in the file; the hint widens the rows to six
+    data = tmp_path / "d.svm"
+    data.write_text("1 1:0.5 2:1\n-1 1:-1 2:0.25\n1 1:2 2:0.5\n-1 1:0.1 2:-2\n")
+    comments = []
+    for i, hint in enumerate(([], ["--n-hint", "6"])):
+        out = tmp_path / f"run{i}"
+        assert main(["lasso", "--data", str(data), *hint, "--seeds", "1", "--max-epochs", "1",
+                     "--out-dir", str(out)]) == 0
+        comments.append((out / "seed_0_trace.csv").read_text().splitlines()[0])
+    assert comments[0].startswith(f"# lasso data={data} n_hint=None synthetic=None ")
+    assert comments[1].startswith(f"# lasso data={data} n_hint=6 synthetic=None ")
+    assert comments[0].endswith(" alpha=None kappa_hat=0.0")
+    assert "out_dir" not in comments[0] and "func" not in comments[0]
+
+
 def test_lasso_v_file_and_mismatch(tmp_path):
     vfile = tmp_path / "v.csv"
     np.savetxt(vfile, np.zeros((3, 3)), delimiter=",")
@@ -345,6 +378,47 @@ def test_spectra_gradient2d_prints_caveat(capsys):
     assert "scalar approximation" in out
 
 
+@pytest.mark.parametrize("size, boundary", [
+    ("64", "periodic"), ("64", "zero-pad"), ("256", "periodic"),
+])
+def test_spectra_gradient2d_is_never_surjective(capsys, size, boundary):
+    # AA^T is 2hw x 2hw with rank at most hw, at any size
+    assert main(["spectra", "--op", "gradient2d", "--height", size, "--width", size,
+                 "--boundary", boundary]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "min_eig_gram: 0" in lines
+    assert "surjective: no (AA^T is singular)" in lines
+
+
+def test_spectra_tiny_scale_is_still_surjective(capsys):
+    assert main(["spectra", "--op", "scaled", "--scale", "1e-6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "min_eig_gram: 1e-12" in lines
+    assert "surjective: yes (exact metric preconditioning is well posed)" in lines
+    assert not any("scalar approximation" in line for line in lines)
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    (["--op", "identity", "--n", "0"], 2, "usage error: identity: dimension must be positive"),
+    (["--op", "gradient2d", "--height", "1"], 2,
+     "usage error: gradient-2d: height and width must be at least 2"),
+    (["--op", "scaled", "--scale", "nan"], 2, "usage error: scaled-identity: scale must be finite"),
+    (["--op", "scaled", "--scale", "inf"], 2, "usage error: scaled-identity: scale must be finite"),
+    (["--op", "dense"], 1, "error: "),
+], ids=["n", "height", "scale-nan", "scale-inf", "malformed-csv"])
+def test_spectra_bad_flag_is_a_usage_error_and_bad_file_a_runtime_error(tmp_path, capsys,
+                                                                         flags, code, message):
+    # only the file-based kinds read --csv
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,2\n3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectra", *flags, "--csv", str(bad)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.out == ""
+
+
 def test_spectra_stacked_identity_over_identity(tmp_path, capsys):
     vfile = tmp_path / "v.csv"
     np.savetxt(vfile, np.eye(3), delimiter=",")
@@ -380,6 +454,8 @@ def test_spectra_dense_from_csv(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "op_norm: 2" in out
     assert "surjective: yes" in out
+    # beta only approximates the exact metric of a dense matrix
+    assert "scalar approximation" in out
 
 
 def test_help_lists_defaults(capsys):

@@ -77,3 +77,17 @@ def test_known_op_norm_is_the_largest_singular_value(op):
     assume(op.exact_op_norm() is not None)
     sigma = svd_norm(op)
     assert abs(op.op_norm() - sigma) <= RTOL * sigma
+
+
+@property_settings
+@given(operators)
+def test_min_eig_gram_is_the_smallest_eigenvalue_of_the_assembled_gram(op):
+    # tall and scalar-gram kinds are decided by their structure; the eigensolve is the oracle
+    A = linops.materialize(op)
+    eigs = np.linalg.eigvalsh(A @ A.T)
+    lo, hi = float(eigs[0]), float(eigs[-1])
+    got = linops.estimate_min_eig_gram(op)
+    if lo <= 1e-10 * hi:
+        assert got == 0.0
+    else:
+        assert abs(got - lo) <= RTOL * hi
