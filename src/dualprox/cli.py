@@ -286,8 +286,9 @@ def cmd_spectra(args):
         print("surjective: no (AA^T is singular)")
     if not op.gram_is_scalar:
         print(
-            "note: the dual step then relies on the scalar approximation "
-            "beta = 1/(alpha ||A||^2), as the denoising experiments do"
+            "note: AA^T is not a multiple of the identity, so the dual step relies on "
+            "the scalar approximation beta = 1/(alpha ||A||^2), as the denoising "
+            "experiments do"
         )
     return 0
 

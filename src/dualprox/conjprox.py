@@ -19,6 +19,12 @@ The catalog covers:
 * ``LpBall(lam, p, r)``:  h(x) = lam * ||x||_p^p + indicator of ||x||_inf <= r
 * ``ScadBox(lam, gamma, r)``: SCAD penalty + indicator of [-r, r]^n
 
+Each evaluator reads its input's span (min and max) before any full-size
+pass and evaluates only the pieces some entry reaches: h* is +0.0 on the
+flat part, h is the penalty inside dom h, and the prox writes a shifted
+line only where an entry crosses its threshold. A nan fails every
+comparison, so an input with a nan always takes the full path.
+
 Everything acts coordinate-wise. A brute-force grid oracle backs every
 closed form: ``conj_value_oracle`` takes the sup of y*x - h(x) over a
 grid spanning each kind's own box or ball, never the ramp, and
@@ -60,9 +66,15 @@ class Regularizer:
     #: used to size oracle grids
     scale = 1.0
 
+    # The span tests (see the module docstring) cost one reduction when the
+    # first fails; an empty input has no span and takes the full path.
     def value_h(self, x):
         """h(x), possibly +inf; used for objective reporting only."""
-        return float(np.sum(self._h_elem(np.asarray(x, dtype=float))))
+        x = np.asarray(x, dtype=float)
+        dom = self._dom_bounds()
+        if x.size and dom[0] <= x.min() and x.max() <= dom[1]:
+            return float(np.sum(self._penalty_elem(x)))
+        return float(np.sum(self._h_elem(x, dom)))
 
     def penalty_value(self, x):
         """The finite penalty part of h, with the indicator dropped."""
@@ -70,7 +82,12 @@ class Regularizer:
 
     def conj_value(self, y):
         """h*(y) summed over coordinates."""
-        return float(np.sum(self._conj_elem(np.asarray(y, dtype=float))))
+        y = np.asarray(y, dtype=float)
+        ramp = self._ramp()
+        # h* is +0.0 on every entry of the flat part, and so is their sum
+        if y.size and ramp[0] <= y.min() and y.max() <= ramp[1]:
+            return 0.0
+        return float(np.sum(self._conj_elem(y, ramp)))
 
     def prox_conj(self, v, beta):
         """argmin_u h*(u) + ||u - v||^2 / (2 beta), coordinate-wise."""
@@ -86,14 +103,20 @@ class Regularizer:
         """(lo, hi, s_lo, s_hi): h* is 0 on [lo, hi], slope s_lo below, s_hi above."""
         raise NotImplementedError
 
-    # h is the penalty on dom h = [s_lo, s_hi] (bounds widened by
-    # INDICATOR_RTOL; an infinite slope widens to itself) and +inf beyond;
-    # nan fails both tests. +inf goes into the penalty's own new array (0-d
-    # for a scalar), several times faster than an np.where output.
-    def _h_elem(self, x):
+    def _dom_bounds(self):
+        """(below, above): dom h = [s_lo, s_hi] widened by INDICATOR_RTOL.
+
+        An infinite slope widens to itself.
+        """
         _, _, s_lo, s_hi = self._ramp()
-        above = s_hi + INDICATOR_RTOL * max(1.0, abs(s_hi))
-        below = s_lo - INDICATOR_RTOL * max(1.0, abs(s_lo))
+        return (s_lo - INDICATOR_RTOL * max(1.0, abs(s_lo)),
+                s_hi + INDICATOR_RTOL * max(1.0, abs(s_hi)))
+
+    # h is the penalty within _dom_bounds and +inf beyond; nan fails both
+    # tests. +inf goes into the penalty's own new array (0-d for a scalar),
+    # several times faster than an np.where output.
+    def _h_elem(self, x, dom=None):
+        below, above = self._dom_bounds() if dom is None else dom
         out = np.asarray(self._penalty_elem(x))
         np.copyto(out, np.inf, where=(x > above) | (x < below))
         return out
@@ -104,9 +127,10 @@ class Regularizer:
     # the upper line, which np.maximum keeps. Infinite slopes (L1) would
     # multiply a zero excess or meet inf - inf there, so each line is then
     # evaluated only where it applies. The output arrays are made up front
-    # so that 0-d inputs stay arrays.
-    def _conj_elem(self, y):
-        lo, hi, s_lo, s_hi = self._ramp()
+    # so that 0-d inputs stay arrays. ``ramp`` is self._ramp() when the
+    # caller has it.
+    def _conj_elem(self, y, ramp=None):
+        lo, hi, s_lo, s_hi = self._ramp() if ramp is None else ramp
         if s_hi == np.inf:
             out = np.zeros_like(y)
             np.multiply(s_hi, y - hi, out=out, where=~(y <= hi))
@@ -116,11 +140,20 @@ class Regularizer:
         np.maximum(out, s_lo * (y - lo), out=out)
         return np.maximum(out, 0.0, out=out)
 
+    # Each shifted line is written only when some entry crosses its
+    # threshold; "not max <= top" holds for a nan, which keeps the masked
+    # pass. With infinite slopes (L1) no finite entry crosses, so only the
+    # clip runs.
     def _prox_elem(self, v, beta):
         lo, hi, s_lo, s_hi = self._ramp()
         u = np.clip(v, lo, hi, out=np.empty_like(v))
-        np.subtract(v, beta * s_hi, out=u, where=v > hi + beta * s_hi)
-        np.subtract(v, beta * s_lo, out=u, where=v < lo + beta * s_lo)
+        if v.size:
+            top = hi + beta * s_hi
+            if not v.max() <= top:
+                np.subtract(v, beta * s_hi, out=u, where=v > top)
+            bottom = lo + beta * s_lo
+            if not v.min() >= bottom:
+                np.subtract(v, beta * s_lo, out=u, where=v < bottom)
         return u
 
 
@@ -155,8 +188,12 @@ class L0Box(Regularizer):
         self.c2 = float(c2)
         self.scale = max(self.c2, -self.c1)
 
+    # the 0/1 mask goes straight into a float array, which is scaled in
+    # place (lam*1.0 = lam, lam*0.0 = +0.0); casting a bool mask to float
+    # would cost more than the rest of the call
     def _penalty_elem(self, x):
-        out = np.multiply(self.lam, x != 0, out=np.empty_like(x))
+        out = np.not_equal(x, 0.0, out=np.empty_like(x))
+        out *= self.lam
         # nan != 0 holds too, so put the nan back
         np.copyto(out, x, where=np.isnan(x))
         return out

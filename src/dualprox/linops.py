@@ -179,8 +179,15 @@ class Gradient2D(LinearOperator):
         dh = y[:n].reshape(self.height, self.width)
         dv = y[n:].reshape(self.height, self.width)
         if self.boundary == "periodic":
-            out = np.roll(dh, 1, axis=1) - dh
-            out += np.roll(dv, 1, axis=0) - dv
+            # (roll(dh, 1, 1) - dh) + (roll(dv, 1, 0) - dv), with the wrapped
+            # first column and row written apart from the rest
+            out = np.empty((self.height, self.width))
+            np.subtract(dh[:, :-1], dh[:, 1:], out=out[:, 1:])
+            np.subtract(dh[:, -1:], dh[:, :1], out=out[:, :1])
+            tmp = np.empty_like(out)
+            np.subtract(dv[:-1, :], dv[1:, :], out=tmp[1:, :])
+            np.subtract(dv[-1:, :], dv[:1, :], out=tmp[:1, :])
+            out += tmp
         else:
             out = -(dh + dv)
             out[:, 1:] += dh[:, :-1]

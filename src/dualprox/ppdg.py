@@ -21,7 +21,9 @@ with the exact gradient (estimator None) and an iteration cap,
 :mod:`dualprox.sppdg` with a variance-reduced estimate and an
 evaluation budget. The step forms the primal residual grad f(x) + A^T y
 once; with the exact gradient its norm is the trace row's KKT residual,
-so a deterministic iteration applies A^T and grad f once each. A finite
+so a deterministic iteration applies A^T and grad f once each. The dual
+step likewise forms y^k - y^{k+1} once: its norm is kept as the state's
+``dy_norm``, the row's dy, and g^{k+1} is formed in place on it. A finite
 sum is a composite problem, so every function here takes either type.
 
 Each iteration stamps its trace row's step norms and ``elapsed_s`` at
@@ -184,7 +186,9 @@ class SolverState:
     g^k = -(y^k - y^{k-1})/beta + A(2x^k - x^{k-1}). ``x_prev2`` is
     x^{k-2}, for the stochastic Lyapunov window. ``residual_norm`` is
     ||grad f(x_cur) + A^T y_cur|| as the step formed it on the way to
-    x_next; None when the step used a gradient estimate.
+    x_next; None when the step used a gradient estimate. ``dy_norm`` is
+    ||y_cur - y_prev|| as the dual step formed it; None on a state the
+    step did not make, where the trace row forms it anew.
     """
 
     k: int
@@ -196,6 +200,7 @@ class SolverState:
     g_cur: np.ndarray = None
     x_prev2: np.ndarray = None
     residual_norm: float = None
+    dy_norm: float = None
 
     def z_window(self):
         return (self.x_cur, self.y_cur, self.x_next, self.x_prev)
@@ -280,10 +285,18 @@ def dual_beta(problem, config):
 
 
 def dual_prox_step(regularizer, y, a_extrap, beta):
-    """One dual update; returns (y_next, g_next) with g_next in dh*(y_next)."""
+    """One dual update; returns (y_next, g_next, ||y_next - y||), g_next in dh*(y_next).
+
+    g_next = (y - y_next)/beta + a_extrap is formed in place on y - y_next,
+    after its norm is taken: the norm of a negated vector is the same, bit
+    for bit.
+    """
     y_next = regularizer.prox_conj(y + beta * a_extrap, beta)
-    g_next = (y - y_next) / beta + a_extrap
-    return y_next, g_next
+    g_next = y - y_next
+    dy = _norm(g_next)
+    g_next /= beta
+    g_next += a_extrap
+    return y_next, g_next, dy
 
 
 def _primal_step(problem, config, gradient, k, x, y):
@@ -310,10 +323,16 @@ def _residual_norm(problem, state, grad=None):
 
 
 def _step_norms(state):
-    """(||x^k - x^{k-1}||^2, ||x^k - x^{k-1}||, ||y^k - y^{k-1}||), one dot per difference."""
+    """(||x^k - x^{k-1}||^2, ||x^k - x^{k-1}||, ||y^k - y^{k-1}||), one dot per difference.
+
+    The last is the step's ``dy_norm`` when it kept one.
+    """
     dv = state.x_cur - state.x_prev
     dv_sq = float(dv.dot(dv))
-    return dv_sq, math.sqrt(dv_sq), _norm(state.y_cur - state.y_prev)
+    dy = state.dy_norm
+    if dy is None:
+        dy = _norm(state.y_cur - state.y_prev)
+    return dv_sq, math.sqrt(dv_sq), dy
 
 
 def init_state(problem, x0, y0, config, gradient=None):
@@ -340,7 +359,7 @@ def step(problem, state, config, beta=None, gradient=None):
     if beta is None:
         beta = dual_beta(problem, config)
     a_extrap = problem.operator.apply(2.0 * state.x_next - state.x_cur)
-    y_next, g_next = dual_prox_step(problem.regularizer, state.y_cur, a_extrap, beta)
+    y_next, g_next, dy = dual_prox_step(problem.regularizer, state.y_cur, a_extrap, beta)
     x_after, norm = _primal_step(problem, config, gradient, state.k + 1, state.x_next, y_next)
     # x^1, formed by init_state, is checked in the first step
     if not (_norm(x_after) <= NORM_CAP and _norm(y_next) <= NORM_CAP
@@ -356,6 +375,7 @@ def step(problem, state, config, beta=None, gradient=None):
         g_cur=g_next,
         x_prev2=state.x_prev,
         residual_norm=norm,
+        dy_norm=dy,
     )
 
 

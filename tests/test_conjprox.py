@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dualprox import conjprox
+from dualprox import conjprox, dataio, ppdg, problems
 from dualprox.conjprox import (
     L0Box,
     L1,
@@ -411,3 +411,78 @@ def test_scad_penalty_matches_the_gather_scatter_form():
             for v in x[:20]:
                 assert_bitwise_equal(reg._penalty_elem(np.array(v)),
                                      gather_scatter_scad(reg, np.array(v)))
+
+
+# --- the span tests against the full masked evaluation -------------------
+
+
+def masked_prox(reg, v, beta):
+    lo, hi, s_lo, s_hi = reg._ramp()
+    u = np.clip(v, lo, hi, out=np.empty_like(v))
+    np.subtract(v, beta * s_hi, out=u, where=v > hi + beta * s_hi)
+    np.subtract(v, beta * s_lo, out=u, where=v < lo + beta * s_lo)
+    return u
+
+
+def span_inputs(a, b, *ends):
+    """Arrays wholly in [a, b], each special point alone, 0-d and beside them, and empty.
+
+    Infinite ends are left out: special_points has +-inf already.
+    """
+    inside = np.array([a, b, 0.5 * (a + b), 0.0, -0.0])  # every [a, b] here holds 0
+    points = special_points(a, b, *(end for end in ends if np.isfinite(end)))
+    arrays = [inside, points, np.array([])]
+    for p in points:
+        arrays += [np.array(p), np.array([p]), np.append(inside, p), np.append(p, inside)]
+    return arrays
+
+
+def test_span_tests_match_the_full_masked_evaluation_bit_for_bit():
+    for reg in catalog():
+        lo, hi, s_lo, s_hi = reg._ramp()
+        below, above = reg._dom_bounds()
+        for y in span_inputs(lo, hi):
+            assert_bitwise_equal(reg.conj_value(y), float(np.sum(reg._conj_elem(y))))
+        for x in span_inputs(max(below, -1e6), min(above, 1e6), below, above, s_lo, s_hi):
+            assert_bitwise_equal(reg.value_h(x), float(np.sum(reg._h_elem(x))))
+        for beta in (0.3, 7.0):
+            bottom, top = lo + beta * s_lo, hi + beta * s_hi
+            for v in span_inputs(max(bottom, -1e6), min(top, 1e6), bottom, top, lo, hi):
+                assert_bitwise_equal(reg.prox_conj(v, beta), masked_prox(reg, v, beta))
+
+
+def l0_product_form(reg, x):
+    out = np.multiply(reg.lam, x != 0, out=np.empty_like(x))
+    np.copyto(out, x, where=np.isnan(x))
+    return out
+
+
+def test_l0_penalty_matches_the_product_with_the_bool_mask():
+    reg = L0Box(0.1, -1.0, 1.0)
+    x = np.concatenate([special_points(reg.c1, reg.c2, 1e-300, -1e-300),
+                        np.random.default_rng(5).uniform(-2.0, 2.0, 200)])
+    assert_bitwise_equal(reg._penalty_elem(x), l0_product_form(reg, x))
+    for v in x[:20]:
+        assert_bitwise_equal(reg._penalty_elem(np.array(v)), l0_product_form(reg, np.array(v)))
+
+
+def test_conj_value_on_a_settled_denoise_run_never_evaluates_the_ramp(monkeypatch):
+    img = dataio.add_gaussian_noise(problems.blocks_image(32, 32), 0.05, 3)
+    prob = problems.build_denoise(img)
+    calls = []
+    conj_elem = conjprox.Regularizer._conj_elem
+
+    def spy(self, y, ramp=None):
+        calls.append(y.size)
+        return conj_elem(self, y, ramp)
+
+    monkeypatch.setattr(conjprox.Regularizer, "_conj_elem", spy)
+    config = ppdg.PpdgConfig(alpha=ppdg.default_alpha(prob.lipschitz_L), max_iters=50,
+                             tol_step=0.0)
+    records = []
+    ppdg.solve(prob, config, trace_sink=records.append)
+    assert len(records) == 50 and calls == []
+    # the spy sees the full path once the dual leaves the flat part
+    lo, _, _, _ = prob.regularizer._ramp()
+    assert prob.regularizer.conj_value(np.array([2.0 * lo])) > 0.0
+    assert calls == [1]

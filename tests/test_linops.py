@@ -204,3 +204,20 @@ def test_gradient2d_apply_equals_the_roll_and_pad_formulas(shape):
         got = linops.Gradient2D(h, w, boundary=boundary).apply(x)
         assert np.array_equal(got, want), boundary
         assert np.array_equal(np.signbit(got), np.signbit(want)), boundary
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (5, 7), (16, 4), (9, 9)])
+def test_gradient2d_adjoint_equals_the_roll_formula(shape):
+    h, w = shape
+    rng = np.random.default_rng(h * w)
+    y = rng.standard_normal(2 * h * w)
+    y[::5] = -0.0
+    # all signed zeros, so that some sums land on -0.0 (none do at 2x2)
+    zeros = np.where(rng.random(2 * h * w) < 0.5, -0.0, 0.0)
+    op = linops.Gradient2D(h, w, boundary="periodic")
+    for x in (y, zeros):
+        dh, dv = x[: h * w].reshape(h, w), x[h * w :].reshape(h, w)
+        want = ((np.roll(dh, 1, axis=1) - dh) + (np.roll(dv, 1, axis=0) - dv)).ravel()
+        got = op.apply_adjoint(x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -492,6 +492,19 @@ def test_kkt_consistency_scalar_problem(scalar_problem):
     assert report.kkt_x <= 1e-8
 
 
+def test_dual_prox_step_forms_g_and_dy_from_one_difference():
+    reg = conjprox.L0Box(0.1, -1.0, 1.0)
+    rng = np.random.default_rng(8)
+    y = rng.uniform(-0.2, 0.2, 50)
+    a_extrap = rng.standard_normal(50)
+    for beta in (0.3, 7.0):
+        y_next, g_next, dy = ppdg.dual_prox_step(reg, y, a_extrap, beta)
+        assert np.array_equal(y_next, reg.prox_conj(y + beta * a_extrap, beta))
+        want = (y - y_next) / beta + a_extrap
+        assert np.array_equal(g_next, want) and np.array_equal(np.signbit(g_next), np.signbit(want))
+        assert dy == float(np.linalg.norm(y_next - y))
+
+
 def test_row_step_norms_are_np_linalg_norm_exactly(monkeypatch):
     # the loop forms (x^k - x^{k-1}) . itself once; its root is the norm, bit for bit
     img = dataio.add_gaussian_noise(problems.blocks_image(12, 10), 0.05, 3)
