@@ -26,7 +26,7 @@ problem = CompositeProblem(
 )
 
 config = ppdg.PpdgConfig(alpha=0.3, max_iters=200, tol_step=0.0, lyapunov_checks=True)
-constants = ppdg.LyapunovConstants.from_parameters(0.3, 0.2, 1.0)
+constants = ppdg.LyapunovConstants.from_parameters(0.3, 1.0)
 print(f"descent constants: a={constants.a:.4f} b={constants.b:.4f} c={constants.c:.4f}")
 
 records = []

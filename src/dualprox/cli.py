@@ -271,10 +271,8 @@ def _build_operator(args):
 
 
 def cmd_spectra(args):
-    if args.iterations < 1:
-        raise UsageError("spectra needs --iterations >= 1")
     op = _build_operator(args)
-    norm = op.op_norm(iterations=args.iterations)
+    norm = op.op_norm()
     min_eig = linops.estimate_min_eig_gram(op)
     print(f"kind: {op.kind}  ({op.out_dim} x {op.in_dim})")
     print(f"op_norm: {norm:.12g}")
@@ -347,7 +345,7 @@ def build_parser():
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=3.0)
     p.add_argument("--points", type=int, default=PROX_CHECK_POINTS)
-    p.add_argument("--step", type=float, default=1e-4)
+    p.add_argument("--step", type=float, default=conjprox.ORACLE_STEP)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_prox_check)
 
@@ -360,7 +358,6 @@ def build_parser():
     s.add_argument("--width", type=int, default=8)
     s.add_argument("--boundary", choices=("periodic", "zero-pad"), default="periodic")
     s.add_argument("--csv", help="dense matrix / stacked top block")
-    s.add_argument("--iterations", type=int, default=500)
     s.set_defaults(func=cmd_spectra)
 
     return parser

@@ -28,13 +28,14 @@ comparison, so an input with a nan always takes the full path.
 Everything acts coordinate-wise. A brute-force grid oracle backs every
 closed form: ``conj_value_oracle`` takes the sup of y*x - h(x) over a
 grid spanning each kind's own box or ball, never the ramp, and
-``prox_conj_oracle`` minimizes the prox objective over a grid. For SCAD
+``prox_conj_oracle`` minimizes the prox objective over a grid centred
+on 0 of half-width at least 10. Both grids have the fixed step
+``ORACLE_STEP``; only ``oracle_prox_deviation``, which backs
+``dualprox prox-check --step``, takes another. For SCAD
 the closed forms are the symmetrized ones the oracle certifies (all
 three parameter cases reduce to h*(y) = r * max(|y| - theta, 0)), not
 the asymmetric variants sometimes quoted for this penalty.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +45,6 @@ __all__ = [
     "L0Box",
     "LpBall",
     "ScadBox",
-    "ProxOracle",
     "prox_conj_oracle",
     "conj_value_oracle",
     "oracle_prox_deviation",
@@ -56,6 +56,8 @@ __all__ = [
 # stays finite at boundary-active solutions (iterates land within a few ulp
 # of the box/ball edge)
 INDICATOR_RTOL = 1e-9
+# grid spacing of the brute-force oracles
+ORACLE_STEP = 1e-4
 
 
 class Regularizer:
@@ -276,42 +278,23 @@ class ScadBox(Regularizer):
         return -self.theta, self.theta, -self.r, self.r
 
 
-@dataclass
-class ProxOracle:
-    """Exhaustive grid search settings for verifying prox_conj."""
-
-    grid_lo: float
-    grid_hi: float
-    grid_step: float = 1e-4
-
-    def grid(self):
-        if not (self.grid_step > 0 and self.grid_hi > self.grid_lo):
-            raise ValueError("prox oracle: empty grid")
-        return np.arange(self.grid_lo, self.grid_hi + self.grid_step, self.grid_step)
-
-
-def _default_oracle(reg, v, beta):
-    half = max(10.0, 3.0 * (abs(v) + reg.scale * beta))
-    return ProxOracle(grid_lo=-half, grid_hi=half)
-
-
-def prox_conj_oracle(reg, v, beta, oracle=None):
+def prox_conj_oracle(reg, v, beta):
     """Grid argmin of h*(u) + (u - v)^2 / (2 beta) for a scalar v.
 
-    Test harness only; the default grid is [-max(10, 3(|v| + scale*beta)),
-    +same] with step 1e-4, wide enough for every cataloged regularizer.
+    Test harness only; the grid is [-max(10, 3(|v| + scale*beta)), +same]
+    with step ORACLE_STEP, wide enough for every cataloged regularizer.
     """
     if not beta > 0.0:
         raise ValueError("prox oracle: beta must be positive")
-    if oracle is None:
-        oracle = _default_oracle(reg, float(v), float(beta))
-    u = oracle.grid()
-    vals = reg._conj_elem(u) + (u - float(v)) ** 2 / (2.0 * beta)
+    v = float(v)
+    half = max(10.0, 3.0 * (abs(v) + reg.scale * float(beta)))
+    u = np.arange(-half, half + ORACLE_STEP, ORACLE_STEP)
+    vals = reg._conj_elem(u) + (u - v) ** 2 / (2.0 * beta)
     return float(u[np.argmin(vals)])
 
 
-def conj_value_oracle(reg, y, step=1e-4, unbounded_halfwidth=40.0):
-    """Grid sup of y*x - h(x) for a scalar y.
+def conj_value_oracle(reg, y, unbounded_halfwidth=40.0):
+    """Grid sup of y*x - h(x) for a scalar y, on a grid of step ORACLE_STEP.
 
     The grid spans dom h (the box or ball for the bounded kinds, a wide
     window for l1) and always contains x = 0 exactly, which matters for
@@ -325,12 +308,12 @@ def conj_value_oracle(reg, y, step=1e-4, unbounded_halfwidth=40.0):
         lo, hi = reg.c1, reg.c2
     else:
         lo, hi = -reg.r, reg.r
-    xs = np.arange(lo, hi + step, step)
+    xs = np.arange(lo, hi + ORACLE_STEP, ORACLE_STEP)
     xs = np.concatenate([xs, [0.0]])
     return float(np.max(float(y) * xs - reg._h_elem(xs)))
 
 
-def oracle_prox_deviation(reg, points, betas, step=1e-4):
+def oracle_prox_deviation(reg, points, betas, step=ORACLE_STEP):
     """Max |closed-form prox - grid-oracle prox| over points x betas.
 
     Shares one grid (and one h* evaluation on it) per beta, which keeps
@@ -349,12 +332,12 @@ def oracle_prox_deviation(reg, points, betas, step=1e-4):
     return worst
 
 
-def oracle_conj_deviation(reg, points, step=1e-4):
+def oracle_conj_deviation(reg, points):
     """Max |closed-form h* - grid sup| over finite-valued points."""
     worst = 0.0
     for y in np.asarray(points, dtype=float):
         closed = reg.conj_value(np.array([y]))
         if np.isinf(closed):
             continue
-        worst = max(worst, abs(closed - conj_value_oracle(reg, y, step=step)))
+        worst = max(worst, abs(closed - conj_value_oracle(reg, y)))
     return worst

@@ -1,6 +1,5 @@
 """Data ingestion and output: PGM images, LIBSVM datasets, seeded noise, CSV traces."""
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,18 +247,14 @@ def _format_cell(value):
     return f"{float(value):.17g}"
 
 
-def write_trace_csv(path, records, fieldnames=None, comment=None):
-    """Write homogeneous records as CSV, LF-terminated.
+def write_trace_csv(path, records, fieldnames, comment=None):
+    """Write records as CSV, one column per name in ``fieldnames``, LF-terminated.
 
     Reals are printed with 17 significant digits so that re-parsing
     reproduces the identical 64-bit value. An empty record list
-    produces a header-only file (fieldnames then must be given or
-    inferable). ``comment`` is emitted first as a `#`-prefixed line.
+    produces a header-only file. ``comment`` is emitted first as a
+    `#`-prefixed line.
     """
-    if records and fieldnames is None:
-        fieldnames = [f.name for f in dataclasses.fields(records[0])]
-    if fieldnames is None:
-        raise ValueError("fieldnames required when records is empty")
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")

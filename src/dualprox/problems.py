@@ -42,6 +42,10 @@ SIGMOID_CURVATURE = 0.7699
 # that each pass holds one block-sized temporary, not a full-size one.
 BLOCK_ROWS = 1024
 
+# standard deviation of the noise that makes each synthetic copy feature
+# differ from its latent twin
+PAIR_NOISE = 0.3
+
 
 def _row_blocks(n_rows):
     """Slices of at most BLOCK_ROWS consecutive rows covering range(n_rows)."""
@@ -309,11 +313,12 @@ def blocks_image(height, width):
     return ImageBuffer.from_matrix(img)
 
 
-def synthetic_fused_lasso_data(n_rows, n_features, seed=0, pair_noise=0.3):
+def synthetic_fused_lasso_data(n_rows, n_features, seed=0):
     """Seeded classification data with correlated feature pairs.
 
     Half the features are latent Gaussians, the other half noisy copies
-    of them, so the correlation-threshold graph has one edge per pair.
+    of them (noise level PAIR_NOISE), so the correlation-threshold graph
+    has one edge per pair.
     Labels come from a random linear rule and land in {-1, +1}. The rows
     are written into one preallocated (n_rows, n_features) array.
     """
@@ -329,7 +334,7 @@ def synthetic_fused_lasso_data(n_rows, n_features, seed=0, pair_noise=0.3):
         latent[blk] = rng.standard_normal(latent[blk].shape)
     for blk in _row_blocks(n_rows):
         noise = rng.standard_normal(copies[blk].shape)
-        noise *= pair_noise
+        noise *= PAIR_NOISE
         noise += latent[blk]
         copies[blk] = noise
     w_true = rng.standard_normal(n_features)

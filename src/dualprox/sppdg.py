@@ -117,27 +117,27 @@ class SppdgLyapunovConstants:
     e0: float
 
     @classmethod
-    def from_parameters(cls, alpha, L, kappa, delta1=DELTA1, delta2=DELTA2):
+    def from_parameters(cls, alpha, L, kappa):
         e0 = (
             1.0 / (3.0 * alpha)
-            - (delta1 + L) / 6.0
-            - kappa / (3.0 * delta1)
-            - 4.0 * delta2 * L / 3.0
-            - 4.0 * delta2 / (3.0 * alpha)
-            - 2.0 * delta2 * alpha * L**2 / 3.0
-            - alpha * L**2 / (2.0 * delta2)
-            - 2.0 * alpha * kappa / delta2
-            - 8.0 * delta2 * alpha * kappa / 3.0
+            - (DELTA1 + L) / 6.0
+            - kappa / (3.0 * DELTA1)
+            - 4.0 * DELTA2 * L / 3.0
+            - 4.0 * DELTA2 / (3.0 * alpha)
+            - 2.0 * DELTA2 * alpha * L**2 / 3.0
+            - alpha * L**2 / (2.0 * DELTA2)
+            - 2.0 * alpha * kappa / DELTA2
+            - 8.0 * DELTA2 * alpha * kappa / 3.0
         )
-        a = e0 + 2.0 * delta2 / alpha + 2.0 * delta2 * alpha * kappa
+        a = e0 + 2.0 * DELTA2 / alpha + 2.0 * DELTA2 * alpha * kappa
         b = (
             e0
-            + 9.0 * alpha * kappa / (2.0 * delta2)
-            + 2.0 * delta2 * alpha * kappa
-            + kappa / (2.0 * delta1)
-            + 3.0 * alpha * L**2 / (2.0 * delta2)
+            + 9.0 * alpha * kappa / (2.0 * DELTA2)
+            + 2.0 * DELTA2 * alpha * kappa
+            + kappa / (2.0 * DELTA1)
+            + 3.0 * alpha * L**2 / (2.0 * DELTA2)
         )
-        c = 3.0 * alpha * kappa / (2.0 * delta2)
+        c = 3.0 * alpha * kappa / (2.0 * DELTA2)
         return cls(a=a, b=b, c=c, e0=e0)
 
 

@@ -87,7 +87,7 @@ def descent_history():
     prob = descent_problem()
     cfg = PpdgConfig(alpha=0.3, max_iters=502, tol_step=0.0)
     states = run_history(prob, cfg, np.zeros(10), np.zeros(10), 502)
-    consts = LyapunovConstants.from_parameters(0.3, 0.2, 1.0)
+    consts = LyapunovConstants.from_parameters(0.3, 1.0)
     return prob, states, consts
 
 

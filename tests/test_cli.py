@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dualprox import cli, dataio, ppdg, sppdg
+from dualprox import dataio, linops, ppdg, problems, sppdg
 from dualprox.cli import main
 
 
@@ -429,18 +429,23 @@ def test_spectra_stacked_identity_over_identity(tmp_path, capsys):
     assert "surjective: no" in out
 
 
-@pytest.mark.parametrize("op, iterations", [
-    (["--op", "identity"], "0"),
-    (["--op", "gradient2d"], "-5"),
-    (["--op", "gradient2d", "--boundary", "zero-pad"], "0"),
-], ids=["identity", "gradient2d", "gradient2d-zero-pad"])
-def test_spectra_needs_a_positive_iteration_count(monkeypatch, capsys, op, iterations):
-    # rejected before any operator is built, whether or not its norm is known exactly
-    monkeypatch.setattr(cli, "_build_operator", lambda args: pytest.fail("operator built"))
-    assert main(["spectra", *op, "--iterations", iterations]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "usage error: spectra needs --iterations >= 1\n"
-    assert captured.out == ""
+@pytest.mark.parametrize("flags, op", [
+    (["--op", "dense"], linops.DenseMatrix(np.diag([1.0, 0.999]))),
+    (["--op", "gradient2d", "--height", "8", "--width", "8", "--boundary", "zero-pad"],
+     linops.Gradient2D(8, 8, boundary="zero-pad")),
+], ids=["dense-diag", "gradient2d-zero-pad"])
+def test_spectra_prints_the_norm_the_dual_weight_is_built_from(tmp_path, capsys, flags, op):
+    # both kinds take the power iteration, so a second iteration count would show here
+    if op.kind == "dense-matrix":
+        np.savetxt(tmp_path / "a.csv", op.matrix, delimiter=",")
+        flags = [*flags, "--csv", str(tmp_path / "a.csv")]
+    assert main(["spectra", *flags]) == 0
+    assert f"\nop_norm: {op.op_norm():.12g}\n" in capsys.readouterr().out
+    problem = problems.CompositeProblem(
+        f_value=None, grad_f=None, lipschitz_L=1.0, operator=op, regularizer=None
+    )
+    alpha = 0.3
+    assert ppdg.dual_beta(problem, ppdg.PpdgConfig(alpha=alpha)) == 1.0 / (alpha * op.op_norm() ** 2)
 
 
 def test_unknown_subcommand_usage_error():

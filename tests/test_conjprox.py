@@ -8,7 +8,6 @@ from dualprox.conjprox import (
     L0Box,
     L1,
     LpBall,
-    ProxOracle,
     ScadBox,
     conj_value_oracle,
     prox_conj_oracle,
@@ -247,9 +246,7 @@ def test_oracle_examples():
     assert prox_conj_oracle(ScadBox(0.1, 3.0, 1.0), 0.0, 1.0) == pytest.approx(0.0, abs=1e-4)
 
 
-def test_oracle_rejects_empty_grid_and_bad_beta():
-    with pytest.raises(ValueError):
-        prox_conj_oracle(L1(1.0), 0.0, 1.0, oracle=ProxOracle(1.0, -1.0))
+def test_oracle_rejects_bad_beta():
     with pytest.raises(ValueError):
         prox_conj_oracle(L1(1.0), 0.0, -1.0)
 
@@ -264,11 +261,10 @@ def test_oracle_conformance_sample():
 
 
 def test_oracle_argmin_tracks_closed_form_within_grid_step():
-    oracle = ProxOracle(grid_lo=-10.0, grid_hi=10.0, grid_step=1e-4)
     reg = L0Box(0.2, -0.5, 1.5)
     for v in (-3.0, -0.4, 0.05, 0.9, 4.0):
         closed = reg.prox_conj(np.array([v]), 0.7)[0]
-        assert prox_conj_oracle(reg, v, 0.7, oracle) == pytest.approx(
+        assert prox_conj_oracle(reg, v, 0.7) == pytest.approx(
             closed, abs=5e-4
         )
 

@@ -13,7 +13,7 @@ from dualprox.dataio import (
     write_pgm,
     write_trace_csv,
 )
-from dualprox.ppdg import TraceRecord
+from dualprox.ppdg import TRACE_FIELDS, TraceRecord
 
 # first 8 draws for seed 1, pinned after first generation
 GOLDEN_SEED1 = [
@@ -215,7 +215,7 @@ def test_trace_csv_roundtrip_exact(tmp_path):
         lyapunov=1e-17, dx_norm=np.pi, dy_norm=0.0, kkt_x=1.0, kkt_y=2.0,
     )
     path = tmp_path / "t.csv"
-    write_trace_csv(path, [rec])
+    write_trace_csv(path, [rec], fieldnames=TRACE_FIELDS)
     header, line = path.read_text().splitlines()
     cells = line.split(",")
     names = header.split(",")
@@ -233,8 +233,8 @@ def test_trace_csv_byte_identical_reruns(tmp_path):
         for i in range(4)
     ]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_trace_csv(p1, recs, comment="flags")
-    write_trace_csv(p2, recs, comment="flags")
+    write_trace_csv(p1, recs, fieldnames=TRACE_FIELDS, comment="flags")
+    write_trace_csv(p2, recs, fieldnames=TRACE_FIELDS, comment="flags")
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes().startswith(b"# flags\n")
     assert b"\r" not in p1.read_bytes()

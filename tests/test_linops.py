@@ -116,22 +116,22 @@ def test_op_norm_monotone_in_iterations():
     assert all(e <= true + 1e-12 for e in estimates)
 
 
-def test_op_norm_cache_is_keyed_on_iterations_and_seed(monkeypatch):
-    op = linops.DenseMatrix(np.random.default_rng(4).standard_normal((30, 20)))
-    rough = op.op_norm(iterations=1)
-    fine = op.op_norm(iterations=800)
-    assert fine == linops.estimate_op_norm(op, iterations=800)
-    assert fine == pytest.approx(np.linalg.norm(op.matrix, 2), rel=1e-6)
-    assert rough < fine
-    assert op.op_norm(iterations=1) == rough
-    # default-argument calls share one estimate
+def test_op_norm_estimates_once_and_only_without_an_exact_norm(monkeypatch):
     calls = []
     estimate = linops.estimate_op_norm
     monkeypatch.setattr(linops, "estimate_op_norm",
-                        lambda op, **kw: calls.append(kw) or estimate(op, **kw))
-    for _ in range(3):
-        assert op.op_norm() == op.op_norm(iterations=200, seed=0)
-    assert calls == [{"iterations": 200, "seed": 0}]
+                        lambda op, **kw: calls.append(op) or estimate(op, **kw))
+    dense = linops.DenseMatrix(np.random.default_rng(4).standard_normal((30, 20)))
+    zero_pad = linops.Gradient2D(6, 5, boundary="zero-pad")
+    for op in (dense, zero_pad):
+        norms = [op.op_norm() for _ in range(3)]
+        assert norms == [estimate(op)] * 3
+    assert calls == [dense, zero_pad]
+    calls.clear()
+    for op in (linops.Identity(3), linops.ScaledIdentity(3, -2.0), linops.Gradient2D(6, 5)):
+        for _ in range(3):
+            assert op.op_norm() == op.exact_op_norm()
+    assert calls == []
 
 
 def test_min_eig_gram_identity_and_fat_matrix():
@@ -168,7 +168,7 @@ def test_spectral_bounds_consistency_and_sandwich():
         linops.DenseMatrix(rng.standard_normal((3, 5))),
         linops.StackedOverIdentity(rng.standard_normal((3, 3))),
     ]:
-        norm = op.op_norm(iterations=800, seed=0)
+        norm = linops.estimate_op_norm(op, iterations=800)
         hat_lambda = np.sqrt(linops.estimate_min_eig_gram(op))
         tol = 1e-6 * norm
         for _ in range(100):

@@ -54,7 +54,7 @@ def test_lagrangian_minus_inf_for_l1_outside_ball():
 
 
 def test_lyapunov_constants_formulas():
-    consts = LyapunovConstants.from_parameters(0.3, 0.2, 1.0)
+    consts = LyapunovConstants.from_parameters(0.3, 1.0)
     assert consts.a == pytest.approx(0.2 / 0.3)
     b = 1 / 0.6 - 0.25 - 0.2 / 0.3 - 0.3 * 0.2 / 2 - 0.2 + 0.3 / 0.8
     assert consts.b == pytest.approx(b)
@@ -183,7 +183,7 @@ def test_first_step_checks_the_iterate_init_state_formed(monkeypatch):
 
 
 def test_lyapunov_distance_terms_vanish(scalar_problem):
-    consts = LyapunovConstants.from_parameters(0.3, 0.2, 1.0)
+    consts = LyapunovConstants.from_parameters(0.3, 1.0)
     x = np.array([0.4])
     y = np.array([0.02])
     assert lyapunov_value(scalar_problem, (x, y, x, x), consts) == pytest.approx(
@@ -203,7 +203,7 @@ def test_lyapunov_direct_formula_on_step_window(scalar_problem):
     cfg = exact_cfg()
     states = run_history(scalar_problem, cfg, np.zeros(1), np.zeros(1), 2)
     st = states[1]
-    consts = LyapunovConstants.from_parameters(0.3, 0.2, 1.0)
+    consts = LyapunovConstants.from_parameters(0.3, 1.0)
     direct = (
         lagrangian(scalar_problem, st.x_cur, st.y_cur)
         - consts.a * np.sum((st.x_cur - st.x_next) ** 2)
@@ -218,7 +218,7 @@ def test_lyapunov_column_matches_four_point_window(descent_problem):
     records = []
     ppdg.solve(descent_problem, cfg, trace_sink=records.append)
     states = run_history(descent_problem, cfg, np.zeros(10), np.zeros(10), 30)[1:]
-    consts = LyapunovConstants.from_parameters(0.3, 0.2, 1.0)
+    consts = LyapunovConstants.from_parameters(0.3, 1.0)
     assert consts.c != 0.0
     for record, st in zip(records, states, strict=True):
         assert record.lyapunov == lyapunov_value(descent_problem, st.z_window(), consts)
@@ -230,7 +230,7 @@ def test_lyapunov_column_matches_four_point_window(descent_problem):
 def test_subgradient_requires_completed_step(scalar_problem):
     cfg = exact_cfg()
     st = ppdg.init_state(scalar_problem, np.zeros(1), np.zeros(1), cfg)
-    consts = LyapunovConstants.from_parameters(0.3, 0.2, 1.0)
+    consts = LyapunovConstants.from_parameters(0.3, 1.0)
     with pytest.raises(ValueError):
         subgradient_d(scalar_problem, st, consts)
     with pytest.raises(ValueError):
@@ -240,7 +240,7 @@ def test_subgradient_requires_completed_step(scalar_problem):
 def test_subgradient_zero_at_critical_window():
     b = np.array([0.5, -0.25])
     prob = quadratic_problem(b, linops.Identity(2), conjprox.L0Box(0.1, -1, 1))
-    consts = LyapunovConstants.from_parameters(0.3, 0.2, 1.0)
+    consts = LyapunovConstants.from_parameters(0.3, 1.0)
     # stationary iterates: x fixed, y fixed, g = A x exactly
     x = np.array([0.45, -0.22])
     y = b - x
@@ -255,7 +255,7 @@ def test_subgradient_blocks_match_finite_differences(descent_problem):
     cfg = exact_cfg()
     states = run_history(descent_problem, cfg, np.zeros(10), np.zeros(10), 3)
     st = states[2]
-    consts = LyapunovConstants.from_parameters(0.3, 0.2, 1.0)
+    consts = LyapunovConstants.from_parameters(0.3, 1.0)
     (d_x, _, d_u, d_v), _ = subgradient_d(descent_problem, st, consts)
     eps = 1e-6
 
@@ -392,7 +392,7 @@ def test_solve_emits_one_record_per_iteration(descent_problem):
 def descent_run(descent_problem):
     cfg = exact_cfg(max_iters=502, tol_step=0.0, lyapunov_checks=True)
     states = run_history(descent_problem, cfg, np.zeros(10), np.zeros(10), 502)
-    consts = LyapunovConstants.from_parameters(0.3, 0.2, 1.0)
+    consts = LyapunovConstants.from_parameters(0.3, 1.0)
     return descent_problem, states, consts
 
 
