@@ -190,14 +190,12 @@ class L0Box(Regularizer):
         self.c2 = float(c2)
         self.scale = max(self.c2, -self.c1)
 
-    # the 0/1 mask goes straight into a float array, which is scaled in
-    # place (lam*1.0 = lam, lam*0.0 = +0.0); casting a bool mask to float
-    # would cost more than the rest of the call
+    # sign(x)^2 is 1.0 off zero, +0.0 at either zero and x itself at a nan,
+    # sign bit included; it is scaled in place (lam*1.0 = lam, lam*0.0 = +0.0)
     def _penalty_elem(self, x):
-        out = np.not_equal(x, 0.0, out=np.empty_like(x))
+        out = np.sign(x, out=np.empty_like(x))
+        out *= out
         out *= self.lam
-        # nan != 0 holds too, so put the nan back
-        np.copyto(out, x, where=np.isnan(x))
         return out
 
     def _ramp(self):

@@ -22,17 +22,20 @@ with the exact gradient (estimator None) and an iteration cap,
 evaluation budget. The step forms the primal residual grad f(x) + A^T y
 once; with the exact gradient its norm is the trace row's KKT residual,
 so a deterministic iteration applies A^T and grad f once each. The dual
-step likewise forms y^k - y^{k+1} once: its norm is kept as the state's
-``dy_norm``, the row's dy, and g^{k+1} is formed in place on it. A finite
-sum is a composite problem, so every function here takes either type.
+step likewise forms y^k - y^{k+1} once: its norm is the row's dy, and
+g^{k+1} is formed in place on it. The step is the one place the step
+norms are formed, and the state carries them as floats: ||x^{k+1} - x^k||^2,
+the previous state's value of it, and ||y^{k+1} - y^k||. So no state keeps
+y^{k-1} or x^{k-2}. A finite sum is a composite problem, so every function
+here takes either type.
 
-Each iteration stamps its trace row's step norms and ``elapsed_s`` at
-once, and the stop test reads those norms. A row under the exact
+The stop test reads the step norms of each new state, and each iteration
+stamps its trace row's ``elapsed_s`` at once. A row under the exact
 gradient is built and delivered in the same iteration. Under a gradient
 estimate the row needs f(x^k) and grad f(x^k), full sums that never feed
 the iterates, so the loop evaluates them for up to ``ROW_BATCH`` pending
-rows in one ``full_sums`` call: the rows reach ``trace_sink`` in order,
-in batches of up to ROW_BATCH, each with the ``elapsed_s`` and the
+rows in one ``full_sums`` call: the rows are delivered in order, in
+batches of up to ROW_BATCH, each with the ``elapsed_s`` and the
 estimator's evaluation count of its own iteration. On the fused lasso
 that call sums in another order than the per-point oracles, so the
 objective, lagrangian, lyapunov and kkt_x columns may differ from a
@@ -183,12 +186,15 @@ class SolverState:
     computed eagerly because the Lyapunov window z^k = (x^k, y^k,
     x^{k+1}, x^{k-1}) and the diagnostics all need x^{k+1}. ``g_cur``
     is the subgradient of h* at y_cur certified by the dual prox,
-    g^k = -(y^k - y^{k-1})/beta + A(2x^k - x^{k-1}). ``x_prev2`` is
-    x^{k-2}, for the stochastic Lyapunov window. ``residual_norm`` is
+    g^k = -(y^k - y^{k-1})/beta + A(2x^k - x^{k-1}). ``residual_norm`` is
     ||grad f(x_cur) + A^T y_cur|| as the step formed it on the way to
-    x_next; None when the step used a gradient estimate. ``dy_norm`` is
-    ||y_cur - y_prev|| as the dual step formed it; None on a state the
-    step did not make, where the trace row forms it anew.
+    x_next; None when the step used a gradient estimate.
+
+    The step norms are the step's own: ``dx_sq`` is ||x^k - x^{k-1}||^2,
+    ``prev_dx_sq`` is ||x^{k-1} - x^{k-2}||^2 (the previous state's
+    ``dx_sq``, for the stochastic Lyapunov window) and ``dy_norm`` is
+    ||y^k - y^{k-1}||. All three are 0.0 at k = 0, so at k = 1 x^{k-2}
+    is taken as x^{k-1}.
     """
 
     k: int
@@ -196,11 +202,11 @@ class SolverState:
     y_cur: np.ndarray
     x_next: np.ndarray
     x_prev: np.ndarray = None
-    y_prev: np.ndarray = None
     g_cur: np.ndarray = None
-    x_prev2: np.ndarray = None
     residual_norm: float = None
-    dy_norm: float = None
+    dx_sq: float = 0.0
+    prev_dx_sq: float = 0.0
+    dy_norm: float = 0.0
 
     def z_window(self):
         return (self.x_cur, self.y_cur, self.x_next, self.x_prev)
@@ -249,12 +255,12 @@ def lagrangian(problem, x, y):
     )
 
 
-def _window_value(lag, weights, du, dv_sq, dw):
-    """lag - a||du||^2 + b dv_sq (+ c||dw||^2 unless c is None), in that order."""
+def _window_value(lag, weights, du, dv_sq, dw_sq):
+    """lag - a||du||^2 + b dv_sq (+ c dw_sq unless c is None), in that order."""
     a, b, c = weights
     value = lag - a * float(du @ du) + b * dv_sq
     if c is not None:
-        value += c * float(dw @ dw)
+        value += c * dw_sq
     return value
 
 
@@ -268,7 +274,8 @@ def lyapunov_value(problem, z, constants):
     weights = (constants.a, constants.b, constants.c if w else None)
     dw = v - w[0] if w else None
     dv = x - v
-    return _window_value(lagrangian(problem, x, y), weights, x - u, float(dv @ dv), dw)
+    return _window_value(lagrangian(problem, x, y), weights, x - u, float(dv @ dv),
+                         None if dw is None else float(dw @ dw))
 
 
 def _norm(v):
@@ -322,19 +329,6 @@ def _residual_norm(problem, state, grad=None):
     return _norm(_primal_residual(problem, state, grad))
 
 
-def _step_norms(state):
-    """(||x^k - x^{k-1}||^2, ||x^k - x^{k-1}||, ||y^k - y^{k-1}||), one dot per difference.
-
-    The last is the step's ``dy_norm`` when it kept one.
-    """
-    dv = state.x_cur - state.x_prev
-    dv_sq = float(dv.dot(dv))
-    dy = state.dy_norm
-    if dy is None:
-        dy = _norm(state.y_cur - state.y_prev)
-    return dv_sq, math.sqrt(dv_sq), dy
-
-
 def init_state(problem, x0, y0, config, gradient=None):
     """State at k = 0; ``gradient`` is the oracle of ``step``."""
     x0 = np.asarray(x0, dtype=float)
@@ -354,7 +348,8 @@ def step(problem, state, config, beta=None, gradient=None):
     one step earlier (x^1 by ``init_state``, so the first step checks it
     too). It raises SolverDivergence(k + 1) unless every new norm is at
     most NORM_CAP, which a nan or inf norm fails, so every vector a trace
-    row reads is finite and within the cap.
+    row reads is finite and within the cap. The new state carries the
+    step norms ||x^{k+1} - x^k||^2, ||x^k - x^{k-1}||^2 and ||y^{k+1} - y^k||.
     """
     if beta is None:
         beta = dual_beta(problem, config)
@@ -365,16 +360,17 @@ def step(problem, state, config, beta=None, gradient=None):
     if not (_norm(x_after) <= NORM_CAP and _norm(y_next) <= NORM_CAP
             and (state.k > 0 or _norm(state.x_next) <= NORM_CAP)):
         raise SolverDivergence(state.k + 1)
+    dx = state.x_next - state.x_cur
     return SolverState(
         k=state.k + 1,
         x_cur=state.x_next,
         y_cur=y_next,
         x_next=x_after,
         x_prev=state.x_cur,
-        y_prev=state.y_cur,
         g_cur=g_next,
-        x_prev2=state.x_prev,
         residual_norm=norm,
+        dx_sq=float(dx.dot(dx)),
+        prev_dx_sq=state.dx_sq,
         dy_norm=dy,
     )
 
@@ -406,12 +402,13 @@ def subgradient_bound_gammas(constants, alpha, op_norm, L):
     return gamma1, gamma2
 
 
-def make_record(problem, state, weights, elapsed_s=0.0, norms=None, sums=None):
+def make_record(problem, state, weights, elapsed_s=0.0, sums=None):
     """Diagnostics row for the current state; needs k >= 1.
 
     ``weights = (a, b, c)`` weigh ||x^k - x^{k+1}||^2, ||x^k - x^{k-1}||^2
     and ||x^{k-1} - x^{k-2}||^2 in the Lyapunov column; c = None drops
-    the last term. At k = 1, x^{k-2} is taken as x^{k-1}.
+    the last term. The last two, and the row's dx and dy, are the step
+    norms the state carries.
 
     One pass: A x^k, f(x^k), h*(y^k) and h(A x^k) are each evaluated
     once. The KKT residuals are r_x = ||grad f(x^k) + A^T y^k|| and
@@ -420,30 +417,24 @@ def make_record(problem, state, weights, elapsed_s=0.0, norms=None, sums=None):
     r_x is the norm the step kept when its gradient was exact; under a
     gradient estimate grad f(x^k) and A^T y^k are evaluated once here.
 
-    ``norms`` is ``_step_norms(state)`` when the caller has it; the
-    Lyapunov column reuses its ||x^k - x^{k-1}||^2. ``sums`` is
-    (f(x^k), grad f(x^k)) when the caller has evaluated the full sums
-    already, as the loop does for a batch of stochastic rows.
+    ``sums`` is (f(x^k), grad f(x^k)) when the caller has evaluated the
+    full sums already, as the loop does for a batch of stochastic rows.
     """
     if state.k < 1 or state.g_cur is None:
         raise ValueError("make_record needs k >= 1 (a completed dual step)")
     reg = problem.regularizer
     x, y = state.x_cur, state.y_cur
-    dv_sq, dx_norm, dy_norm = _step_norms(state) if norms is None else norms
     ax = problem.operator.apply(x)
     f_x, grad = (problem.f_value(x), None) if sums is None else sums
     lag = _lagrangian_from(f_x, y, ax, reg.conj_value(y))
-    dw = None
-    if weights[2] is not None:
-        dw = state.x_prev - (state.x_prev if state.x_prev2 is None else state.x_prev2)
     return TraceRecord(
         iter=state.k,
         elapsed_s=elapsed_s,
         objective=float(f_x + reg.value_h(ax)),
         lagrangian=lag,
-        lyapunov=_window_value(lag, weights, x - state.x_next, dv_sq, dw),
-        dx_norm=dx_norm,
-        dy_norm=dy_norm,
+        lyapunov=_window_value(lag, weights, x - state.x_next, state.dx_sq, state.prev_dx_sq),
+        dx_norm=math.sqrt(state.dx_sq),
+        dy_norm=state.dy_norm,
         kkt_x=_residual_norm(problem, state, grad),
         kkt_y=_norm(ax - state.g_cur),
     )
@@ -464,9 +455,9 @@ def _iterate(problem, config, estimator, proceed, limit_reason, weights, on_reco
     ``config.tol_step``; the step raises SolverDivergence for an iterate
     beyond NORM_CAP.
 
-    Each iteration stamps its row's step norms, ``elapsed_s`` and
-    ``evals`` at once. With the exact gradient the row is built and
-    delivered in the same iteration. Under an estimate its full sums
+    The step stamps each row's step norms on its state, and the loop its
+    ``elapsed_s`` and ``evals``. With the exact gradient the row is built
+    and delivered in the same iteration. Under an estimate its full sums
     f(x^k) and grad f(x^k) wait, for up to ROW_BATCH iterates, for one
     ``problem.full_sums`` call; the pending rows are then built and
     delivered in order, and the last ones before the loop returns. Rows
@@ -486,19 +477,18 @@ def _iterate(problem, config, estimator, proceed, limit_reason, weights, on_reco
         if estimator is not None:
             values, grads = problem.full_sums(np.stack([row[0].x_cur for row in pending]))
             sums = zip(values, grads)
-        for (st, norms, elapsed_s, evals), row_sums in zip(pending, sums):
-            record = make_record(problem, st, weights, elapsed_s, norms, row_sums)
+        for (st, elapsed_s, evals), row_sums in zip(pending, sums):
+            record = make_record(problem, st, weights, elapsed_s, row_sums)
             on_record(record, evals)
         pending.clear()
 
     while proceed(state.k):
         state = step(problem, state, config, beta, gradient)
-        norms = _step_norms(state)
         evals = None if estimator is None else estimator.evals
-        pending.append((state, norms, time.perf_counter() - started, evals))
+        pending.append((state, time.perf_counter() - started, evals))
         if estimator is None or len(pending) == ROW_BATCH:
             deliver()
-        if max(norms[1], norms[2]) <= config.tol_step:
+        if max(math.sqrt(state.dx_sq), state.dy_norm) <= config.tol_step:
             reason = "converged"
             break
     if pending:

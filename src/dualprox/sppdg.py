@@ -15,9 +15,9 @@ geometrically decaying correction terms of the variance-reduction
 analysis have no closed form), so descent reporting is advisory.
 ``ppdg.lyapunov_value`` evaluates that part at a five-point window.
 
-A seed's trace rows reach ``trace_sink`` in order, in batches of up to
-``ppdg.ROW_BATCH``, because the loop evaluates the rows' full sums for a
-batch of iterates in one ``problem.full_sums`` call. Each row's
+Each seed starts at zero. Its trace rows are built in order, in batches of
+up to ``ppdg.ROW_BATCH``, because the loop evaluates the rows' full sums
+for a batch of iterates in one ``problem.full_sums`` call. Each row's
 ``elapsed_s`` and ``comp_evals`` are stamped at its own iteration. On the
 fused lasso the batched sums may move the objective, lagrangian,
 lyapunov and kkt_x columns at roundoff against a per-point evaluation.
@@ -173,11 +173,12 @@ class StochasticSolveResult:
 
 
 def _run_one_seed(problem, estimator_kind, config, step_config, weights, seed,
-                  batch_size, period, x0, y0, trace_sink):
-    """One seed's run; a diverged run is returned failed, with a warning."""
+                  batch_size, period):
+    """One seed's run from zero; a diverged run is returned failed, with a warning."""
     n = problem.n_components
     budget = config.max_epochs * n
-    x0 = np.array(x0, dtype=float)
+    op = problem.operator
+    x0 = np.zeros(op.in_dim)
     estimator = make_estimator(estimator_kind, n, batch_size, seed, period=period)
     estimator.reset(x0, problem.component_grad, problem.full_grad)
     records = []
@@ -186,14 +187,12 @@ def _run_one_seed(problem, estimator_kind, config, step_config, weights, seed,
     def keep(record, evals):
         records.append(record)
         evals_at.append(evals)
-        if trace_sink is not None:
-            trace_sink(seed, record)
 
     try:
         report = _iterate(
             problem, step_config, estimator,
             lambda k: estimator.evals < budget, "epoch-budget",
-            weights, keep, x0, np.array(y0, dtype=float),
+            weights, keep, x0, np.zeros(op.out_dim),
         )
     except SolverDivergence as exc:
         warnings.warn(f"seed {seed} diverged: {exc}", RuntimeWarning, stacklevel=3)
@@ -212,14 +211,13 @@ def _seed_means(per_seed_records, depth, value):
     return np.ascontiguousarray(table.T).mean(axis=1).tolist()
 
 
-def solve_stochastic(problem, estimator_kind, config, trace_sink=None,
-                     batch_size=1, period=None, x0=None, y0=None):
+def solve_stochastic(problem, estimator_kind, config, batch_size=1, period=None):
     """Replicated stochastic runs plus a seed-averaged aggregate.
 
-    One run per entry of ``config.seeds``; the iteration budget is
-    ``max_epochs`` epochs where an epoch is N component-gradient
-    evaluations (estimator initialization and snapshot refreshes count,
-    per-record diagnostics do not). A seed whose step raises
+    One run per entry of ``config.seeds``, each from x = 0, y = 0; the
+    iteration budget is ``max_epochs`` epochs where an epoch is N
+    component-gradient evaluations (estimator initialization and snapshot
+    refreshes count, per-record diagnostics do not). A seed whose step raises
     SolverDivergence (an iterate norm beyond ``ppdg.NORM_CAP``, nan
     included) is reported failed and excluded from the aggregate, which
     covers the iteration range common to the surviving seeds.
@@ -232,17 +230,11 @@ def solve_stochastic(problem, estimator_kind, config, trace_sink=None,
         step_config.alpha, problem.lipschitz_L, config.kappa_hat
     )
     weights = (constants.a, constants.b, constants.c)
-    op = problem.operator
-    if x0 is None:
-        x0 = np.zeros(op.in_dim)
-    if y0 is None:
-        y0 = np.zeros(op.out_dim)
-    per_seed = []
-    for seed in config.seeds:
-        per_seed.append(_run_one_seed(
-            problem, estimator_kind, config, step_config, weights, seed,
-            batch_size, period, x0, y0, trace_sink,
-        ))
+    per_seed = [
+        _run_one_seed(problem, estimator_kind, config, step_config, weights, seed,
+                      batch_size, period)
+        for seed in config.seeds
+    ]
     survivors = [r for r in per_seed if not r.failed]
     aggregate = []
     if survivors:

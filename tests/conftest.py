@@ -34,17 +34,24 @@ def descent_problem():
     )
 
 
+def quadratic_finite_sum(targets, operator, regularizer):
+    """Finite sum of f_i(x) = 0.5 ||x - targets[i]||^2; full gradient has L = 1."""
+    return FiniteSumProblem(
+        n_components=targets.shape[0],
+        component_value=lambda i, x: 0.5 * float(np.sum((x - targets[i]) ** 2)),
+        component_grad=lambda i, x: x - targets[i],
+        lipschitz_L=1.0,
+        operator=operator,
+        regularizer=regularizer,
+    )
+
+
 def split_quadratic_finite_sum(n_components, dim, seed=11, regularizer=None, operator=None):
     """Finite sum of shifted quadratics; full gradient has L = 1."""
     rng = np.random.default_rng(seed)
     targets = 2.0 + 0.3 * rng.standard_normal((n_components, dim))
-    return FiniteSumProblem(
-        n_components=n_components,
-        component_value=lambda i, x: 0.5 * float(np.sum((x - targets[i]) ** 2)),
-        component_grad=lambda i, x: x - targets[i],
-        lipschitz_L=1.0,
-        operator=operator or linops.Identity(dim),
-        regularizer=regularizer or conjprox.L1(0.5),
+    return quadratic_finite_sum(
+        targets, operator or linops.Identity(dim), regularizer or conjprox.L1(0.5)
     )
 
 

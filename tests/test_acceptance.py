@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import quadratic_problem, run_history
+from conftest import quadratic_finite_sum, quadratic_problem, run_history
 from dualprox import cli, conjprox, dataio, linops, ppdg, problems, sppdg, vrgrad
 from dualprox.ppdg import LyapunovConstants, PpdgConfig
 from dualprox.sppdg import SppdgConfig
@@ -215,30 +215,19 @@ def test_criterion_09_estimator_unbiasedness():
     _report(9, "batch-enumeration means exact to 1e-12; snapshot/restart exact")
 
 
-def _finite_sum_quadratic(targets, operator, regularizer):
-    return problems.FiniteSumProblem(
-        n_components=targets.shape[0],
-        component_value=lambda i, x: 0.5 * float(np.sum((x - targets[i]) ** 2)),
-        component_grad=lambda i, x: x - targets[i],
-        lipschitz_L=1.0,
-        operator=operator,
-        regularizer=regularizer,
-    )
-
-
 def test_criterion_10_full_batch_degeneracy():
     compared = ("iter", "objective", "lagrangian", "dx_norm", "dy_norm", "kkt_x", "kkt_y")
     cases = []
     rng = np.random.default_rng(11)
     cases.append((
-        _finite_sum_quadratic(
+        quadratic_finite_sum(
             2.0 + 0.3 * rng.standard_normal((4, 5)), linops.Identity(5), conjprox.L1(0.5)
         ),
         ppdg.default_alpha(1.0),
     ))
     rng4 = np.random.default_rng(4)
     cases.append((
-        _finite_sum_quadratic(
+        quadratic_finite_sum(
             rng4.standard_normal((2, 10)), linops.Identity(10),
             conjprox.L0Box(0.1, -1.0, 1.0),
         ),

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -244,9 +246,7 @@ def test_subgradient_zero_at_critical_window():
     # stationary iterates: x fixed, y fixed, g = A x exactly
     x = np.array([0.45, -0.22])
     y = b - x
-    st = ppdg.SolverState(
-        k=3, x_cur=x, y_cur=y, x_next=x, x_prev=x, y_prev=y, g_cur=x.copy()
-    )
+    st = ppdg.SolverState(k=3, x_cur=x, y_cur=y, x_next=x, x_prev=x, g_cur=x.copy())
     (_, _, _, _), norm = subgradient_d(prob, st, consts)
     assert norm == pytest.approx(0.0, abs=1e-14)
 
@@ -294,7 +294,8 @@ def test_kkt_zero_cases():
     prob = quadratic_problem(b, linops.Identity(1), conjprox.L0Box(0.1, -1, 1))
     x = np.array([0.93])
     y = b - x
-    st = ppdg.SolverState(k=2, x_cur=x, y_cur=y, x_next=x, x_prev=x, y_prev=y, g_cur=x.copy())
+    st = ppdg.SolverState(k=2, x_cur=x, y_cur=y, x_next=x, x_prev=x, g_cur=x.copy(),
+                          dx_sq=0.0, dy_norm=0.0)
     record = make_record(prob, st, (0.0, 0.0, None))
     r_x, r_y = record.kkt_x, record.kkt_y
     assert r_x == pytest.approx(0.0, abs=1e-15)
@@ -520,6 +521,21 @@ def test_row_step_norms_are_np_linalg_norm_exactly(monkeypatch):
     records = []
     ppdg.solve(prob, PpdgConfig(alpha=0.3, max_iters=40, tol_step=0.0), trace_sink=records.append)
     assert len(records) == len(states) == 40
+    y_prev = np.zeros_like(states[0].y_cur)
     for record, state in zip(records, states):
         assert record.dx_norm == float(np.linalg.norm(state.x_cur - state.x_prev))
-        assert record.dy_norm == float(np.linalg.norm(state.y_cur - state.y_prev))
+        assert record.dy_norm == float(np.linalg.norm(state.y_cur - y_prev))
+        y_prev = state.y_cur
+
+
+def test_a_step_frees_the_previous_dual_iterate_and_primal_lag():
+    # the state carries the step norms, not y^{k-1} or x^{k-2}, so once the
+    # old state goes, y^k and x^{k-1} go with it
+    prob = problems.build_denoise(dataio.add_gaussian_noise(problems.blocks_image(8, 8), 0.05, 1))
+    cfg = PpdgConfig(alpha=0.3, max_iters=10, tol_step=0.0)
+    state = run_history(prob, cfg, np.zeros(64), np.zeros(prob.operator.out_dim), 3)[-1]
+    refs = [weakref.ref(state.y_cur), weakref.ref(state.x_prev)]
+    state = ppdg.step(prob, state, cfg)
+    gc.collect()
+    assert state.k == 4
+    assert [ref() is None for ref in refs] == [True, True]
