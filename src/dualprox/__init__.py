@@ -3,7 +3,7 @@
 The package splits into:
 
 * :mod:`dualprox.linops` - linear operators with exact adjoints and
-  spectral estimates,
+  exact norms,
 * :mod:`dualprox.conjprox` - the regularizer catalog (h, h*, prox of
   beta*h*) with brute-force oracles,
 * :mod:`dualprox.ppdg` - the deterministic solver with Lyapunov

@@ -1,4 +1,4 @@
-"""Linear operators with exact adjoints and spectral estimates.
+"""Linear operators with exact adjoints and exact norms.
 
 Only the operator kinds the solvers need are provided: identity,
 scaled identity, dense matrices, the 2D forward-difference gradient,
@@ -6,15 +6,16 @@ and the stacked map x -> (Vx; x). Every operator is immutable after
 construction; ``apply`` and ``apply_adjoint`` are pure.
 
 ``op_norm()`` is the one ||A|| every caller reads, the solvers' dual
-weight and ``dualprox spectra`` alike. Where no closed form is known it
-is a power-iteration lower bound: 0.11 % under on a 256x256 zero-pad
-gradient, exact to 9 digits at 8x8.
+weight and ``dualprox spectra`` alike. Every kind states it exactly in
+``exact_op_norm()``, from a closed form or an exact dense solve.
 
 The smallest eigenvalue of the gram AA^T is read off the structure
 where the structure decides it: 0 when A has more rows than columns,
 ||A||^2 when AA^T is a multiple of the identity (``gram_is_scalar``),
 and an exact eigensolve of the assembled gram otherwise.
 """
+
+import math
 
 import numpy as np
 
@@ -36,8 +37,8 @@ class LinearOperator:
     """Base class: a linear map A with its adjoint A^T.
 
     Subclasses set ``in_dim``, ``out_dim``, ``kind`` and implement
-    ``apply`` / ``apply_adjoint``. The pair must satisfy
-    <Ax, y> = <x, A^T y> exactly (up to roundoff). ``gram_is_scalar``
+    ``apply`` / ``apply_adjoint`` and ``exact_op_norm``. The pair must
+    satisfy <Ax, y> = <x, A^T y> exactly (up to roundoff). ``gram_is_scalar``
     states that AA^T = ||A||^2 I, the case in which the scalar dual
     weight is the exact dual metric; it is a fact of the kind.
     """
@@ -62,16 +63,13 @@ class LinearOperator:
         return v
 
     def exact_op_norm(self):
-        """Known operator norm, or None when only an estimate is available."""
-        return None
+        """||A||, the largest singular value, as a float."""
+        raise NotImplementedError
 
     def op_norm(self):
-        """||A||: ``exact_op_norm()`` where known, else ``estimate_op_norm``
-        at its defaults; computed once per operator and cached.
-        """
+        """``exact_op_norm()``, computed once per operator and cached."""
         if "_op_norm" not in self.__dict__:
-            known = self.exact_op_norm()
-            self._op_norm = estimate_op_norm(self) if known is None else known
+            self._op_norm = self.exact_op_norm()
         return self._op_norm
 
 
@@ -123,6 +121,8 @@ class DenseMatrix(LinearOperator):
         mat = np.asarray(matrix, dtype=float)
         if mat.ndim != 2 or mat.size == 0:
             raise ValueError("dense-matrix: need a nonempty 2D array")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("dense-matrix: entries must be finite")
         self.matrix = mat
         self.out_dim, self.in_dim = mat.shape
 
@@ -131,6 +131,9 @@ class DenseMatrix(LinearOperator):
 
     def apply_adjoint(self, y):
         return self.matrix.T @ self._check(y, self.out_dim)
+
+    def exact_op_norm(self):
+        return float(np.linalg.norm(self.matrix, 2))
 
 
 class Gradient2D(LinearOperator):
@@ -195,9 +198,14 @@ class Gradient2D(LinearOperator):
         return out.ravel()
 
     def exact_op_norm(self):
-        # periodic A^T A is circulant: eigenvalues 4 sin^2(pi i/h) + 4 sin^2(pi j/w)
-        if self.boundary != "periodic":
-            return None
+        # A^T A = I (x) D_w^T D_w + D_h^T D_h (x) I for the 1D difference D_n,
+        # so ||A||^2 is the sum of the two 1D maxima
+        if self.boundary == "zero-pad":
+            # D_n^T D_n is tridiagonal (1, 2, ..., 2; -1): largest eigenvalue 4 cos^2(pi/(2n+1))
+            ch = math.cos(math.pi / (2 * self.height + 1))
+            cw = math.cos(math.pi / (2 * self.width + 1))
+            return 2.0 * math.sqrt(ch * ch + cw * cw)
+        # periodic D_n^T D_n is circulant: eigenvalues 4 sin^2(pi i/n)
         sh = 4.0 * np.sin(np.pi * np.arange(self.height) / self.height) ** 2
         sw = 4.0 * np.sin(np.pi * np.arange(self.width) / self.width) ** 2
         return float(np.sqrt(sh.max() + sw.max()))
@@ -210,8 +218,10 @@ class StackedOverIdentity(LinearOperator):
 
     def __init__(self, V):
         V = np.asarray(V, dtype=float)
-        if V.ndim != 2 or V.shape[0] != V.shape[1]:
-            raise ValueError("stacked-over-identity: V must be square")
+        if V.ndim != 2 or V.shape[0] != V.shape[1] or V.size == 0:
+            raise ValueError("stacked-over-identity: V must be a nonempty square matrix")
+        if not np.all(np.isfinite(V)):
+            raise ValueError("stacked-over-identity: entries of V must be finite")
         self.V = V
         self.in_dim = V.shape[0]
         self.out_dim = 2 * V.shape[0]
@@ -225,6 +235,10 @@ class StackedOverIdentity(LinearOperator):
         n = self.in_dim
         return self.V.T @ y[:n] + y[n:]
 
+    def exact_op_norm(self):
+        # A^T A = V^T V + I
+        return float(np.sqrt(1.0 + np.linalg.eigvalsh(self.V.T @ self.V)[-1]))
+
 
 def estimate_op_norm(op, iterations=200, seed=0):
     """Estimate ||A|| by power iteration on A^T A.
@@ -232,7 +246,9 @@ def estimate_op_norm(op, iterations=200, seed=0):
     Returns a lower bound that converges monotonically (the Rayleigh
     quotient sequence of a PSD matrix under power iteration is
     nondecreasing). Deterministic for a fixed seed. A zero operator
-    yields 0.
+    yields 0. No solver path calls this, since ``op_norm()`` is exact for
+    every kind; it is the power-iteration reference of the tests and of
+    the benchmark tracer.
     """
     if iterations < 1:
         raise ValueError("op-norm estimate: iterations must be at least 1")

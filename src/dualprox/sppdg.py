@@ -177,10 +177,9 @@ def _run_one_seed(problem, estimator_kind, config, step_config, weights, seed,
     """One seed's run from zero; a diverged run is returned failed, with a warning."""
     n = problem.n_components
     budget = config.max_epochs * n
-    op = problem.operator
-    x0 = np.zeros(op.in_dim)
     estimator = make_estimator(estimator_kind, n, batch_size, seed, period=period)
-    estimator.reset(x0, problem.component_grad, problem.full_grad)
+    estimator.reset(np.zeros(problem.operator.in_dim), problem.component_grad,
+                    problem.full_grad)
     records = []
     evals_at = []
 
@@ -191,8 +190,7 @@ def _run_one_seed(problem, estimator_kind, config, step_config, weights, seed,
     try:
         report = _iterate(
             problem, step_config, estimator,
-            lambda k: estimator.evals < budget, "epoch-budget",
-            weights, keep, x0, np.zeros(op.out_dim),
+            lambda k: estimator.evals < budget, "epoch-budget", weights, keep,
         )
     except SolverDivergence as exc:
         warnings.warn(f"seed {seed} diverged: {exc}", RuntimeWarning, stacklevel=3)

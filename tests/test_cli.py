@@ -398,19 +398,30 @@ def test_spectra_tiny_scale_is_still_surjective(capsys):
     assert not any("scalar approximation" in line for line in lines)
 
 
-@pytest.mark.parametrize("flags, code, message", [
-    (["--op", "identity", "--n", "0"], 2, "usage error: identity: dimension must be positive"),
-    (["--op", "gradient2d", "--height", "1"], 2,
+MALFORMED_CSV = "1,2\n3\n"
+NAN_CSV = "1,nan\n0,1\n"
+
+
+@pytest.mark.parametrize("flags, csv, code, message", [
+    (["--op", "identity", "--n", "0"], MALFORMED_CSV, 2,
+     "usage error: identity: dimension must be positive"),
+    (["--op", "gradient2d", "--height", "1"], MALFORMED_CSV, 2,
      "usage error: gradient-2d: height and width must be at least 2"),
-    (["--op", "scaled", "--scale", "nan"], 2, "usage error: scaled-identity: scale must be finite"),
-    (["--op", "scaled", "--scale", "inf"], 2, "usage error: scaled-identity: scale must be finite"),
-    (["--op", "dense"], 1, "error: "),
-], ids=["n", "height", "scale-nan", "scale-inf", "malformed-csv"])
+    (["--op", "scaled", "--scale", "nan"], MALFORMED_CSV, 2,
+     "usage error: scaled-identity: scale must be finite"),
+    (["--op", "scaled", "--scale", "inf"], MALFORMED_CSV, 2,
+     "usage error: scaled-identity: scale must be finite"),
+    (["--op", "dense"], MALFORMED_CSV, 1, "error: "),
+    (["--op", "dense"], NAN_CSV, 1, "error: dense-matrix: entries must be finite\n"),
+    (["--op", "stacked"], NAN_CSV, 1,
+     "error: stacked-over-identity: entries of V must be finite\n"),
+], ids=["n", "height", "scale-nan", "scale-inf", "malformed-csv", "dense-nan", "stacked-nan"])
 def test_spectra_bad_flag_is_a_usage_error_and_bad_file_a_runtime_error(tmp_path, capsys,
-                                                                         flags, code, message):
+                                                                         flags, csv, code,
+                                                                         message):
     # only the file-based kinds read --csv
     bad = tmp_path / "bad.csv"
-    bad.write_text("1,2\n3\n")
+    bad.write_text(csv)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["spectra", *flags, "--csv", str(bad)]) == code
@@ -429,18 +440,22 @@ def test_spectra_stacked_identity_over_identity(tmp_path, capsys):
     assert "surjective: no" in out
 
 
-@pytest.mark.parametrize("flags, op", [
-    (["--op", "dense"], linops.DenseMatrix(np.diag([1.0, 0.999]))),
+@pytest.mark.parametrize("flags, op, exact", [
+    (["--op", "dense"], linops.DenseMatrix(np.diag([1.0, 0.999])), 1.0),
     (["--op", "gradient2d", "--height", "8", "--width", "8", "--boundary", "zero-pad"],
-     linops.Gradient2D(8, 8, boundary="zero-pad")),
+     linops.Gradient2D(8, 8, boundary="zero-pad"), 2.0 * np.sqrt(2.0) * np.cos(np.pi / 17)),
 ], ids=["dense-diag", "gradient2d-zero-pad"])
-def test_spectra_prints_the_norm_the_dual_weight_is_built_from(tmp_path, capsys, flags, op):
-    # both kinds take the power iteration, so a second iteration count would show here
+def test_spectra_prints_the_norm_the_dual_weight_is_built_from(tmp_path, capsys, flags, op,
+                                                               exact):
+    # spectra and beta read one cached exact norm, so a second norm path would
+    # show here; 200 power-iteration steps read 0.999667740523 and 2.78026777739
     if op.kind == "dense-matrix":
         np.savetxt(tmp_path / "a.csv", op.matrix, delimiter=",")
         flags = [*flags, "--csv", str(tmp_path / "a.csv")]
     assert main(["spectra", *flags]) == 0
-    assert f"\nop_norm: {op.op_norm():.12g}\n" in capsys.readouterr().out
+    printed = f"\nop_norm: {exact:.12g}\n"
+    assert printed == f"\nop_norm: {op.op_norm():.12g}\n"
+    assert printed in capsys.readouterr().out
     problem = problems.CompositeProblem(
         f_value=None, grad_f=None, lipschitz_L=1.0, operator=op, regularizer=None
     )

@@ -116,22 +116,30 @@ def test_op_norm_monotone_in_iterations():
     assert all(e <= true + 1e-12 for e in estimates)
 
 
-def test_op_norm_estimates_once_and_only_without_an_exact_norm(monkeypatch):
-    calls = []
-    estimate = linops.estimate_op_norm
-    monkeypatch.setattr(linops, "estimate_op_norm",
-                        lambda op, **kw: calls.append(op) or estimate(op, **kw))
-    dense = linops.DenseMatrix(np.random.default_rng(4).standard_normal((30, 20)))
-    zero_pad = linops.Gradient2D(6, 5, boundary="zero-pad")
-    for op in (dense, zero_pad):
+def test_op_norm_caches_the_exact_norm_and_never_estimates(monkeypatch):
+    estimates = []
+    monkeypatch.setattr(linops, "estimate_op_norm", lambda op, **kw: estimates.append(op))
+    for op in all_test_operators():
+        calls = []
+        exact = op.exact_op_norm
+        monkeypatch.setattr(op, "exact_op_norm", lambda: calls.append(op) or exact())
         norms = [op.op_norm() for _ in range(3)]
-        assert norms == [estimate(op)] * 3
-    assert calls == [dense, zero_pad]
-    calls.clear()
-    for op in (linops.Identity(3), linops.ScaledIdentity(3, -2.0), linops.Gradient2D(6, 5)):
-        for _ in range(3):
-            assert op.op_norm() == op.exact_op_norm()
-    assert calls == []
+        assert calls == [op], op.kind
+        assert norms == [exact()] * 3 and type(norms[0]) is float, op.kind
+    assert estimates == []
+    # a kind that states no norm has none to fall back on
+    with pytest.raises(NotImplementedError):
+        linops.LinearOperator().op_norm()
+
+
+@pytest.mark.parametrize("make, matrix, message", [
+    (linops.DenseMatrix, [[1.0, np.inf]], "entries must be finite"),
+    (linops.StackedOverIdentity, [[1.0, -np.inf], [0.0, 1.0]], "entries of V must be finite"),
+    (linops.StackedOverIdentity, np.zeros((0, 0)), "nonempty square"),
+], ids=["dense-inf", "stacked-inf", "stacked-empty"])
+def test_dense_and_stacked_reject_bad_matrices(make, matrix, message):
+    with pytest.raises(ValueError, match=message):
+        make(matrix)
 
 
 def test_min_eig_gram_identity_and_fat_matrix():
@@ -168,9 +176,9 @@ def test_spectral_bounds_consistency_and_sandwich():
         linops.DenseMatrix(rng.standard_normal((3, 5))),
         linops.StackedOverIdentity(rng.standard_normal((3, 3))),
     ]:
-        norm = linops.estimate_op_norm(op, iterations=800)
+        norm = op.op_norm()
         hat_lambda = np.sqrt(linops.estimate_min_eig_gram(op))
-        tol = 1e-6 * norm
+        tol = 1e-12 * norm
         for _ in range(100):
             y = rng.standard_normal(op.out_dim)
             aty = np.linalg.norm(op.apply_adjoint(y))

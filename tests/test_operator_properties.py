@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from dualprox import linops  # noqa: E402
@@ -66,15 +66,8 @@ def test_apply_and_adjoint_are_linear(op, a, b, data):
 
 @property_settings
 @given(operators)
-def test_op_norm_never_exceeds_the_largest_singular_value(op):
-    # an overestimate only shrinks the dual step; this bounds it by roundoff
-    assert op.op_norm() <= svd_norm(op) * (1.0 + RTOL)
-
-
-@property_settings
-@given(operators)
 def test_known_op_norm_is_the_largest_singular_value(op):
-    assume(op.exact_op_norm() is not None)
+    # every kind, zero-pad gradient included: beta is built from this number
     sigma = svd_norm(op)
     assert abs(op.op_norm() - sigma) <= RTOL * sigma
 

@@ -175,10 +175,15 @@ def test_first_step_checks_the_iterate_init_state_formed(monkeypatch):
     assert np.linalg.norm(history[0].x_next) > 100
     assert all(np.linalg.norm(s.x_next) < 6 for s in history[1:])
     monkeypatch.setattr(ppdg, "NORM_CAP", 50.0)
+    start = ppdg.init_state(prob, np.zeros(2), y0, cfg)
     with pytest.raises(SolverDivergence, match="iteration 1:"):
-        ppdg.solve(prob, cfg, y0=y0)
-    # a run that takes no step never reads x^1
-    assert ppdg.solve(prob, PpdgConfig(alpha=1.0, max_iters=0), y0=y0).iters == 0
+        ppdg.step(prob, start, cfg)
+    # from zero, x^1 = b (norm 5): the solver's first step checks it too,
+    # and a run that takes no step never reads it
+    monkeypatch.setattr(ppdg, "NORM_CAP", 4.0)
+    with pytest.raises(SolverDivergence, match="iteration 1:"):
+        ppdg.solve(prob, cfg)
+    assert ppdg.solve(prob, PpdgConfig(alpha=1.0, max_iters=0)).iters == 0
 
 
 # --- lyapunov value ------------------------------------------------------
@@ -344,10 +349,12 @@ def test_solve_soft_threshold_zero_region():
 
 
 def test_solve_zero_iterations_returns_initial_point(scalar_problem):
-    report = ppdg.solve(scalar_problem, exact_cfg(max_iters=0), x0=np.array([0.7]))
+    # every solve starts at zero; x^1 = 0.6 is formed but not returned
+    report = ppdg.solve(scalar_problem, exact_cfg(max_iters=0))
     assert report.iters == 0
     assert report.reason == "iteration-limit"
-    assert np.array_equal(report.x, [0.7])
+    assert np.array_equal(report.x, [0.0])
+    assert np.array_equal(report.y, [0.0])
 
 
 def test_solve_rejects_a_negative_iteration_limit(scalar_problem):
