@@ -11,9 +11,9 @@ The package splits into:
 * :mod:`dualprox.vrgrad` / :mod:`dualprox.sppdg` - variance-reduced
   estimators and the stochastic solver (seed replication and
   aggregation around that loop),
-* :mod:`dualprox.problems` - one problem type, with the finite sum as a
-  case both solvers take as is; denoising and fused-lasso builders, PSNR,
-* :mod:`dualprox.dataio` - PGM, LIBSVM, seeded noise, CSV traces,
+* :mod:`dualprox.problems` - two problem types, the finite sum a case
+  both solvers take as is; denoising and fused-lasso builders, PSNR,
+* :mod:`dualprox.dataio` - PGM, LIBSVM, CSV matrices, seeded noise, CSV traces,
 * :mod:`dualprox.cli` - the ``dualprox`` command line.
 
 The benchmark lives outside the package, in ``perfbench/`` at the root

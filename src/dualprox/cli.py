@@ -136,7 +136,8 @@ def _load_lasso_problem(args):
         ds = dataio.parse_libsvm(args.data, n_hint=args.n_hint)
         rows = ds.to_dense()
         labels = ds.labels
-        if not np.all(np.isin(labels, (-1.0, 1.0))):
+        # parse_libsvm maps two classes to {-1, +1}; build_fused_lasso rejects no rows
+        if labels.size and np.unique(labels).size != 2:
             raise UsageError("dataset labels do not form a two-class set")
     elif args.synthetic:
         n_rows, n_feat = _parse_synthetic_nn(args.synthetic)
@@ -144,7 +145,10 @@ def _load_lasso_problem(args):
     else:
         raise UsageError("lasso needs --data or --synthetic N,n")
     if args.v_file:
-        V = problems.validate_graph_matrix(np.loadtxt(args.v_file, delimiter=",", ndmin=2))
+        V = dataio.read_csv_matrix(args.v_file)
+        # the operator checks V is square and finite; a file's graph must be symmetric
+        if not np.array_equal(V, V.T, equal_nan=True):
+            raise ValueError(f"{args.v_file}: graph matrix must be symmetric")
         if V.shape[0] != rows.shape[1]:
             raise UsageError("graph matrix size does not match the feature count")
     else:
@@ -249,16 +253,11 @@ def cmd_prox_check(args):
 
 
 def _build_operator(args):
-    if args.op == "dense":
+    if args.op in ("dense", "stacked"):
         if not args.csv:
-            raise UsageError("dense operator needs --csv")
-        return linops.load_dense_csv(args.csv)
-    if args.op == "stacked":
-        if not args.csv:
-            raise UsageError("stacked operator needs --csv with the top block")
-        return linops.StackedOverIdentity(
-            np.loadtxt(args.csv, delimiter=",", ndmin=2)
-        )
+            raise UsageError(f"{args.op} operator needs --csv")
+        kind = linops.DenseMatrix if args.op == "dense" else linops.StackedOverIdentity
+        return kind(dataio.read_csv_matrix(args.csv))
     # the other kinds are built from flags alone, so a rejected value is a usage error
     try:
         if args.op == "identity":

@@ -1,4 +1,4 @@
-"""Data ingestion and output: PGM images, LIBSVM datasets, seeded noise, CSV traces."""
+"""Data ingestion and output: PGM images, LIBSVM datasets, CSV matrices, seeded noise, CSV traces."""
 
 from dataclasses import dataclass
 
@@ -12,6 +12,7 @@ __all__ = [
     "read_pgm",
     "write_pgm",
     "parse_libsvm",
+    "read_csv_matrix",
     "gaussian_stream",
     "add_gaussian_noise",
     "write_trace_csv",
@@ -212,6 +213,30 @@ def parse_libsvm(path, n_hint=None):
     return SparseDataset(
         n_rows=len(rows), n_features=n_features, rows=rows, labels=labels
     )
+
+
+def read_csv_matrix(path):
+    """Read a dense matrix from CSV: one row per line, comma separated.
+
+    ``#`` starts a comment, and a line blank after it is skipped; one row
+    or one column reads as a 1 x n or n x 1 matrix. A file with no rows,
+    rows of unequal length or an entry that is not a number raises
+    ValueError naming ``path``. Shape and finiteness are left to the
+    operator the matrix feeds.
+    """
+    with open(path) as fh:
+        rows = [(i, line.split("#", 1)[0]) for i, line in enumerate(fh, start=1)]
+    rows = [(i, text) for i, text in rows if text.strip()]
+    if not rows:
+        raise ValueError(f"{path}: no matrix rows")
+    width = rows[0][1].count(",") + 1
+    for lineno, text in rows:
+        if text.count(",") + 1 != width:
+            raise ValueError(f"{path}: line {lineno} does not have the first row's {width} entries")
+    try:
+        return np.loadtxt([text for _, text in rows], delimiter=",", ndmin=2, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def gaussian_stream(seed, count):

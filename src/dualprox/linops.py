@@ -29,7 +29,6 @@ __all__ = [
     "estimate_op_norm",
     "estimate_min_eig_gram",
     "materialize",
-    "load_dense_csv",
 ]
 
 
@@ -297,9 +296,3 @@ def estimate_min_eig_gram(op):
     eigs = np.linalg.eigvalsh(A @ A.T)
     lo, hi = float(eigs[0]), float(eigs[-1])
     return 0.0 if lo <= 1e-10 * hi else lo
-
-
-def load_dense_csv(path):
-    """Load a dense operator from CSV, one row per line, comma separated."""
-    mat = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
-    return DenseMatrix(mat)

@@ -29,7 +29,6 @@ __all__ = [
     "build_fused_lasso",
     "psnr",
     "build_precision_graph",
-    "validate_graph_matrix",
     "blocks_image",
     "synthetic_fused_lasso_data",
     "SIGMOID_CURVATURE",
@@ -177,8 +176,6 @@ def build_denoise(img, lam=0.1, c1=-1.0, c2=1.0, boundary="periodic"):
     gradient, and the regularizer counts nonzero gradient entries while
     boxing them into [c1, c2].
     """
-    if img.pixels.size == 0:
-        raise ValueError("empty image")
     b = img.pixels.copy()
     return CompositeProblem(
         f_value=lambda x: 0.5 * float(np.sum((x - b) ** 2)),
@@ -194,8 +191,8 @@ def build_fused_lasso(rows, labels, V, lam=1e-4, p=0.5, r=1.0, normalize_rows=Fa
 
     A SigmoidLossSum over the rows and labels, with the operator that
     stacks the graph matrix V over the identity, and the regularizer
-    lam*||.||_p^p on the inf-ball of radius r. V must be a finite n x n
-    matrix for n features; it need not be symmetric.
+    lam*||.||_p^p on the inf-ball of radius r. V must be n x n for n
+    features (the operator checks it is finite); it need not be symmetric.
     """
     rows = np.asarray(rows, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -213,8 +210,6 @@ def build_fused_lasso(rows, labels, V, lam=1e-4, p=0.5, r=1.0, normalize_rows=Fa
     n = rows.shape[1]
     if V.shape != (n, n):
         raise ValueError(f"graph matrix V must be {n}x{n} for {n} features, got shape {V.shape}")
-    if not np.all(np.isfinite(V)):
-        raise ValueError("graph matrix V must be finite")
     if normalize_rows:
         # np.linalg.norm(rows, axis=1) is the root of the same row sums
         norms = np.sqrt(_row_sq_sums(rows))
@@ -287,18 +282,6 @@ def build_precision_graph(rows, threshold=0.5):
     corr[:, flat] = 0.0
     V = (np.abs(corr) > threshold).astype(float)
     np.fill_diagonal(V, 0.0)
-    return V
-
-
-def validate_graph_matrix(V):
-    """Check a file-loaded V: square, symmetric, finite."""
-    V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or V.shape[0] != V.shape[1]:
-        raise ValueError("graph matrix must be square")
-    if not np.all(np.isfinite(V)):
-        raise ValueError("graph matrix must be finite")
-    if not np.array_equal(V, V.T):
-        raise ValueError("graph matrix must be symmetric")
     return V
 
 

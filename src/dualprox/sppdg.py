@@ -76,6 +76,7 @@ class SppdgConfig:
         keeps the stochastic descent constant positive and is enforced,
         and the default is STEP_MARGIN times it; with kappa_hat = 0 the
         deterministic rule ``default_alpha`` = STEP_MARGIN/(3L) applies.
+        An explicit alpha is returned as given; ``validate`` checks it.
         """
         if not self.kappa_hat >= 0:
             raise ValueError("kappa_hat must be nonnegative")
@@ -91,8 +92,6 @@ class SppdgConfig:
             return self.alpha
         if self.alpha is None:
             return default_alpha(lipschitz_L)
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
         return self.alpha
 
     def validate(self, problem):

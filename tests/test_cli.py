@@ -330,15 +330,56 @@ def test_lasso_flag_echo_names_every_flag_but_the_output_directory(tmp_path):
     assert "out_dir" not in comments[0] and "func" not in comments[0]
 
 
-def test_lasso_v_file_and_mismatch(tmp_path):
+# files the CSV matrix reader rejects, each with the start of its message
+BAD_CSV = {
+    "empty": ("", "no matrix rows"),
+    "blank-lines": ("\n  \n\n", "no matrix rows"),
+    "comment-only": ("# a graph\n# with no rows\n", "no matrix rows"),
+    "ragged": ("1,2\n\n3\n", "line 3 does not have the first row's 2 entries"),
+    "non-numeric": ("1,x\n0,1\n", "could not convert string 'x' to float64"),
+}
+ASYMMETRIC = np.triu(np.ones((4, 4)), 1)
+SYMMETRIC = ASYMMETRIC + ASYMMETRIC.T
+
+
+@pytest.mark.parametrize("v, code, message", [
+    *((BAD_CSV[name][0], 1, f"error: {{v}}: {BAD_CSV[name][1]}") for name in BAD_CSV),
+    (ASYMMETRIC, 1, "error: {v}: graph matrix must be symmetric\n"),
+    (np.zeros((3, 4)), 1, "error: {v}: graph matrix must be symmetric\n"),
+    (np.zeros((4, 3)), 1, "error: {v}: graph matrix must be symmetric\n"),
+    (np.where(np.eye(4) == 1, np.nan, SYMMETRIC), 1,
+     "error: stacked-over-identity: entries of V must be finite\n"),
+    (np.zeros((3, 3)), 2, "usage error: graph matrix size does not match the feature count\n"),
+    (SYMMETRIC, 0, ""),
+], ids=[*BAD_CSV, "asymmetric", "3x4", "4x3", "symmetric-nan", "3x3-vs-4-features", "valid"])
+def test_lasso_v_file_and_mismatch(tmp_path, capsys, v, code, message):
     vfile = tmp_path / "v.csv"
-    np.savetxt(vfile, np.zeros((3, 3)), delimiter=",")
+    if isinstance(v, str):
+        vfile.write_text(v)
+    else:
+        np.savetxt(vfile, v, delimiter=",")
     out = tmp_path / "run"
-    code = main([
-        "lasso", "--synthetic", "30,4", "--v-file", str(vfile),
-        "--seeds", "1", "--max-epochs", "2", "--out-dir", str(out),
-    ])
-    assert code == 2  # 3x3 graph vs 4 features
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([
+            "lasso", "--synthetic", "30,4", "--v-file", str(vfile),
+            "--seeds", "1", "--max-epochs", "2", "--out-dir", str(out),
+        ]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(v=vfile))
+    assert err.count("\n") == (code != 0)
+    assert (out / "summary.txt").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("label", ["1", "-1", "2"])
+def test_lasso_one_class_data_is_a_usage_error(tmp_path, capsys, label):
+    data = tmp_path / "d.svm"
+    data.write_text("".join(f"{label} 1:{x} 2:1\n" for x in (0.5, -1, 2, 0.1)))
+    out = tmp_path / "run"
+    assert main(["lasso", "--data", str(data), "--seeds", "1", "--max-epochs", "1",
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "usage error: dataset labels do not form a two-class set\n"
+    assert not (out / "summary.txt").exists()
 
 
 def test_prox_check_passes_for_each_kind():
@@ -398,8 +439,11 @@ def test_spectra_tiny_scale_is_still_surjective(capsys):
     assert not any("scalar approximation" in line for line in lines)
 
 
-MALFORMED_CSV = "1,2\n3\n"
+MALFORMED_CSV = BAD_CSV["ragged"][0]
 NAN_CSV = "1,nan\n0,1\n"
+# the reader's cases under both file-based kinds; dense-ragged is malformed-csv
+READER_CASES = [(op, name) for op in ("dense", "stacked") for name in BAD_CSV
+                if (op, name) != ("dense", "ragged")]
 
 
 @pytest.mark.parametrize("flags, csv, code, message", [
@@ -411,11 +455,14 @@ NAN_CSV = "1,nan\n0,1\n"
      "usage error: scaled-identity: scale must be finite"),
     (["--op", "scaled", "--scale", "inf"], MALFORMED_CSV, 2,
      "usage error: scaled-identity: scale must be finite"),
-    (["--op", "dense"], MALFORMED_CSV, 1, "error: "),
+    (["--op", "dense"], MALFORMED_CSV, 1, f"error: {{csv}}: {BAD_CSV['ragged'][1]}"),
     (["--op", "dense"], NAN_CSV, 1, "error: dense-matrix: entries must be finite\n"),
     (["--op", "stacked"], NAN_CSV, 1,
      "error: stacked-over-identity: entries of V must be finite\n"),
-], ids=["n", "height", "scale-nan", "scale-inf", "malformed-csv", "dense-nan", "stacked-nan"])
+    *((["--op", op], BAD_CSV[name][0], 1, f"error: {{csv}}: {BAD_CSV[name][1]}")
+      for op, name in READER_CASES),
+], ids=["n", "height", "scale-nan", "scale-inf", "malformed-csv", "dense-nan", "stacked-nan",
+        *(f"{op}-{name}" for op, name in READER_CASES)])
 def test_spectra_bad_flag_is_a_usage_error_and_bad_file_a_runtime_error(tmp_path, capsys,
                                                                          flags, csv, code,
                                                                          message):
@@ -426,7 +473,8 @@ def test_spectra_bad_flag_is_a_usage_error_and_bad_file_a_runtime_error(tmp_path
         warnings.simplefilter("error")
         assert main(["spectra", *flags, "--csv", str(bad)]) == code
     captured = capsys.readouterr()
-    assert captured.err.startswith(message)
+    assert captured.err.startswith(message.format(csv=bad))
+    assert captured.err.count("\n") == 1
     assert captured.out == ""
 
 

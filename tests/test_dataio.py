@@ -9,11 +9,18 @@ from dualprox.dataio import (
     add_gaussian_noise,
     gaussian_stream,
     parse_libsvm,
+    read_csv_matrix,
     read_pgm,
     write_pgm,
     write_trace_csv,
 )
 from dualprox.ppdg import TRACE_FIELDS, TraceRecord
+
+try:  # only the CSV round-trip property needs hypothesis
+    from hypothesis import HealthCheck, example, given, settings, strategies as st
+    from hypothesis.extra.numpy import arrays
+except ImportError:
+    given = None
 
 # first 8 draws for seed 1, pinned after first generation
 GOLDEN_SEED1 = [
@@ -238,3 +245,34 @@ def test_trace_csv_byte_identical_reruns(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes().startswith(b"# flags\n")
     assert b"\r" not in p1.read_bytes()
+
+
+def test_read_csv_matrix(tmp_path):
+    path = tmp_path / "mat.csv"
+    path.write_text("# a 2x2 operator\n1.5,0.0\n\n-2.0, 4.0  # second row\n")
+    assert np.array_equal(read_csv_matrix(path), [[1.5, 0.0], [-2.0, 4.0]])
+    path.write_text("1,2,3\n")
+    assert read_csv_matrix(path).shape == (1, 3)
+    path.write_text("1\n2\n3\n")
+    assert read_csv_matrix(path).shape == (3, 1)
+    # finiteness is the operator's rule, not the reader's
+    path.write_text("nan,inf\n-inf,0\n")
+    mat = read_csv_matrix(path)
+    assert np.isnan(mat[0, 0]) and np.array_equal(mat[0, 1:], [np.inf])
+    assert np.array_equal(mat[1], [-np.inf, 0.0])
+
+
+if given is not None:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mat=st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda shape: arrays(float, shape, elements=st.floats(allow_nan=False,
+                                                              allow_infinity=False))))
+    @example(mat=np.array([[1.0, -0.0, 5e-324]]))
+    @example(mat=np.array([[1.0], [-1e308], [np.pi]]))
+    def test_read_csv_matrix_round_trips_a_finite_matrix(tmp_path, mat):
+        path = tmp_path / "m.csv"
+        np.savetxt(path, mat, fmt="%.17g", delimiter=",")
+        read = read_csv_matrix(path)
+        assert read.shape == mat.shape
+        assert read.tobytes() == mat.tobytes()

@@ -187,14 +187,6 @@ def test_spectral_bounds_consistency_and_sandwich():
             assert aty <= (norm + tol) * ny + 1e-9
 
 
-def test_load_dense_csv(tmp_path):
-    path = tmp_path / "mat.csv"
-    path.write_text("1.5,0.0\n-2.0,4.0\n")
-    op = linops.load_dense_csv(path)
-    assert op.kind == "dense-matrix"
-    assert np.array_equal(op.matrix, [[1.5, 0.0], [-2.0, 4.0]])
-
-
 @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (5, 7), (16, 4), (9, 9)])
 def test_gradient2d_apply_equals_the_roll_and_pad_formulas(shape):
     h, w = shape

@@ -22,7 +22,6 @@ from dualprox.problems import (
     build_precision_graph,
     psnr,
     synthetic_fused_lasso_data,
-    validate_graph_matrix,
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -122,8 +121,8 @@ def test_fused_lasso_rejects_zero_rows():
     (np.zeros((3, 3)), r"must be 4x4 for 4 features, got shape \(3, 3\)"),
     (np.zeros((4, 5)), r"must be 4x4 for 4 features, got shape \(4, 5\)"),
     (np.zeros(4), r"must be 4x4 for 4 features, got shape \(4,\)"),
-    (np.where(np.eye(4) == 1, np.nan, 0.0), "graph matrix V must be finite"),
-    (np.where(np.eye(4) == 1, 0.0, np.inf), "graph matrix V must be finite"),
+    (np.where(np.eye(4) == 1, np.nan, 0.0), "stacked-over-identity: entries of V must be finite"),
+    (np.where(np.eye(4) == 1, 0.0, np.inf), "stacked-over-identity: entries of V must be finite"),
 ], ids=["3x3", "4x5", "1-d", "nan", "inf"])
 def test_fused_lasso_rejects_a_bad_graph_matrix(V, match):
     rows, labels = synthetic_fused_lasso_data(10, 4, seed=1)
@@ -346,15 +345,6 @@ def test_precision_graph_constant_feature():
     rows = np.column_stack([np.ones(50), rng.standard_normal(50)])
     V = build_precision_graph(rows, threshold=0.1)
     assert np.all(V[0] == 0.0)
-
-
-def test_validate_graph_matrix_pass_through():
-    V = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert validate_graph_matrix(V) is not None
-    with pytest.raises(ValueError, match="symmetric"):
-        validate_graph_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="square"):
-        validate_graph_matrix(np.zeros((2, 3)))
 
 
 def test_blocks_image_levels_and_determinism():

@@ -61,6 +61,7 @@ def test_nan_kappa_hat_is_rejected_not_taken_for_zero():
 @pytest.mark.parametrize("setting, match", [
     ({"max_epochs": float("nan")}, "max_epochs must be nonnegative"),
     ({"alpha": float("inf")}, "alpha must be positive and finite"),
+    ({"alpha": -1.0}, "alpha must be positive and finite, got -1.0"),
 ])
 def test_nan_epoch_limit_or_infinite_step_is_rejected(setting, match):
     fsp = split_quadratic_finite_sum(6, 4)
