@@ -35,8 +35,7 @@ for title, reg in CATALOG:
     print("  h*(v):        ", " ".join(f"{c:8.4f}" for c in conj))
     closed = reg.prox_conj(probes, beta)
     print("  prox(v, b=1): ", " ".join(f"{c:8.4f}" for c in closed))
-    oracle = [prox_conj_oracle(reg, v, beta) for v in probes]
-    gap = np.max(np.abs(closed - np.array(oracle)))
+    gap = np.max(np.abs(closed - prox_conj_oracle(reg, probes, beta)))
     print(f"  grid-oracle max gap: {gap:.2e}  (grid step 1e-4)")
 
 print("\nFull conformance sweep (1000 points x 3 prox weights per kind):")

@@ -237,13 +237,11 @@ def cmd_prox_check(args):
         reg = _build_regularizer(args)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if args.points < 1 or not args.step > 0:
-        raise UsageError("prox-check needs --points >= 1 and --step > 0")
+    if args.points < 1:
+        raise UsageError("prox-check needs --points >= 1")
     rng = np.random.default_rng(args.seed)
     points = rng.uniform(-8.0, 8.0, size=args.points)
-    deviation = conjprox.oracle_prox_deviation(
-        reg, points, PROX_CHECK_BETAS, step=args.step
-    )
+    deviation = conjprox.oracle_prox_deviation(reg, points, PROX_CHECK_BETAS)
     status = "ok" if deviation <= PROX_CHECK_TOL else "FAIL"
     print(
         f"{reg.kind}: max |closed-form - grid oracle| = {deviation:.3e} "
@@ -344,7 +342,6 @@ def build_parser():
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=3.0)
     p.add_argument("--points", type=int, default=PROX_CHECK_POINTS)
-    p.add_argument("--step", type=float, default=conjprox.ORACLE_STEP)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_prox_check)
 

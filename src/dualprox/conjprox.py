@@ -29,9 +29,9 @@ Everything acts coordinate-wise. A brute-force grid oracle backs every
 closed form: ``conj_value_oracle`` takes the sup of y*x - h(x) over a
 grid spanning each kind's own box or ball, never the ramp, and
 ``prox_conj_oracle`` minimizes the prox objective over a grid centred
-on 0 of half-width at least 10. Both grids have the fixed step
-``ORACLE_STEP``; only ``oracle_prox_deviation``, which backs
-``dualprox prox-check --step``, takes another. For SCAD
+on 0 of half-width max(10, max|v| + scale*(beta + 1) + 1), which holds
+the minimizer. Both grids have the fixed step ``ORACLE_STEP``, and
+each is built once per call, however many points it serves. For SCAD
 the closed forms are the symmetrized ones the oracle certifies (all
 three parameter cases reduce to h*(y) = r * max(|y| - theta, 0)), not
 the asymmetric variants sometimes quoted for this penalty.
@@ -277,28 +277,33 @@ class ScadBox(Regularizer):
 
 
 def prox_conj_oracle(reg, v, beta):
-    """Grid argmin of h*(u) + (u - v)^2 / (2 beta) for a scalar v.
+    """Grid argmin of h*(u) + (u - v)^2 / (2 beta) for each entry of v.
 
-    Test harness only; the grid is [-max(10, 3(|v| + scale*beta)), +same]
-    with step ORACLE_STEP, wide enough for every cataloged regularizer.
+    Test harness only. One grid per call, of step ORACLE_STEP and
+    half-width max(10, max|v| + scale*(beta + 1) + 1): the minimizer has
+    |u*| <= |v| + beta*scale (|u*| <= |v| for l1), so the grid holds it.
+    Returns a float for a scalar v, else v's shape.
     """
     if not beta > 0.0:
         raise ValueError("prox oracle: beta must be positive")
-    v = float(v)
-    half = max(10.0, 3.0 * (abs(v) + reg.scale * float(beta)))
-    u = np.arange(-half, half + ORACLE_STEP, ORACLE_STEP)
-    vals = reg._conj_elem(u) + (u - v) ** 2 / (2.0 * beta)
-    return float(u[np.argmin(vals)])
+    v = np.asarray(v, dtype=float)
+    half = max(10.0, float(np.max(np.abs(v), initial=0.0)) + reg.scale * (beta + 1.0) + 1.0)
+    grid = np.arange(-half, half + ORACLE_STEP, ORACLE_STEP)
+    hstar = reg._conj_elem(grid)
+    best = np.array([grid[np.argmin(hstar + (grid - x) ** 2 / (2.0 * beta))]
+                     for x in v.ravel()]).reshape(v.shape)
+    return float(best) if v.ndim == 0 else best
 
 
 def conj_value_oracle(reg, y, unbounded_halfwidth=40.0):
-    """Grid sup of y*x - h(x) for a scalar y, on a grid of step ORACLE_STEP.
+    """Grid sup of y*x - h(x) for each entry of y, on a grid of step ORACLE_STEP.
 
     The grid spans dom h (the box or ball for the bounded kinds, a wide
     window for l1) and always contains x = 0 exactly, which matters for
-    the l0 penalty. For l1 with |y| > lam the true sup is +inf; the
-    returned value then grows with the window and the caller should
-    only check that it exceeds any fixed bound.
+    the l0 penalty; it and h on it are built once per call. For l1 with
+    |y| > lam the true sup is +inf; the returned value then grows with
+    the window and the caller should only check that it exceeds any
+    fixed bound. Returns a float for a scalar y, else y's shape.
     """
     if reg.kind == "l1":
         lo, hi = -unbounded_halfwidth, unbounded_halfwidth
@@ -308,34 +313,23 @@ def conj_value_oracle(reg, y, unbounded_halfwidth=40.0):
         lo, hi = -reg.r, reg.r
     xs = np.arange(lo, hi + ORACLE_STEP, ORACLE_STEP)
     xs = np.concatenate([xs, [0.0]])
-    return float(np.max(float(y) * xs - reg._h_elem(xs)))
+    hx = reg._h_elem(xs)
+    y = np.asarray(y, dtype=float)
+    sup = np.array([np.max(t * xs - hx) for t in y.ravel()]).reshape(y.shape)
+    return float(sup) if y.ndim == 0 else sup
 
 
-def oracle_prox_deviation(reg, points, betas, step=ORACLE_STEP):
-    """Max |closed-form prox - grid-oracle prox| over points x betas.
-
-    Shares one grid (and one h* evaluation on it) per beta, which keeps
-    the full conformance sweep fast without changing the oracle math.
-    """
+def oracle_prox_deviation(reg, points, betas):
+    """Max |closed-form prox - grid-oracle prox| over points x betas."""
     points = np.asarray(points, dtype=float)
-    worst = 0.0
-    for beta in betas:
-        closed = reg.prox_conj(points, beta)
-        half = max(10.0, float(np.max(np.abs(points))) + reg.scale * (beta + 1.0) + 1.0)
-        grid = np.arange(-half, half + step, step)
-        hstar = reg._conj_elem(grid)
-        for v, c in zip(points, closed):
-            best = grid[np.argmin(hstar + (grid - v) ** 2 / (2.0 * beta))]
-            worst = max(worst, abs(c - best))
-    return worst
+    gaps = [np.abs(reg.prox_conj(points, b) - prox_conj_oracle(reg, points, b)) for b in betas]
+    return float(np.max(gaps, initial=0.0))
 
 
 def oracle_conj_deviation(reg, points):
     """Max |closed-form h* - grid sup| over finite-valued points."""
-    worst = 0.0
-    for y in np.asarray(points, dtype=float):
-        closed = reg.conj_value(np.array([y]))
-        if np.isinf(closed):
-            continue
-        worst = max(worst, abs(closed - conj_value_oracle(reg, y)))
-    return worst
+    points = np.asarray(points, dtype=float)
+    closed = np.array([reg.conj_value(np.array([y])) for y in points])
+    finite = ~np.isinf(closed)
+    return float(np.max(np.abs(closed[finite] - conj_value_oracle(reg, points[finite])),
+                        initial=0.0))

@@ -52,9 +52,6 @@ class ImageBuffer:
         if not np.all(np.isfinite(self.pixels)):
             raise ValueError("image pixels must be finite")
 
-    def to_matrix(self):
-        return self.pixels.reshape(self.height, self.width)
-
     @classmethod
     def from_matrix(cls, mat):
         mat = np.asarray(mat, dtype=float)
@@ -221,8 +218,8 @@ def read_csv_matrix(path):
     ``#`` starts a comment, and a line blank after it is skipped; one row
     or one column reads as a 1 x n or n x 1 matrix. A file with no rows,
     rows of unequal length or an entry that is not a number raises
-    ValueError naming ``path``. Shape and finiteness are left to the
-    operator the matrix feeds.
+    ValueError naming ``path`` and, for a bad row, its file line. Shape
+    and finiteness are left to the operator the matrix feeds.
     """
     with open(path) as fh:
         rows = [(i, line.split("#", 1)[0]) for i, line in enumerate(fh, start=1)]
@@ -236,6 +233,14 @@ def read_csv_matrix(path):
     try:
         return np.loadtxt([text for _, text in rows], delimiter=",", ndmin=2, dtype=float)
     except ValueError as exc:
+        # numpy's "at row R" counts rows past blank and comment lines, so
+        # the failing row is parsed again alone to name its file line
+        for lineno, text in rows:
+            try:
+                np.loadtxt([text], delimiter=",", dtype=float)
+            except ValueError as line_exc:
+                reason = str(line_exc).split(" at row ")[0]
+                raise ValueError(f"{path}: line {lineno}: {reason}") from None
         raise ValueError(f"{path}: {exc}") from None
 
 

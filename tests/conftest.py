@@ -5,13 +5,14 @@ from dualprox import conjprox, linops, ppdg
 from dualprox.problems import CompositeProblem, FiniteSumProblem
 
 
-def quadratic_problem(b, operator, regularizer):
-    """f(x) = 0.5 ||x - b||^2 with gradient x - b and L = 1."""
+def quadratic_problem(b, operator, regularizer, L=1.0):
+    """f(x) = L/2 ||x - b||^2 with gradient L(x - b); L = 1 by default."""
     b = np.asarray(b, dtype=float)
+    # L = 1 scales exactly, so the default keeps every bit of the unit quadratic
     return CompositeProblem(
-        f_value=lambda x: 0.5 * float(np.sum((x - b) ** 2)),
-        grad_f=lambda x: x - b,
-        lipschitz_L=1.0,
+        f_value=lambda x: 0.5 * L * float(np.sum((x - b) ** 2)),
+        grad_f=lambda x: L * (x - b),
+        lipschitz_L=L,
         operator=operator,
         regularizer=regularizer,
     )

@@ -40,6 +40,37 @@ def test_one_step_from_the_l1_fixed_point_stays_there(b, lam, alpha):
         assert np.max(np.abs(got - want)) <= tol
 
 
+regularizers = st.one_of(
+    st.builds(conjprox.L1, positive),
+    st.builds(conjprox.L0Box, positive, st.floats(-2.0, -0.1), st.floats(0.1, 2.0)),
+    st.builds(conjprox.LpBall, positive, st.floats(0.1, 0.9), positive),
+    st.builds(conjprox.ScadBox, positive, st.floats(2.1, 5.0), positive),
+)
+
+
+@st.composite
+def scalar_gram_problems(draw):
+    n = draw(sizes)
+    operator = draw(st.one_of(
+        st.just(linops.Identity(n)),
+        st.builds(linops.ScaledIdentity, st.just(n),
+                  st.one_of(st.floats(0.1, 10.0), st.floats(-10.0, -0.1))),
+    ))
+    return quadratic_problem(draw(filled(n)), operator, draw(regularizers),
+                             L=draw(st.floats(0.1, 10.0)))
+
+
+@property_settings
+@given(scalar_gram_problems(), st.floats(0.01, 0.99))
+def test_descent_checks_never_raise_below_the_step_bound(problem, fraction):
+    # criterion 4: on identity and scaled-identity operators the Lyapunov
+    # function drops by c(||dx^k||^2 + ||dx^{k-1}||^2) at every alpha < 1/(3L),
+    # and a shortfall raises LyapunovViolation
+    config = ppdg.PpdgConfig(alpha=fraction / (3.0 * problem.lipschitz_L), max_iters=50,
+                             tol_step=0.0, lyapunov_checks=True)
+    assert ppdg.solve(problem, config).lyapunov_violations == 0
+
+
 @st.composite
 def finite_sums(draw):
     n, dim = draw(sizes), draw(sizes)
