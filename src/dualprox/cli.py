@@ -1,4 +1,4 @@
-"""Benchmark harness: denoise, lasso, prox-check, and spectra subcommands.
+"""Command line: the denoise, lasso, prox-check and spectra subcommands.
 
 Every run is deterministic given its flags (wall-clock columns aside);
 trace CSVs open with a `#` comment echoing the full flag vector so the
@@ -82,13 +82,11 @@ def cmd_denoise(args):
     if args.max_iters < 0:
         raise UsageError("denoise needs --max-iters >= 0")
     _check_out_dir(args.out_dir)
-    if args.input:
+    # the parser requires exactly one of --input and --synthetic
+    if args.input is not None:
         original = dataio.read_pgm(args.input)
-    elif args.synthetic:
-        height, width = _parse_synthetic_hw(args.synthetic)
-        original = problems.blocks_image(height, width)
     else:
-        raise UsageError("denoise needs --input or --synthetic HxW")
+        original = problems.blocks_image(*_parse_synthetic_hw(args.synthetic))
     noisy = dataio.add_gaussian_noise(original, args.sigma, args.seed)
     psnr_in = problems.psnr(noisy.pixels, original.pixels, noisy.height, noisy.width)
     problem = problems.build_denoise(
@@ -132,18 +130,17 @@ def cmd_denoise(args):
 
 
 def _load_lasso_problem(args):
-    if args.data:
+    # the parser requires exactly one of --data and --synthetic
+    if args.data is not None:
         ds = dataio.parse_libsvm(args.data, n_hint=args.n_hint)
         rows = ds.to_dense()
         labels = ds.labels
         # parse_libsvm maps two classes to {-1, +1}; build_fused_lasso rejects no rows
         if labels.size and np.unique(labels).size != 2:
             raise UsageError("dataset labels do not form a two-class set")
-    elif args.synthetic:
+    else:
         n_rows, n_feat = _parse_synthetic_nn(args.synthetic)
         rows, labels = problems.synthetic_fused_lasso_data(n_rows, n_feat, seed=args.data_seed)
-    else:
-        raise UsageError("lasso needs --data or --synthetic N,n")
     if args.v_file:
         V = dataio.read_csv_matrix(args.v_file)
         # the operator checks V is square and finite; a file's graph must be symmetric
@@ -195,14 +192,17 @@ def cmd_lasso(args):
     if not survivors:
         print("all seeds failed", file=sys.stderr)
         return 1
-    final_obj = float(np.mean([problem.objective(r.report.x) for r in survivors]))
-    # finite penalized value (indicator dropped): iterates can sit a hair
-    # outside the ball, which turns the extended-real objective infinite
+    # the objective f + h(Ax), and the finite penalized value with h's indicator
+    # dropped: iterates can sit a hair outside the ball, which turns the
+    # extended-real objective infinite
     reg, op = problem.regularizer, problem.operator
-    final_pen = float(np.mean([
-        problem.full_value(r.report.x) + reg.penalty_value(op.apply(r.report.x))
-        for r in survivors
-    ]))
+    objectives, penalized = [], []
+    for run in survivors:
+        f_x, ax = problem.full_value(run.report.x), op.apply(run.report.x)
+        objectives.append(float(f_x + reg.value_h(ax)))
+        penalized.append(f_x + reg.penalty_value(ax))
+    final_obj = float(np.mean(objectives))
+    final_pen = float(np.mean(penalized))
     final_rx = float(np.mean([r.report.kkt_x for r in survivors]))
     final_ry = float(np.mean([r.report.kkt_y for r in survivors]))
     _write_summary(
@@ -297,8 +297,9 @@ def build_parser():
     fmt = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
     d = sub.add_parser("denoise", help="gradient-sparsity image denoising benchmark", **fmt)
-    d.add_argument("--input", help="clean source image (PGM); noise is added by --sigma")
-    d.add_argument("--synthetic", help="HxW piecewise-constant test image, e.g. 64x64")
+    source = d.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="clean source image (PGM); noise is added by --sigma")
+    source.add_argument("--synthetic", help="HxW piecewise-constant test image, e.g. 64x64")
     d.add_argument("--sigma", type=float, default=0.05, help="noise level")
     d.add_argument("--seed", type=int, default=1, help="noise seed")
     d.add_argument("--lam", type=float, default=0.1, help="gradient-sparsity weight")
@@ -312,9 +313,10 @@ def build_parser():
     d.set_defaults(func=cmd_denoise)
 
     l = sub.add_parser("lasso", help="graph-guided fused lasso benchmark", **fmt)
-    l.add_argument("--data", help="LIBSVM file with two-class labels")
+    source = l.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", help="LIBSVM file with two-class labels")
     l.add_argument("--n-hint", dest="n_hint", type=int, default=None)
-    l.add_argument("--synthetic", help="N,n synthetic instance, e.g. 200,20")
+    source.add_argument("--synthetic", help="N,n synthetic instance, e.g. 200,20")
     l.add_argument("--data-seed", dest="data_seed", type=int, default=0)
     l.add_argument("--estimator", choices=("saga", "svrg", "sarah", "full"), default="svrg")
     l.add_argument("--seeds", default="10", help="seed count, or comma list of distinct seeds")

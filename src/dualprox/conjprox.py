@@ -165,8 +165,8 @@ class L1(Regularizer):
     kind = "l1"
 
     def __init__(self, lam):
-        if not lam > 0:
-            raise ValueError("l1: lam must be positive")
+        if not 0 < lam < np.inf:
+            raise ValueError("l1: lam must be positive and finite")
         self.lam = float(lam)
         self.scale = self.lam
 
@@ -183,8 +183,8 @@ class L0Box(Regularizer):
     kind = "l0_box"
 
     def __init__(self, lam, c1, c2):
-        if not (lam > 0 and c1 < 0 < c2):
-            raise ValueError("l0_box: need lam > 0 and c1 < 0 < c2")
+        if not (0 < lam < np.inf and -np.inf < c1 < 0 < c2 < np.inf):
+            raise ValueError("l0_box: need finite lam > 0 and c1 < 0 < c2")
         self.lam = float(lam)
         self.c1 = float(c1)
         self.c2 = float(c2)
@@ -208,8 +208,8 @@ class LpBall(Regularizer):
     kind = "lp_ball"
 
     def __init__(self, lam, p, r):
-        if not (lam > 0 and 0 < p < 1 and r > 0):
-            raise ValueError("lp_ball: need lam > 0, 0 < p < 1, r > 0")
+        if not (0 < lam < np.inf and 0 < p < 1 and 0 < r < np.inf):
+            raise ValueError("lp_ball: need finite lam > 0, 0 < p < 1, finite r > 0")
         self.lam = float(lam)
         self.p = float(p)
         self.r = float(r)
@@ -234,8 +234,8 @@ class ScadBox(Regularizer):
     kind = "scad_box"
 
     def __init__(self, lam, gamma, r):
-        if not (lam > 0 and gamma > 2 and r > 0):
-            raise ValueError("scad_box: need lam > 0, gamma > 2, r > 0")
+        if not (0 < lam < np.inf and 2 < gamma < np.inf and 0 < r < np.inf):
+            raise ValueError("scad_box: need finite lam > 0, gamma > 2, r > 0")
         self.lam = float(lam)
         self.gamma = float(gamma)
         self.r = float(r)

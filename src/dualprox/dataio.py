@@ -262,8 +262,8 @@ def gaussian_stream(seed, count):
 
 def add_gaussian_noise(img, sigma, seed):
     """Pixel-wise additive Gaussian noise, clamped back into [0, 1]."""
-    if sigma < 0:
-        raise ValueError("noise sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"noise sigma must be nonnegative and finite, got {sigma}")
     if sigma == 0:
         return ImageBuffer(img.height, img.width, img.pixels.copy())
     noise = gaussian_stream(seed, img.pixels.size)

@@ -31,11 +31,11 @@ from operator import attrgetter
 import numpy as np
 
 from .ppdg import (
-    DESCENT_SLACK,
     STEP_MARGIN,
     PpdgConfig,
     SolveReport,
     SolverDivergence,
+    _descent_violations,
     _iterate,
     default_alpha,
     lagrangian,
@@ -104,7 +104,7 @@ class SppdgConfig:
             alpha=self.resolve_alpha(problem.lipschitz_L),
             tol_step=self.tol_step,
         )
-        step_config.validate(problem)
+        step_config.validate()
         return step_config
 
 
@@ -249,28 +249,18 @@ def solve_stochastic(problem, estimator_kind, config, batch_size=1, period=None)
 
 
 def expectation_descent_report(per_seed_records, constants):
-    """Count iterations where the seed-averaged Lyapunov value rises.
+    """Count iterations where the seed-averaged Lyapunov value falls too little.
 
     Advisory realization of the expected-descent property: with the
     uncomputable correction terms dropped, the average over seeds of
     Ls(z^k) should fall by at least e0 times the mean of the three
-    trailing squared primal steps, up to the deterministic check's
-    roundoff allowance DESCENT_SLACK * (1 + |Ls|). Returns
-    (violations, checked). Needs at least two seeds.
+    trailing squared primal steps, under the rule and roundoff allowance
+    of ``ppdg.descent_report``. Returns (violations, checked). Needs at
+    least two seeds.
     """
     if len(per_seed_records) < 2:
         raise ValueError("expectation descent report needs at least 2 seeds")
     depth = min(len(recs) for recs in per_seed_records)
-    if depth < 3:
-        return 0, 0
     mean_lyap = _seed_means(per_seed_records, depth, attrgetter("lyapunov"))
     mean_sq = _seed_means(per_seed_records, depth, lambda r: r.dx_norm ** 2)
-    violations = 0
-    checked = 0
-    for j in range(depth - 2):
-        allowed = -constants.e0 * (mean_sq[j] + mean_sq[j + 1] + mean_sq[j + 2])
-        tol = DESCENT_SLACK * (1.0 + abs(mean_lyap[j]))
-        checked += 1
-        if mean_lyap[j + 1] - mean_lyap[j] > allowed + tol:
-            violations += 1
-    return violations, checked
+    return _descent_violations(mean_lyap, mean_sq, constants.e0, 3)

@@ -131,7 +131,7 @@ def test_criterion_05_subgradient_and_dual_bounds(descent_history):
 
 def test_criterion_06_deterministic_convergence():
     prob = descent_problem()
-    cfg = PpdgConfig(alpha=0.3, max_iters=5000, tol_step=1e-8, lyapunov_checks=True)
+    cfg = PpdgConfig(alpha=0.3, max_iters=5000, tol_step=1e-8)
     started = time.perf_counter()
     report = ppdg.solve(prob, cfg)
     elapsed = time.perf_counter() - started

@@ -199,6 +199,51 @@ def test_denoise_requires_source(tmp_path):
     assert main(["denoise", "--out-dir", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("command, sources, message", [
+    ("denoise", [], "one of the arguments --input --synthetic is required"),
+    ("denoise", ["--input", "a.pgm", "--synthetic", "8x8"], "not allowed with argument --input"),
+    ("lasso", [], "one of the arguments --data --synthetic is required"),
+    ("lasso", ["--data", "a.svm", "--synthetic", "40,4"], "not allowed with argument --data"),
+], ids=["denoise-none", "denoise-both", "lasso-none", "lasso-both"])
+def test_one_data_source_per_run(tmp_path, capsys, command, sources, message):
+    out = tmp_path / "run"
+    assert main([command, *sources, "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+DENOISE_DATA = ["--synthetic", "8x8", "--max-iters", "3"]
+LASSO_DATA = ["--synthetic", "40,4", "--seeds", "1", "--max-epochs", "1"]
+
+
+NON_FINITE_FLAGS = [
+    *(("denoise", DENOISE_DATA, flag) for flag in ("--sigma", "--lam", "--c1", "--c2")),
+    *(("lasso", LASSO_DATA, flag) for flag in ("--lam", "--p", "--r")),
+    ("prox-check", ["--reg", "l1"], "--lam"),
+    ("prox-check", ["--reg", "l0"], "--c1"),
+    ("prox-check", ["--reg", "l0"], "--c2"),
+    ("prox-check", ["--reg", "lp"], "--p"),
+    ("prox-check", ["--reg", "lp"], "--r"),
+    ("prox-check", ["--reg", "scad"], "--gamma"),
+    ("spectra", ["--op", "scaled"], "--scale"),
+]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("command, data, flag", NON_FINITE_FLAGS,
+                         ids=[command + flag for command, _, flag in NON_FINITE_FLAGS])
+def test_non_finite_parameter_is_rejected_in_one_line(tmp_path, capsys, command, data, flag,
+                                                       value):
+    # "--flag=-inf" keeps argparse from reading -inf as an option
+    out = ["--out-dir", str(tmp_path / "run")] if command in ("denoise", "lasso") else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, *data, f"{flag}={value}", *out])
+    assert code != 0
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_denoise_determinism_byte_identical(tmp_path):
     args = [
         "denoise", "--synthetic", "16x16", "--sigma", "0.05", "--seed", "3",

@@ -62,13 +62,15 @@ def scalar_gram_problems(draw):
 
 @property_settings
 @given(scalar_gram_problems(), st.floats(0.01, 0.99))
-def test_descent_checks_never_raise_below_the_step_bound(problem, fraction):
+def test_descent_report_clean_below_the_step_bound(problem, fraction):
     # criterion 4: on identity and scaled-identity operators the Lyapunov
-    # function drops by c(||dx^k||^2 + ||dx^{k-1}||^2) at every alpha < 1/(3L),
-    # and a shortfall raises LyapunovViolation
+    # function drops by c(||dx^k||^2 + ||dx^{k-1}||^2) at every alpha < 1/(3L)
     config = ppdg.PpdgConfig(alpha=fraction / (3.0 * problem.lipschitz_L), max_iters=50,
-                             tol_step=0.0, lyapunov_checks=True)
-    assert ppdg.solve(problem, config).lyapunov_violations == 0
+                             tol_step=0.0)
+    records = []
+    ppdg.solve(problem, config, records.append)
+    constants = ppdg.LyapunovConstants.from_parameters(config.alpha, problem.lipschitz_L)
+    assert ppdg.descent_report(records, constants)[0] == 0
 
 
 @st.composite

@@ -9,9 +9,9 @@ from conftest import quadratic_problem, run_history
 from dualprox import conjprox, dataio, linops, ppdg, problems
 from dualprox.ppdg import (
     LyapunovConstants,
-    LyapunovViolation,
     PpdgConfig,
     SolverDivergence,
+    descent_report,
     lagrangian,
     make_record,
     lyapunov_value,
@@ -64,24 +64,19 @@ def test_lyapunov_constants_formulas():
     assert consts.c > 0
 
 
-def test_config_validation(scalar_problem):
+def test_config_validation():
     with pytest.raises(ValueError, match="alpha"):
-        PpdgConfig(alpha=0.0).validate(scalar_problem)
-    with pytest.raises(ValueError, match="1/\\(3L\\)"):
-        exact_cfg(alpha=0.5, lyapunov_checks=True).validate(scalar_problem)
+        PpdgConfig(alpha=0.0).validate()
     # the operator's kind decides the descent contract; no mode selects it
     with pytest.raises(ValueError, match="'exact_M' is not a setting"):
-        exact_cfg(preconditioner="exact_M").validate(scalar_problem)
+        exact_cfg(preconditioner="exact_M").validate()
 
 
 @pytest.mark.parametrize("L", [0.0, -1.0, np.nan, np.inf])
-def test_step_rules_need_a_positive_finite_lipschitz_constant(scalar_problem, L):
+def test_step_rules_need_a_positive_finite_lipschitz_constant(L):
     # L = 0 arises from all-zero data; it must be an error, not a ZeroDivisionError
     with pytest.raises(ValueError, match="Lipschitz constant"):
         ppdg.default_alpha(L)
-    scalar_problem.lipschitz_L = L
-    with pytest.raises(ValueError, match="Lipschitz constant"):
-        exact_cfg(alpha=0.1, lyapunov_checks=True).validate(scalar_problem)
 
 
 # --- step ----------------------------------------------------------------
@@ -370,9 +365,9 @@ def test_solve_rejects_a_nan_iteration_limit(scalar_problem):
 
 
 @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
-def test_config_rejects_a_non_finite_step(scalar_problem, alpha):
+def test_config_rejects_a_non_finite_step(alpha):
     with pytest.raises(ValueError, match="alpha must be positive and finite"):
-        PpdgConfig(alpha=alpha).validate(scalar_problem)
+        PpdgConfig(alpha=alpha).validate()
 
 
 @pytest.mark.parametrize("norm", [0.0, np.inf, np.nan])
@@ -398,7 +393,7 @@ def test_solve_emits_one_record_per_iteration(descent_problem):
 
 @pytest.fixture
 def descent_run(descent_problem):
-    cfg = exact_cfg(max_iters=502, tol_step=0.0, lyapunov_checks=True)
+    cfg = exact_cfg(max_iters=502, tol_step=0.0)
     states = run_history(descent_problem, cfg, np.zeros(10), np.zeros(10), 502)
     consts = LyapunovConstants.from_parameters(0.3, 1.0)
     return descent_problem, states, consts
@@ -457,11 +452,11 @@ def test_kkt_consistency_at_tight_tolerance(descent_problem):
     assert report.kkt_x <= 1e-8
 
 
-def test_lyapunov_checks_pass_in_exact_mode(descent_problem):
-    report = ppdg.solve(
-        descent_problem, exact_cfg(max_iters=500, tol_step=0.0, lyapunov_checks=True)
-    )
-    assert report.lyapunov_violations == 0
+def test_descent_report_clean_in_exact_mode(descent_problem):
+    records = []
+    ppdg.solve(descent_problem, exact_cfg(max_iters=500, tol_step=0.0), records.append)
+    consts = LyapunovConstants.from_parameters(0.3, 1.0)
+    assert descent_report(records, consts) == (0, 499)
 
 
 def understated_curvature_problem(operator):
@@ -476,22 +471,30 @@ def understated_curvature_problem(operator):
     )
 
 
-def test_descent_violation_raises_under_exact_metric():
-    # alpha = 0.3 passes the 1/(3L) check for the declared L but not the true one;
-    # on these kinds beta is the exact metric, so the violation raises
-    cfg = exact_cfg(max_iters=50, tol_step=0.0, lyapunov_checks=True)
-    for operator in (linops.Identity(4), linops.ScaledIdentity(4, 2.0)):
-        with pytest.raises(LyapunovViolation, match="iteration 2:") as info:
-            ppdg.solve(understated_curvature_problem(operator), cfg)
-        assert info.value.iteration == 2
+def test_descent_violation_counted_under_exact_metric():
+    # alpha = 0.3 is below 1/(3L) for the declared L but not the true one, so
+    # on these kinds, where beta is the exact metric, the first drop falls short
+    consts = LyapunovConstants.from_parameters(0.3, 1.0)
+    for operator, counts in ((linops.Identity(4), (1, 9)), (linops.ScaledIdentity(4, 2.0), (8, 9))):
+        records = []
+        ppdg.solve(understated_curvature_problem(operator), exact_cfg(max_iters=10, tol_step=0.0),
+                   records.append)
+        assert descent_report(records[:2], consts) == (1, 1)
+        assert descent_report(records, consts) == counts
 
 
 def test_descent_violation_counted_under_scalar_beta():
     # the same matrix as a dense operator: beta only stands in for the metric there
-    cfg = exact_cfg(max_iters=50, tol_step=0.0, lyapunov_checks=True)
-    with pytest.warns(RuntimeWarning, match="violated on 1 iterations on a dense-matrix"):
-        report = ppdg.solve(understated_curvature_problem(linops.DenseMatrix(np.eye(4))), cfg)
-    assert report.lyapunov_violations == 1
+    records = []
+    ppdg.solve(understated_curvature_problem(linops.DenseMatrix(np.eye(4))),
+               exact_cfg(max_iters=50, tol_step=0.0), records.append)
+    assert descent_report(records, LyapunovConstants.from_parameters(0.3, 1.0)) == (1, 26)
+
+
+def test_descent_report_needs_two_rows():
+    consts = LyapunovConstants.from_parameters(0.3, 1.0)
+    row = ppdg.TraceRecord(1, 0.0, 0.0, 0.0, 1.0, 0.5, 0.0, 0.0, 0.0)
+    assert descent_report([], consts) == descent_report([row], consts) == (0, 0)
 
 
 def test_kkt_consistency_scalar_problem(scalar_problem):
