@@ -17,10 +17,11 @@ steps. ``descent_report`` reads that descent off the trace rows; it
 counts the steps that fall short on every operator kind, and on identity
 and scaled-identity operators below the 1/(3L) step bound it finds none.
 
-The loop takes a gradient estimator and a stop rule: ``solve`` runs it
-with the exact gradient (estimator None) and an iteration cap,
-:mod:`dualprox.sppdg` with a variance-reduced estimate and an
-evaluation budget. The step forms the primal residual grad f(x) + A^T y
+The loop takes a gradient oracle and a stop rule, and hands each new
+state to its caller: ``solve`` runs it with the exact gradient and an
+iteration cap, and builds each trace row in the iteration that formed
+it; :mod:`dualprox.sppdg` runs it with a variance-reduced estimate and
+an evaluation budget. The step forms the primal residual grad f(x) + A^T y
 once; with the exact gradient its norm is the trace row's KKT residual,
 so a deterministic iteration applies A^T and grad f once each. The dual
 step likewise forms y^k - y^{k+1} once: its norm is the row's dy, and
@@ -29,19 +30,6 @@ norms are formed, and the state carries them as floats: ||x^{k+1} - x^k||^2,
 the previous state's value of it, and ||y^{k+1} - y^k||. So no state keeps
 y^{k-1} or x^{k-2}. A finite sum is a composite problem, so every function
 here takes either type.
-
-The stop test reads the step norms of each new state, and each iteration
-stamps its trace row's ``elapsed_s`` at once. A row under the exact
-gradient is built and delivered in the same iteration. Under a gradient
-estimate the row needs f(x^k) and grad f(x^k), full sums that never feed
-the iterates, so the loop evaluates them for up to ``ROW_BATCH`` pending
-rows in one ``full_sums`` call: the rows are delivered in order, in
-batches of up to ROW_BATCH, each with the ``elapsed_s`` and the
-estimator's evaluation count of its own iteration. On the fused lasso
-that call sums in another order than the per-point oracles, so the
-objective, lagrangian, lyapunov and kkt_x columns may differ from a
-per-point evaluation at roundoff; the iterates and every other column
-do not.
 
 Divergence is a safety rule of this code, not a parameter of the
 algorithm: ``step`` checks each new iterate once, in the step that
@@ -85,9 +73,6 @@ DESCENT_SLACK = 1e-9
 STEP_MARGIN = 0.9
 # an iterate whose norm is not at most this (nan included) has diverged
 NORM_CAP = 1e12
-# stochastic trace rows whose full sums are evaluated together, in one
-# problem.full_sums call; the rows never feed the iterates
-ROW_BATCH = 32
 
 
 class SolverDivergence(RuntimeError):
@@ -393,8 +378,8 @@ def make_record(problem, state, weights, elapsed_s=0.0, sums=None):
     r_x is the norm the step kept when its gradient was exact; under a
     gradient estimate grad f(x^k) and A^T y^k are evaluated once here.
 
-    ``sums`` is (f(x^k), grad f(x^k)) when the caller has evaluated the
-    full sums already, as the loop does for a batch of stochastic rows.
+    ``sums`` is (f(x^k), grad f(x^k)) when the caller has evaluated them
+    already, as :mod:`dualprox.sppdg` does for a batch of rows.
     """
     if state.k < 1 or state.g_cur is None:
         raise ValueError("make_record needs k >= 1 (a completed dual step)")
@@ -416,29 +401,17 @@ def make_record(problem, state, weights, elapsed_s=0.0, sums=None):
     )
 
 
-def _iterate(problem, config, estimator, proceed, limit_reason, weights, on_record):
-    """The primal-dual loop of both solvers, from x^0 = y^0 = 0; returns a SolveReport.
+def _iterate(problem, config, gradient, proceed, limit_reason, on_step):
+    """The step sequence of both solvers, from x^0 = y^0 = 0; returns (state, reason).
 
-    ``estimator`` is None for the exact gradient, or a gradient estimator
-    whose ``estimate(k, x)`` is the oracle of ``step`` and whose ``evals``
-    counts its component-gradient evaluations. Step k + 1 is taken while
-    ``proceed(k)`` holds, and a loop ended that way reports
-    ``limit_reason``. ``on_record(record, evals)`` receives each
-    TraceRecord, built with the Lyapunov ``weights`` of make_record, and
-    the estimator's ``evals`` at that iteration (None for the exact
-    gradient). The loop also stops once both step norms reach
-    ``config.tol_step``; the step raises SolverDivergence for an iterate
-    beyond NORM_CAP.
-
-    The step stamps each row's step norms on its state, and the loop its
-    ``elapsed_s`` and ``evals``. With the exact gradient the row is built
-    and delivered in the same iteration. Under an estimate its full sums
-    f(x^k) and grad f(x^k) wait, for up to ROW_BATCH iterates, for one
-    ``problem.full_sums`` call; the pending rows are then built and
-    delivered in order, and the last ones before the loop returns. Rows
-    still pending when a step diverges are dropped.
+    ``gradient(k, x)`` is the oracle of ``step`` (None: the exact
+    gradient). Step k + 1 is taken while ``proceed(k)`` holds, and a loop
+    ended that way reports ``limit_reason``; it also stops, "converged",
+    once both step norms of a new state reach ``config.tol_step``.
+    ``on_step(state, elapsed_s)`` receives each new state, with the
+    seconds since the first step started, before the stop test. The step
+    raises SolverDivergence for an iterate beyond NORM_CAP.
     """
-    gradient = None if estimator is None else estimator.estimate
     beta = dual_beta(problem, config)
     op = problem.operator
     # the start point is held for the whole loop: freeing it after the first
@@ -447,38 +420,22 @@ def _iterate(problem, config, estimator, proceed, limit_reason, weights, on_reco
     x0, y0 = np.zeros(op.in_dim), np.zeros(op.out_dim)
     state = init_state(problem, x0, y0, config, gradient)
     started = time.perf_counter()
-    pending = []
-    record = None
-    reason = limit_reason
-
-    def deliver():
-        nonlocal record
-        sums = [None] * len(pending)
-        if estimator is not None:
-            values, grads = problem.full_sums(np.stack([row[0].x_cur for row in pending]))
-            sums = zip(values, grads)
-        for (st, elapsed_s, evals), row_sums in zip(pending, sums):
-            record = make_record(problem, st, weights, elapsed_s, row_sums)
-            on_record(record, evals)
-        pending.clear()
-
     while proceed(state.k):
         state = step(problem, state, config, beta, gradient)
-        evals = None if estimator is None else estimator.evals
-        pending.append((state, time.perf_counter() - started, evals))
-        if estimator is None or len(pending) == ROW_BATCH:
-            deliver()
+        on_step(state, time.perf_counter() - started)
         if max(math.sqrt(state.dx_sq), state.dy_norm) <= config.tol_step:
-            reason = "converged"
-            break
-    if pending:
-        deliver()
-    if record is None:
+            return state, "converged"
+    return state, limit_reason
+
+
+def _report(problem, state, reason, last):
+    """SolveReport at the loop's final state; ``last`` is its TraceRecord, None if no step ran."""
+    if last is None:
         kkt_x = _residual_norm(problem, state)
         kkt_y = dx = dy = float("nan")
     else:
-        kkt_x, kkt_y = record.kkt_x, record.kkt_y
-        dx, dy = record.dx_norm, record.dy_norm
+        kkt_x, kkt_y = last.kkt_x, last.kkt_y
+        dx, dy = last.dx_norm, last.dy_norm
     return SolveReport(x=state.x_cur, y=state.y_cur, iters=state.k, kkt_x=kkt_x,
                        kkt_y=kkt_y, dx_norm=dx, dy_norm=dy, reason=reason)
 
@@ -505,29 +462,33 @@ def solve(problem, config, trace_sink=None):
     """
     config.validate()
     constants = LyapunovConstants.from_parameters(config.alpha, problem.lipschitz_L)
-
-    def deliver(record, _evals):
-        if trace_sink is not None:
-            trace_sink(record)
-
     # constants.c is the descent rate, not a window weight
-    return _iterate(
-        problem, config, None, lambda k: k < config.max_iters, "iteration-limit",
-        (constants.a, constants.b, None), deliver,
-    )
+    weights = (constants.a, constants.b, None)
+    last = None
+
+    def on_step(state, elapsed_s):
+        nonlocal last
+        last = make_record(problem, state, weights, elapsed_s)
+        if trace_sink is not None:
+            trace_sink(last)
+
+    state, reason = _iterate(problem, config, None, lambda k: k < config.max_iters,
+                             "iteration-limit", on_step)
+    return _report(problem, state, reason, last)
 
 
 def _descent_violations(lyapunov, steps_sq, rate, terms):
     """(violations, checked) of the sufficient-decrease rule over consecutive values.
 
-    Step j falls short when lyapunov[j] - lyapunov[j+1] is below
+    Step j falls short unless lyapunov[j] - lyapunov[j+1] is at least
     rate * sum(steps_sq[j:j+terms]) less the roundoff allowance
-    DESCENT_SLACK * (1 + |lyapunov[j]|); every j whose window fits is checked.
+    DESCENT_SLACK * (1 + |lyapunov[j]|), so a nan drop falls short; every
+    j whose window fits is checked.
     """
     checked = range(len(lyapunov) - terms + 1)
     violations = sum(
-        lyapunov[j] - lyapunov[j + 1]
-        < rate * sum(steps_sq[j:j + terms]) - DESCENT_SLACK * (1.0 + abs(lyapunov[j]))
+        not lyapunov[j] - lyapunov[j + 1]
+        >= rate * sum(steps_sq[j:j + terms]) - DESCENT_SLACK * (1.0 + abs(lyapunov[j]))
         for j in checked
     )
     return violations, len(checked)

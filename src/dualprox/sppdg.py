@@ -1,6 +1,6 @@
 """Stochastic preconditioned primal-dual solver over finite-sum problems.
 
-Each run is the deterministic solver's loop (``ppdg._iterate``) on the
+Each run is the deterministic solver's step loop (``ppdg._iterate``) on the
 finite sum itself, with the exact mean gradient replaced by a
 variance-reduced estimate and the iteration cap by a budget of
 component-gradient evaluations. Runs are replicated across seeds, and
@@ -15,13 +15,15 @@ geometrically decaying correction terms of the variance-reduction
 analysis have no closed form), so descent reporting is advisory.
 ``ppdg.lyapunov_value`` evaluates that part at a five-point window.
 
-Each seed starts at zero. Its trace rows are built in order, in batches of
-up to ``ppdg.ROW_BATCH``, because the loop evaluates the rows' full sums
-for a batch of iterates in one ``problem.full_sums`` call. Each row's
-``elapsed_s`` and ``comp_evals`` are stamped at its own iteration. On the
-fused lasso the batched sums may move the objective, lagrangian,
-lyapunov and kkt_x columns at roundoff against a per-point evaluation.
-A seed that diverges drops the rows still pending.
+Each seed starts at zero. A trace row needs f(x^k) and grad f(x^k), full
+sums that never feed the iterates, so each seed keeps up to ``ROW_BATCH``
+new states pending and evaluates their sums in one ``problem.full_sums``
+call; its rows are then built in order, and the last ones after the
+loop. Each row's ``elapsed_s`` and ``comp_evals`` are stamped at its own
+iteration. On the fused lasso the batched sums may move the objective,
+lagrangian, lyapunov and kkt_x columns at roundoff against a per-point
+evaluation; the iterates and every other column do not. A seed that
+diverges drops the rows still pending.
 """
 
 import warnings
@@ -30,6 +32,8 @@ from operator import attrgetter
 
 import numpy as np
 
+# make_record is read off the module at each call, so a patched one is used
+from . import ppdg
 from .ppdg import (
     STEP_MARGIN,
     PpdgConfig,
@@ -37,6 +41,7 @@ from .ppdg import (
     SolverDivergence,
     _descent_violations,
     _iterate,
+    _report,
     default_alpha,
     lagrangian,
 )
@@ -57,6 +62,8 @@ __all__ = [
 # the descent analysis fixes these two auxiliary constants
 DELTA1 = 1.0
 DELTA2 = 1.0 / 6.0
+# the most trace rows one problem.full_sums call serves
+ROW_BATCH = 32
 
 
 @dataclass
@@ -179,22 +186,30 @@ def _run_one_seed(problem, estimator_kind, config, step_config, weights, seed,
     estimator = make_estimator(estimator_kind, n, batch_size, seed, period=period)
     estimator.reset(np.zeros(problem.operator.in_dim), problem.component_grad,
                     problem.full_grad)
-    records = []
-    evals_at = []
+    pending, records, evals_at = [], [], []
 
-    def keep(record, evals):
-        records.append(record)
-        evals_at.append(evals)
+    def flush():
+        values, grads = problem.full_sums(np.stack([st.x_cur for st, _, _ in pending]))
+        for (st, elapsed_s, evals), sums in zip(pending, zip(values, grads)):
+            records.append(ppdg.make_record(problem, st, weights, elapsed_s, sums))
+            evals_at.append(evals)
+        pending.clear()
+
+    def on_step(state, elapsed_s):
+        pending.append((state, elapsed_s, estimator.evals))
+        if len(pending) == ROW_BATCH:
+            flush()
 
     try:
-        report = _iterate(
-            problem, step_config, estimator,
-            lambda k: estimator.evals < budget, "epoch-budget", weights, keep,
-        )
+        state, reason = _iterate(problem, step_config, estimator.estimate,
+                                 lambda k: estimator.evals < budget, "epoch-budget", on_step)
     except SolverDivergence as exc:
         warnings.warn(f"seed {seed} diverged: {exc}", RuntimeWarning, stacklevel=3)
         return SeedRunResult(seed=seed, report=None, records=[], comp_evals=[],
                              failed=True, error=str(exc))
+    if pending:
+        flush()
+    report = _report(problem, state, reason, records[-1] if records else None)
     return SeedRunResult(seed=seed, report=report, records=records, comp_evals=evals_at)
 
 
@@ -227,11 +242,12 @@ def solve_stochastic(problem, estimator_kind, config, batch_size=1, period=None)
         step_config.alpha, problem.lipschitz_L, config.kappa_hat
     )
     weights = (constants.a, constants.b, constants.c)
-    per_seed = [
-        _run_one_seed(problem, estimator_kind, config, step_config, weights, seed,
-                      batch_size, period)
-        for seed in config.seeds
-    ]
+    # a loop, not a comprehension: before Python 3.12 a comprehension is a
+    # frame of its own, and the divergence warning's stacklevel would count it
+    per_seed = []
+    for seed in config.seeds:
+        per_seed.append(_run_one_seed(problem, estimator_kind, config, step_config, weights,
+                                      seed, batch_size, period))
     survivors = [r for r in per_seed if not r.failed]
     aggregate = []
     if survivors:

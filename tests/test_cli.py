@@ -314,7 +314,7 @@ def test_lasso_trace_csvs_are_byte_identical_across_reruns(tmp_path, estimator):
         t1 = mask_elapsed((out1 / name).read_bytes())
         # the rows span several batches of full sums and end inside one
         rows = len(t1.splitlines()) - 2
-        assert rows > ppdg.ROW_BATCH and rows % ppdg.ROW_BATCH
+        assert rows > sppdg.ROW_BATCH and rows % sppdg.ROW_BATCH
         assert t1 == mask_elapsed((out2 / name).read_bytes())
 
 

@@ -7,8 +7,8 @@ lasso's full_value and full_grad each form the margins
 tanh(b * (rows @ x)), so a deterministic iteration forms them twice.
 Under a gradient estimate the row also evaluates A^T y^k, f(x^k) and
 the full gradient. Its elapsed_s is stamped at its own iteration, but its full
-sums wait: the rows reach the trace sink in order, in batches of up to
-ppdg.ROW_BATCH, after one problem.full_sums call per batch. By default
+sums wait: sppdg builds the rows in order, in batches of up to
+sppdg.ROW_BATCH, after one problem.full_sums call per batch. By default
 that call evaluates full_value and full_grad at each point; the fused
 lasso evaluates all the points' margins tanh(b * (X @ rows.T)) in one
 matrix-matrix product per block of data rows, so its objective,
@@ -21,7 +21,7 @@ from collections import Counter
 import numpy as np
 
 from conftest import quadratic_problem, split_quadratic_finite_sum
-from dualprox import conjprox, linops, ppdg, problems
+from dualprox import conjprox, linops, ppdg, problems, sppdg
 from dualprox.sppdg import SppdgConfig, solve_stochastic
 
 
@@ -126,8 +126,8 @@ def test_stochastic_fused_lasso_row_computes_the_margins_once(monkeypatch):
     monkeypatch.setattr(np, "tanh", counted_tanh)
     cfg = SppdgConfig(max_epochs=12, tol_step=0.0, seeds=(1,))
     rows = len(solve_stochastic(fsp, "saga", cfg, batch_size=2).per_seed[0].records)
-    batches = -(-rows // ppdg.ROW_BATCH)
-    assert rows > ppdg.ROW_BATCH and rows % ppdg.ROW_BATCH
+    batches = -(-rows // sppdg.ROW_BATCH)
+    assert rows > sppdg.ROW_BATCH and rows % sppdg.ROW_BATCH
     # N < BLOCK_ROWS, so each batch reads the N x n data twice: X @ rows.T once,
     # the gradients' product with rows once; no row calls full_value or full_grad
     assert calls == {"full_sums": batches, "margin blocks": batches, "evals": 2 * 12 * rows}

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 from types import SimpleNamespace
@@ -388,6 +389,20 @@ def test_solve_emits_one_record_per_iteration(descent_problem):
     assert [r.iter for r in records] == list(range(1, 41))
 
 
+def test_each_row_reaches_the_sink_before_the_next_step(monkeypatch, descent_problem):
+    steps = []
+
+    def counted(*args, _step=ppdg.step, **kwargs):
+        steps.append(None)
+        return _step(*args, **kwargs)
+
+    monkeypatch.setattr(ppdg, "step", counted)
+    seen = []
+    ppdg.solve(descent_problem, exact_cfg(max_iters=40, tol_step=0.0),
+               trace_sink=lambda record: seen.append((record.iter, len(steps))))
+    assert seen == [(k, k) for k in range(1, 41)]
+
+
 # --- descent and bound properties on the seeded run -----------------------
 
 
@@ -489,6 +504,16 @@ def test_descent_violation_counted_under_scalar_beta():
     ppdg.solve(understated_curvature_problem(linops.DenseMatrix(np.eye(4))),
                exact_cfg(max_iters=50, tol_step=0.0), records.append)
     assert descent_report(records, LyapunovConstants.from_parameters(0.3, 1.0)) == (1, 26)
+
+
+def test_a_nan_lyapunov_drop_counts_as_a_shortfall():
+    # a nan L makes every Lyapunov weight, and so every drop, nan
+    problem = dataclasses.replace(
+        quadratic_problem(np.ones(3), linops.Identity(3), conjprox.L1(0.5)), lipschitz_L=np.nan)
+    records = []
+    ppdg.solve(problem, exact_cfg(max_iters=20, tol_step=0.0), records.append)
+    consts = LyapunovConstants.from_parameters(0.3, np.nan)
+    assert descent_report(records, consts) == (19, 19)
 
 
 def test_descent_report_needs_two_rows():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import split_quadratic_finite_sum
-from dualprox import ppdg, problems
+from dualprox import ppdg, problems, sppdg
 from dualprox.dataio import ImageBuffer
 from dualprox.problems import (
     CompositeProblem,
@@ -529,7 +529,7 @@ def test_fused_lasso_setup_peak_memory_stays_within_one_and_a_half_times_the_dat
     assert growth <= 1.5 * data, f"setup grew the peak by {growth / data:.2f}x the data"
 
 
-@pytest.mark.parametrize("n_points", [1, 5, ppdg.ROW_BATCH])
+@pytest.mark.parametrize("n_points", [1, 5, sppdg.ROW_BATCH])
 def test_fused_lasso_full_sums_match_the_per_point_oracles(n_points):
     # N is not a multiple of BLOCK_ROWS, so the last block of data rows is short
     n_rows = problems.BLOCK_ROWS + 37

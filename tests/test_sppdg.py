@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import quadratic_problem, split_quadratic_finite_sum
-from dualprox import conjprox, linops, ppdg, vrgrad
+from dualprox import conjprox, linops, ppdg, sppdg, vrgrad
 from dualprox.problems import FiniteSumProblem, build_fused_lasso, build_precision_graph, synthetic_fused_lasso_data
 from dualprox.sppdg import (
     SppdgConfig,
@@ -453,14 +453,14 @@ def test_comp_evals_are_stamped_at_each_rows_iteration(monkeypatch, kind):
     cfg = exact_cfg(max_epochs=60, seeds=(0, 1))
     result = solve_stochastic(fsp, kind, cfg, batch_size=2, period=5)
     for run in result.per_seed:
-        assert len(run.records) > ppdg.ROW_BATCH and len(run.records) % ppdg.ROW_BATCH
+        assert len(run.records) > sppdg.ROW_BATCH and len(run.records) % sppdg.ROW_BATCH
         assert run.comp_evals == [after[(run.seed, r.iter)] for r in run.records]
-    assert len(result.aggregate) > ppdg.ROW_BATCH
+    assert len(result.aggregate) > sppdg.ROW_BATCH
     assert [row.comp_evals for row in result.aggregate] == [
         after[(0, row.iter)] for row in result.aggregate
     ]
     # the stamps rise within a batch; a count read when the batch is built would not
-    assert len(set(result.per_seed[0].comp_evals[: ppdg.ROW_BATCH])) > 1
+    assert len(set(result.per_seed[0].comp_evals[: sppdg.ROW_BATCH])) > 1
 
 
 @pytest.mark.parametrize("kind", ["saga", "svrg"])
@@ -472,8 +472,8 @@ def test_rows_without_a_full_sums_override_are_the_per_row_rows(monkeypatch, kin
     cfg = exact_cfg(max_epochs=30, seeds=(2,))
     run = solve_stochastic(fsp, kind, cfg, batch_size=2).per_seed[0]
     consts = SppdgLyapunovConstants.from_parameters(cfg.alpha, 1.0, 0.0)
-    assert len(run.records) == len(states) > ppdg.ROW_BATCH
-    assert len(run.records) % ppdg.ROW_BATCH
+    assert len(run.records) == len(states) > sppdg.ROW_BATCH
+    assert len(run.records) % sppdg.ROW_BATCH
     for record, state in zip(run.records, states):
         own = ppdg.make_record(fsp, state, (consts.a, consts.b, consts.c))
         assert _row_values(record) == _row_values(own), record.iter
@@ -489,7 +489,7 @@ def test_fused_lasso_rows_match_per_point_rows_within_roundoff(kind):
     batched = solve_stochastic(prob, kind, cfg, batch_size=2)
     reference = solve_stochastic(per_point, kind, cfg, batch_size=2)
     for a, b in zip(batched.per_seed, reference.per_seed):
-        assert len(a.records) == len(b.records) > ppdg.ROW_BATCH
+        assert len(a.records) == len(b.records) > sppdg.ROW_BATCH
         assert np.array_equal(a.report.x, b.report.x) and np.array_equal(a.report.y, b.report.y)
         assert (a.report.iters, a.report.reason, a.comp_evals) == (
             b.report.iters, b.report.reason, b.comp_evals)
@@ -506,8 +506,8 @@ def test_step_tolerance_stop_inside_a_batch_completes_the_last_row(monkeypatch):
     fsp = split_quadratic_finite_sum(6, 4)
     cfg = exact_cfg(max_epochs=400, tol_step=1e-6, seeds=(0,))
     batched = solve_stochastic(fsp, "svrg", cfg, batch_size=2).per_seed[0]
-    batch = ppdg.ROW_BATCH
-    monkeypatch.setattr(ppdg, "ROW_BATCH", 1)
+    batch = sppdg.ROW_BATCH
+    monkeypatch.setattr(sppdg, "ROW_BATCH", 1)
     single = solve_stochastic(fsp, "svrg", cfg, batch_size=2).per_seed[0]
     assert batched.report.reason == single.report.reason == "converged"
     assert batched.report.iters == single.report.iters > batch
@@ -525,8 +525,10 @@ def test_divergence_inside_a_batch_fails_the_seed_with_no_rows():
     # alpha far above 1/L makes the iterates grow until the step rejects one
     fsp = _quadratic_l0()
     cfg = SppdgConfig(alpha=1.2, max_epochs=400, seeds=(0,))
-    with pytest.warns(RuntimeWarning, match="diverged at iteration 47"):
+    with pytest.warns(RuntimeWarning, match="diverged at iteration 47") as caught:
         res = solve_stochastic(fsp, "saga", cfg, batch_size=2)
+    # the warning names the line that called solve_stochastic
+    assert [w.filename for w in caught] == [__file__]
     run = res.per_seed[0]
     assert run.failed and run.report is None
     assert run.records == [] and run.comp_evals == []
