@@ -13,7 +13,8 @@ scaled-identity operators and stands in for it on every other kind.
 Per-iteration diagnostics track a Lyapunov function, the Lagrangian
 plus weighted squared distances between consecutive primal iterates,
 which decreases monotonically under the exact metric for small enough
-steps. ``descent_report`` reads that descent off the trace rows; it
+steps. ``make_record`` is the one place its value is computed, for both
+solvers. ``descent_report`` reads that descent off the trace rows; it
 counts the steps that fall short on every operator kind, and on identity
 and scaled-identity operators below the 1/(3L) step bound it finds none.
 
@@ -21,9 +22,11 @@ The loop takes a gradient oracle and a stop rule, and hands each new
 state to its caller: ``solve`` runs it with the exact gradient and an
 iteration cap, and builds each trace row in the iteration that formed
 it; :mod:`dualprox.sppdg` runs it with a variance-reduced estimate and
-an evaluation budget. The step forms the primal residual grad f(x) + A^T y
-once; with the exact gradient its norm is the trace row's KKT residual,
-so a deterministic iteration applies A^T and grad f once each. The dual
+an evaluation budget. The step forms the primal residual g + A^T y once,
+for whatever gradient g it used, and keeps its norm. With the exact
+gradient that norm is the trace row's KKT residual, so a deterministic
+iteration applies A^T and grad f once each; under an estimate the row
+forms the residual from the exact gradient its caller passes. The dual
 step likewise forms y^k - y^{k+1} once: its norm is the row's dy, and
 g^{k+1} is formed in place on it. The step is the one place the step
 norms are formed, and the state carries them as floats: ||x^{k+1} - x^k||^2,
@@ -39,6 +42,7 @@ raises SolverDivergence unless its norm is at most the fixed
 """
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
 
@@ -54,7 +58,6 @@ __all__ = [
     "TRACE_FIELDS",
     "default_alpha",
     "lagrangian",
-    "lyapunov_value",
     "dual_beta",
     "dual_prox_step",
     "init_state",
@@ -96,8 +99,8 @@ class PpdgConfig:
     def validate(self):
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not self.max_iters >= 0:
-            raise ValueError("max_iters must be nonnegative")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 0):
+            raise ValueError(f"max_iters must be nonnegative and integral, got {self.max_iters!r}")
         if not self.tol_step >= 0:
             raise ValueError("tol_step must be nonnegative")
         if self.preconditioner != "scalar_beta":
@@ -149,8 +152,9 @@ class SolverState:
     x^{k+1}, x^{k-1}) and the diagnostics all need x^{k+1}. ``g_cur``
     is the subgradient of h* at y_cur certified by the dual prox,
     g^k = -(y^k - y^{k-1})/beta + A(2x^k - x^{k-1}). ``residual_norm`` is
-    ||grad f(x_cur) + A^T y_cur|| as the step formed it on the way to
-    x_next; None when the step used a gradient estimate.
+    ||g + A^T y_cur|| as the step formed it on the way to x_next, for the
+    gradient g at x_cur that step used: the KKT residual r_x when g was
+    exact, and not when it was an estimate (nan on a state no step formed).
 
     The step norms are the step's own: ``dx_sq`` is ||x^k - x^{k-1}||^2,
     ``prev_dx_sq`` is ||x^{k-1} - x^{k-2}||^2 (the previous state's
@@ -165,13 +169,10 @@ class SolverState:
     x_next: np.ndarray
     x_prev: np.ndarray = None
     g_cur: np.ndarray = None
-    residual_norm: float = None
+    residual_norm: float = math.nan
     dx_sq: float = 0.0
     prev_dx_sq: float = 0.0
     dy_norm: float = 0.0
-
-    def z_window(self):
-        return (self.x_cur, self.y_cur, self.x_next, self.x_prev)
 
 
 @dataclass
@@ -216,29 +217,6 @@ def lagrangian(problem, x, y):
     )
 
 
-def _window_value(lag, weights, du, dv_sq, dw_sq):
-    """lag - a||du||^2 + b dv_sq (+ c dw_sq unless c is None), in that order."""
-    a, b, c = weights
-    value = lag - a * float(du @ du) + b * dv_sq
-    if c is not None:
-        value += c * dw_sq
-    return value
-
-
-def lyapunov_value(problem, z, constants):
-    """Lyapunov value at the window z = (x, y, u, v) or (x, y, u, v, w).
-
-    L(x, y) - a||x - u||^2 + b||x - v||^2, plus c||v - w||^2 for a
-    five-point window; ``constants.c`` is read only then.
-    """
-    x, y, u, v, *w = z
-    weights = (constants.a, constants.b, constants.c if w else None)
-    dw = v - w[0] if w else None
-    dv = x - v
-    return _window_value(lagrangian(problem, x, y), weights, x - u, float(dv @ dv),
-                         None if dw is None else float(dw @ dw))
-
-
 def _norm(v):
     """||v|| for a 1-d float array: the sqrt(v.dot(v)) np.linalg.norm evaluates, bit for bit."""
     return math.sqrt(v.dot(v))
@@ -268,26 +246,20 @@ def dual_prox_step(regularizer, y, a_extrap, beta):
 
 
 def _primal_step(problem, config, gradient, k, x, y):
-    """(x - alpha s, ||s||) for s = grad + A^T y; the norm is None under an estimate."""
-    exact = gradient is None
-    s = (problem.grad_f(x) if exact else gradient(k, x)) + problem.operator.apply_adjoint(y)
-    norm = _norm(s) if exact else None
+    """(x - alpha s, ||s||) for s = g + A^T y, g = grad f(x) or ``gradient(k, x)``."""
+    # one unnamed sum, so numpy may form it in place on the gradient
+    s = ((problem.grad_f(x) if gradient is None else gradient(k, x))
+         + problem.operator.apply_adjoint(y))
+    norm = _norm(s)
     s *= config.alpha
     return x - s, norm
 
 
-def _primal_residual(problem, state, grad=None):
-    """grad f(x^k) + A^T y^k with the exact gradient, ``grad`` when given."""
+def _primal_residual(problem, x, y, grad=None):
+    """grad f(x) + A^T y, with ``grad`` as grad f(x) when given."""
     if grad is None:
-        grad = problem.grad_f(state.x_cur)
-    return grad + problem.operator.apply_adjoint(state.y_cur)
-
-
-def _residual_norm(problem, state, grad=None):
-    """r_x = ||grad f(x^k) + A^T y^k||: the step's, or formed anew under an estimate."""
-    if state.residual_norm is not None:
-        return state.residual_norm
-    return _norm(_primal_residual(problem, state, grad))
+        grad = problem.grad_f(x)
+    return grad + problem.operator.apply_adjoint(y)
 
 
 def init_state(problem, x0, y0, config, gradient=None):
@@ -303,7 +275,9 @@ def step(problem, state, config, beta=None, gradient=None):
 
     ``beta`` defaults to ``dual_beta(problem, config)``. ``gradient(k, x)``
     gives the gradient of f at x = x^k; None means the exact
-    ``problem.grad_f``, and only then is ``residual_norm`` kept.
+    ``problem.grad_f``. The new state's ``residual_norm`` is the norm of
+    that gradient at x^{k+1} plus A^T y^{k+1}: the KKT residual r_x only
+    when ``gradient`` is None.
 
     The step forms y^{k+1} and x^{k+2}; x^{k+1} was formed, and checked,
     one step earlier (x^1 by ``init_state``, so the first step checks it
@@ -348,7 +322,7 @@ def subgradient_d(problem, state, constants):
     a, b = constants.a, constants.b
     du = state.x_cur - state.x_next
     dv = state.x_cur - state.x_prev
-    d_x = _primal_residual(problem, state) - 2.0 * a * du + 2.0 * b * dv
+    d_x = _primal_residual(problem, state.x_cur, state.y_cur) - 2.0 * a * du + 2.0 * b * dv
     d_g = problem.operator.apply(state.x_cur) - state.g_cur
     d_u = 2.0 * a * du
     d_v = -2.0 * b * dv
@@ -366,20 +340,23 @@ def subgradient_bound_gammas(constants, alpha, op_norm, L):
 def make_record(problem, state, weights, elapsed_s=0.0, sums=None):
     """Diagnostics row for the current state; needs k >= 1.
 
-    ``weights = (a, b, c)`` weigh ||x^k - x^{k+1}||^2, ||x^k - x^{k-1}||^2
-    and ||x^{k-1} - x^{k-2}||^2 in the Lyapunov column; c = None drops
-    the last term. The last two, and the row's dx and dy, are the step
-    norms the state carries.
+    The Lyapunov column is L(x^k, y^k) - a||x^k - x^{k+1}||^2
+    + b||x^k - x^{k-1}||^2 + c||x^{k-1} - x^{k-2}||^2, summed in that
+    order, for ``weights = (a, b, c)``; c = None drops the last term. The
+    last two squared norms, and the row's dx and dy, are the step norms
+    the state carries.
 
     One pass: A x^k, f(x^k), h*(y^k) and h(A x^k) are each evaluated
     once. The KKT residuals are r_x = ||grad f(x^k) + A^T y^k|| and
     r_y = ||A x^k - g^k||, where g^k is the dual-step subgradient; r_y
     bounds the distance of A x^k to the subdifferential of h* at y^k.
-    r_x is the norm the step kept when its gradient was exact; under a
-    gradient estimate grad f(x^k) and A^T y^k are evaluated once here.
 
-    ``sums`` is (f(x^k), grad f(x^k)) when the caller has evaluated them
-    already, as :mod:`dualprox.sppdg` does for a batch of rows.
+    ``sums`` is (f(x^k), grad f(x^k)) when the caller has evaluated them,
+    as :mod:`dualprox.sppdg` does for a batch of rows; r_x is then formed
+    here from that gradient. With ``sums=None`` f(x^k) is evaluated here
+    and r_x is the state's ``residual_norm``, which is r_x only when the
+    step's gradient was exact, as in ``solve``; a caller whose steps used
+    a gradient estimate passes ``sums``.
     """
     if state.k < 1 or state.g_cur is None:
         raise ValueError("make_record needs k >= 1 (a completed dual step)")
@@ -388,15 +365,20 @@ def make_record(problem, state, weights, elapsed_s=0.0, sums=None):
     ax = problem.operator.apply(x)
     f_x, grad = (problem.f_value(x), None) if sums is None else sums
     lag = _lagrangian_from(f_x, y, ax, reg.conj_value(y))
+    a, b, c = weights
+    du = x - state.x_next
+    lyapunov = lag - a * float(du @ du) + b * state.dx_sq
+    if c is not None:
+        lyapunov += c * state.prev_dx_sq
     return TraceRecord(
         iter=state.k,
         elapsed_s=elapsed_s,
         objective=float(f_x + reg.value_h(ax)),
         lagrangian=lag,
-        lyapunov=_window_value(lag, weights, x - state.x_next, state.dx_sq, state.prev_dx_sq),
+        lyapunov=lyapunov,
         dx_norm=math.sqrt(state.dx_sq),
         dy_norm=state.dy_norm,
-        kkt_x=_residual_norm(problem, state, grad),
+        kkt_x=state.residual_norm if sums is None else _norm(_primal_residual(problem, x, y, grad)),
         kkt_y=_norm(ax - state.g_cur),
     )
 
@@ -431,7 +413,7 @@ def _iterate(problem, config, gradient, proceed, limit_reason, on_step):
 def _report(problem, state, reason, last):
     """SolveReport at the loop's final state; ``last`` is its TraceRecord, None if no step ran."""
     if last is None:
-        kkt_x = _residual_norm(problem, state)
+        kkt_x = _norm(_primal_residual(problem, state.x_cur, state.y_cur))
         kkt_y = dx = dy = float("nan")
     else:
         kkt_x, kkt_y = last.kkt_x, last.kkt_y

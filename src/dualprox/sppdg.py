@@ -13,19 +13,23 @@ the finite sum and z^k = (x^k, y^k, x^{k+1}, x^{k-1}, x^{k-2}). Only the
 deterministic part of that Lyapunov function is computable (the
 geometrically decaying correction terms of the variance-reduction
 analysis have no closed form), so descent reporting is advisory.
-``ppdg.lyapunov_value`` evaluates that part at a five-point window.
+``ppdg.make_record`` evaluates that part on each row, with c weighing the
+fifth point.
 
 Each seed starts at zero. A trace row needs f(x^k) and grad f(x^k), full
-sums that never feed the iterates, so each seed keeps up to ``ROW_BATCH``
-new states pending and evaluates their sums in one ``problem.full_sums``
-call; its rows are then built in order, and the last ones after the
-loop. Each row's ``elapsed_s`` and ``comp_evals`` are stamped at its own
-iteration. On the fused lasso the batched sums may move the objective,
-lagrangian, lyapunov and kkt_x columns at roundoff against a per-point
-evaluation; the iterates and every other column do not. A seed that
-diverges drops the rows still pending.
+sums that never feed the iterates; the residual norm a step keeps is of
+the estimate, so each row's kkt_x is formed from the gradient in these
+sums. Each seed keeps up to ``ROW_BATCH`` new states pending and
+evaluates their sums in one ``problem.full_sums`` call; its rows are
+then built in order, and the last ones after the loop. Each row's
+``elapsed_s`` and ``comp_evals`` are stamped at its own iteration. On
+the fused lasso the batched sums may move the objective, lagrangian,
+lyapunov and kkt_x columns at roundoff against a per-point evaluation;
+the iterates and every other column do not. A seed that diverges drops
+the rows still pending.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -103,8 +107,8 @@ class SppdgConfig:
 
     def validate(self, problem):
         """Check the settings; returns the PpdgConfig each seed's loop runs."""
-        if not self.max_epochs >= 0:
-            raise ValueError("max_epochs must be nonnegative")
+        if not 0 <= self.max_epochs < math.inf:
+            raise ValueError(f"max_epochs must be nonnegative and finite, got {self.max_epochs}")
         if len(self.seeds) == 0:
             raise ValueError("need at least one seed")
         step_config = PpdgConfig(

@@ -56,6 +56,23 @@ def split_quadratic_finite_sum(n_components, dim, seed=11, regularizer=None, ope
     )
 
 
+def lyapunov_reference(problem, window, constants):
+    """Lyapunov value at window = (x, y, u, v) or (x, y, u, v, w).
+
+    L(x, y) - a||x - u||^2 + b||x - v||^2, plus c||v - w||^2 for a
+    five-point window (``constants.c`` is read only then), summed in the
+    order of ``ppdg.make_record``'s column, so the two agree bit for bit.
+    """
+    x, y, u, v, *w = window
+    du, dv = x - u, x - v
+    value = ppdg.lagrangian(problem, x, y) - constants.a * float(du @ du)
+    value += constants.b * float(dv @ dv)
+    if w:
+        dw = v - w[0]
+        value += constants.c * float(dw @ dw)
+    return value
+
+
 def run_history(problem, config, x0, y0, n_steps):
     """Drive the solver manually, returning the list of states."""
     state = ppdg.init_state(problem, x0, y0, config)

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import quadratic_finite_sum, quadratic_problem, run_history
+from conftest import lyapunov_reference, quadratic_finite_sum, quadratic_problem, run_history
 from dualprox import cli, conjprox, dataio, linops, ppdg, problems, sppdg, vrgrad
 from dualprox.ppdg import LyapunovConstants, PpdgConfig
 from dualprox.sppdg import SppdgConfig
@@ -91,7 +91,8 @@ def descent_history():
 
 def test_criterion_04_lyapunov_descent(descent_history):
     prob, states, consts = descent_history
-    values = [ppdg.lyapunov_value(prob, s.z_window(), consts) for s in states[1:]]
+    values = [lyapunov_reference(prob, (s.x_cur, s.y_cur, s.x_next, s.x_prev), consts)
+              for s in states[1:]]
     violations = 0
     for k in range(1, 501):
         cur, nxt = states[k], states[k + 1]

@@ -164,6 +164,35 @@ def test_lasso_without_data_rows_is_an_error(tmp_path, capsys):
     assert not (out / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("command, synthetic, message", [
+    ("denoise", "64by64", "usage error: --synthetic expects HxW, got '64by64'\n"),
+    ("lasso", "100", "usage error: --synthetic expects N,n got '100'\n"),
+])
+def test_malformed_synthetic_size_is_a_usage_error(tmp_path, capsys, command, synthetic,
+                                                   message):
+    out = tmp_path / "run"
+    assert main([command, "--synthetic", synthetic, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_lasso_with_every_seed_diverged_exits_1_without_a_summary(tmp_path, capsys):
+    out = tmp_path / "run"
+    with pytest.warns(RuntimeWarning, match=r"seed \d diverged") as caught:
+        code = main(["lasso", "--synthetic", "100,10", "--seeds", "2", "--alpha", "1e13",
+                     "--max-epochs", "2", "--out-dir", str(out)])
+    assert code == 1
+    assert [str(w.message).split(":")[0] for w in caught] == ["seed 0 diverged", "seed 1 diverged"]
+    assert capsys.readouterr().err == "all seeds failed\n"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "aggregate.csv", "seed_0_trace.csv", "seed_1_trace.csv"]
+    for name, fields in (("aggregate.csv", sppdg.AGGREGATE_FIELDS),
+                         ("seed_0_trace.csv", ppdg.TRACE_FIELDS),
+                         ("seed_1_trace.csv", ppdg.TRACE_FIELDS)):
+        comment, header = (out / name).read_text().splitlines()
+        assert comment.startswith("# lasso ") and header == ",".join(fields)
+
+
 def test_denoise_sigma_zero_sentinel_and_trace(tmp_path):
     out = tmp_path / "run"
     code = main([
@@ -525,6 +554,14 @@ def test_spectra_bad_flag_is_a_usage_error_and_bad_file_a_runtime_error(tmp_path
     captured = capsys.readouterr()
     assert captured.err.startswith(message.format(csv=bad))
     assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("op", ["dense", "stacked"])
+def test_spectra_file_kind_without_csv_is_a_usage_error(capsys, op):
+    assert main(["spectra", "--op", op]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {op} operator needs --csv\n"
     assert captured.out == ""
 
 

@@ -108,11 +108,34 @@ def test_p2_negative_sample_reports_the_samples_offset(tmp_path):
     assert err.value.offset == len("P2\n2 2\n255")
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("P2\n0 2\n255\n", "nonpositive image dimensions", len("P2\n")),
+    ("P2\n1 1\n0\n0\n", "maxval out of range (1..65535)", len("P2\n1 1\n")),
+    ("P2\n1 1\n65536\n0\n", "maxval out of range (1..65535)", len("P2\n1 1\n")),
+    ("P2\n2 2\n255\n0 1 2\n", "expected 4 ASCII samples, found 3", len("P2\n2 2\n255\n0 1 2\n")),
+    ("P2\n2 1\n255\n0 x\n", "non-numeric ASCII sample", len("P2\n2 1\n255")),
+    ("P2\n2 1\n4\n0 5\n", "sample exceeds maxval", len("P2\n2 1\n4")),
+])
+def test_p2_rejections_name_the_fault_and_its_offset(tmp_path, text, message, offset):
+    path = tmp_path / "bad.pgm"
+    path.write_text(text)
+    with pytest.raises(PgmParseError) as err:
+        read_pgm(path)
+    assert str(err.value) == f"{message} (byte offset {offset})"
+    assert err.value.offset == offset
+
+
 def test_image_buffer_validation():
     with pytest.raises(ValueError):
         ImageBuffer(2, 2, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         ImageBuffer(1, 2, np.array([np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("height, width", [(0, 2), (2, 0), (-1, 1)])
+def test_image_buffer_rejects_a_nonpositive_size(height, width):
+    with pytest.raises(ValueError, match="^image dimensions must be positive$"):
+        ImageBuffer(height, width, np.zeros(0))
 
 
 def test_parse_libsvm_basic(tmp_path):
@@ -148,6 +171,20 @@ def test_parse_libsvm_errors_carry_line_numbers(tmp_path):
     bad_label.write_text("one 1:0.5\n")
     with pytest.raises(LibsvmParseError, match="label"):
         parse_libsvm(bad_label)
+
+
+def test_parse_libsvm_skips_blank_lines_but_counts_them(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("1 1:0.5\n\n   \n-1 2:1\n")
+    ds = parse_libsvm(path)
+    assert ds.n_rows == 2 and ds.n_features == 2
+    assert np.array_equal(ds.to_dense(), [[0.5, 0.0], [0.0, 1.0]])
+    assert np.array_equal(ds.labels, [1.0, -1.0])
+    path.write_text("1 1:0.5\n\n   \n-1 2:1 5\n")
+    with pytest.raises(LibsvmParseError) as err:
+        parse_libsvm(path)
+    assert str(err.value) == "expected idx:val, got '5' (line 4)"
+    assert err.value.line == 4
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])

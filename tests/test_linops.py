@@ -142,6 +142,25 @@ def test_dense_and_stacked_reject_bad_matrices(make, matrix, message):
         make(matrix)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_scaled_identity_rejects_a_nonpositive_dimension(n):
+    with pytest.raises(ValueError, match="^scaled-identity: dimension must be positive$"):
+        linops.ScaledIdentity(n, 1.0)
+
+
+@pytest.mark.parametrize("matrix", [np.zeros((0, 3)), np.zeros((3, 0)), np.ones(3), 2.0],
+                         ids=["no-rows", "no-columns", "1-d", "scalar"])
+def test_dense_matrix_needs_a_nonempty_2d_array(matrix):
+    with pytest.raises(ValueError, match="^dense-matrix: need a nonempty 2D array$"):
+        linops.DenseMatrix(matrix)
+
+
+@pytest.mark.parametrize("iterations", [0, -1])
+def test_op_norm_estimate_needs_an_iteration(iterations):
+    with pytest.raises(ValueError, match="^op-norm estimate: iterations must be at least 1$"):
+        linops.estimate_op_norm(linops.Identity(3), iterations=iterations)
+
+
 def test_min_eig_gram_identity_and_fat_matrix():
     assert linops.estimate_min_eig_gram(linops.Identity(3)) == pytest.approx(1.0)
     fat = linops.DenseMatrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

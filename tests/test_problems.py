@@ -107,6 +107,12 @@ def test_fused_lasso_rejects_non_finite_rows(bad):
                               normalize_rows=normalize_rows)
 
 
+@pytest.mark.parametrize("n_labels", [2, 4])
+def test_fused_lasso_rejects_a_label_count_other_than_the_row_count(n_labels):
+    with pytest.raises(ValueError, match="^rows must be \\(N, n\\) with one label per row$"):
+        build_fused_lasso(np.ones((3, 2)), np.ones(n_labels), np.zeros((2, 2)))
+
+
 def test_fused_lasso_rejects_rows_without_columns():
     with pytest.raises(ValueError, match="at least one column"):
         build_fused_lasso(np.ones((3, 0)), np.array([1.0, -1.0, 1.0]), np.zeros((0, 0)))
@@ -318,9 +324,35 @@ def test_psnr_doubling_error_drops_by_log_identity():
     assert a - b == pytest.approx(10 * np.log10(4.0))
 
 
+@pytest.mark.parametrize("x, x_org, height, width", [
+    (np.zeros(4), np.zeros(3), 2, 2), (np.zeros(4), np.zeros(4), 2, 3),
+], ids=["images", "shape"])
+def test_psnr_rejects_sizes_that_disagree(x, x_org, height, width):
+    with pytest.raises(ValueError, match="^psnr: image sizes disagree$"):
+        psnr(x, x_org, height, width)
+
+
 def test_psnr_identical_images_sentinel():
     x = np.array([0.3, 0.4])
     assert psnr(x, x.copy(), 1, 2) == np.inf
+
+
+@pytest.mark.parametrize("rows", [np.ones((1, 3)), np.ones(3)], ids=["one-row", "1-d"])
+def test_precision_graph_needs_two_data_rows(rows):
+    with pytest.raises(ValueError, match="^need at least two data rows$"):
+        build_precision_graph(rows)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 1.5, np.nan])
+def test_precision_graph_threshold_must_lie_strictly_inside_the_unit_interval(threshold):
+    with pytest.raises(ValueError, match=r"^threshold must lie in \(0, 1\)$"):
+        build_precision_graph(np.ones((3, 2)), threshold=threshold)
+
+
+@pytest.mark.parametrize("height, width", [(3, 8), (8, 3), (0, 0)])
+def test_blocks_image_needs_at_least_4x4(height, width):
+    with pytest.raises(ValueError, match="^blocks image needs at least 4x4$"):
+        blocks_image(height, width)
 
 
 def test_precision_graph_duplicate_features():

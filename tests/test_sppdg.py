@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import quadratic_problem, split_quadratic_finite_sum
+from conftest import lyapunov_reference, quadratic_problem, split_quadratic_finite_sum
 from dualprox import conjprox, linops, ppdg, sppdg, vrgrad
 from dualprox.problems import FiniteSumProblem, build_fused_lasso, build_precision_graph, synthetic_fused_lasso_data
 from dualprox.sppdg import (
@@ -51,6 +51,24 @@ def test_alpha_rule_enforced_when_kappa_positive():
         cfg.resolve_alpha(1.0)
     auto = SppdgConfig(kappa_hat=1.0).resolve_alpha(1.0)
     assert auto < 1.0 / (2.0 * (3.0 + 7.0 + 6.0))
+
+
+def test_explicit_alpha_below_the_kappa_bound_is_returned_as_given():
+    alpha = 0.5 / (2.0 * (3.0 + 7.0 + 6.0))
+    assert SppdgConfig(alpha=alpha, kappa_hat=1.0).resolve_alpha(1.0) == alpha
+
+
+def test_config_needs_at_least_one_seed():
+    with pytest.raises(ValueError, match="^need at least one seed$"):
+        SppdgConfig(seeds=()).validate(split_quadratic_finite_sum(6, 4))
+
+
+@pytest.mark.parametrize("epochs", [float("inf"), -1, -0.5])
+def test_epoch_budget_must_be_finite_and_nonnegative(epochs):
+    # an infinite budget with the default tol_step = 0 would never stop
+    message = f"^max_epochs must be nonnegative and finite, got {epochs}$"
+    with pytest.raises(ValueError, match=message):
+        SppdgConfig(max_epochs=epochs).validate(split_quadratic_finite_sum(6, 4))
 
 
 def test_nan_kappa_hat_is_rejected_not_taken_for_zero():
@@ -285,7 +303,7 @@ def test_lyapunov_column_matches_five_point_window(monkeypatch, estimator):
     for k, (record, state) in enumerate(zip(run.records, states), start=1):
         back2 = xs[k - 2] if k >= 2 else xs[k - 1]
         window = (xs[k], state.y_cur, xs[k + 1], xs[k - 1], back2)
-        assert record.lyapunov == ppdg.lyapunov_value(fsp, window, consts), k
+        assert record.lyapunov == lyapunov_reference(fsp, window, consts), k
 
 
 @pytest.mark.parametrize("estimator", ["saga", "svrg"])
@@ -466,7 +484,7 @@ def test_comp_evals_are_stamped_at_each_rows_iteration(monkeypatch, kind):
 @pytest.mark.parametrize("kind", ["saga", "svrg"])
 def test_rows_without_a_full_sums_override_are_the_per_row_rows(monkeypatch, kind):
     # the default full_sums evaluates full_value and full_grad at each point,
-    # so each row is make_record's own, built at its state, bit for bit
+    # so each row is make_record's own, built at its state from those sums, bit for bit
     states = _keep_states(monkeypatch)
     fsp = _quadratic_l0()
     cfg = exact_cfg(max_epochs=30, seeds=(2,))
@@ -475,7 +493,8 @@ def test_rows_without_a_full_sums_override_are_the_per_row_rows(monkeypatch, kin
     assert len(run.records) == len(states) > sppdg.ROW_BATCH
     assert len(run.records) % sppdg.ROW_BATCH
     for record, state in zip(run.records, states):
-        own = ppdg.make_record(fsp, state, (consts.a, consts.b, consts.c))
+        sums = (fsp.full_value(state.x_cur), fsp.full_grad(state.x_cur))
+        own = ppdg.make_record(fsp, state, (consts.a, consts.b, consts.c), sums=sums)
         assert _row_values(record) == _row_values(own), record.iter
 
 
