@@ -5,7 +5,7 @@ The package splits into:
 * :mod:`dualprox.linops` - linear operators with exact adjoints and
   exact norms,
 * :mod:`dualprox.conjprox` - the regularizer catalog (h, h*, prox of
-  beta*h*) with brute-force oracles,
+  beta*h*) with a brute-force prox oracle,
 * :mod:`dualprox.ppdg` - the deterministic solver with Lyapunov
   diagnostics, and the one primal-dual loop both solvers run,
 * :mod:`dualprox.vrgrad` / :mod:`dualprox.sppdg` - variance-reduced

@@ -25,14 +25,13 @@ flat part, h is the penalty inside dom h, and the prox writes a shifted
 line only where an entry crosses its threshold. A nan fails every
 comparison, so an input with a nan always takes the full path.
 
-Everything acts coordinate-wise. A brute-force grid oracle backs every
-closed form: ``conj_value_oracle`` takes the sup of y*x - h(x) over a
-grid spanning each kind's own box or ball, never the ramp, and
-``prox_conj_oracle`` minimizes the prox objective over a grid centred
-on 0 of half-width max(10, max|v| + scale*(beta + 1) + 1), which holds
-the minimizer. Both grids have the fixed step ``ORACLE_STEP``, and
-each is built once per call, however many points it serves. For SCAD
-the closed forms are the symmetrized ones the oracle certifies (all
+Everything acts coordinate-wise. A brute-force grid oracle backs the
+prox, and ``dualprox prox-check`` runs it: ``prox_conj_oracle``
+minimizes the prox objective over one grid per call, of the fixed step
+``ORACLE_STEP``, centred on 0 with half-width max(10, max|v| +
+scale*(beta + 1) + 1), which holds the minimizer. The test suite
+checks h* against a grid sup of y*x - h(x) on the same step. For SCAD
+the closed forms are the symmetrized ones the oracles certify (all
 three parameter cases reduce to h*(y) = r * max(|y| - theta, 0)), not
 the asymmetric variants sometimes quoted for this penalty.
 """
@@ -46,9 +45,7 @@ __all__ = [
     "LpBall",
     "ScadBox",
     "prox_conj_oracle",
-    "conj_value_oracle",
     "oracle_prox_deviation",
-    "oracle_conj_deviation",
 ]
 
 
@@ -117,8 +114,8 @@ class Regularizer:
     # h is the penalty within _dom_bounds and +inf beyond; nan fails both
     # tests. +inf goes into the penalty's own new array (0-d for a scalar),
     # several times faster than an np.where output.
-    def _h_elem(self, x, dom=None):
-        below, above = self._dom_bounds() if dom is None else dom
+    def _h_elem(self, x, dom):
+        below, above = dom
         out = np.asarray(self._penalty_elem(x))
         np.copyto(out, np.inf, where=(x > above) | (x < below))
         return out
@@ -279,10 +276,11 @@ class ScadBox(Regularizer):
 def prox_conj_oracle(reg, v, beta):
     """Grid argmin of h*(u) + (u - v)^2 / (2 beta) for each entry of v.
 
-    Test harness only. One grid per call, of step ORACLE_STEP and
-    half-width max(10, max|v| + scale*(beta + 1) + 1): the minimizer has
-    |u*| <= |v| + beta*scale (|u*| <= |v| for l1), so the grid holds it.
-    Returns a float for a scalar v, else v's shape.
+    ``dualprox prox-check`` runs it, and so do the tests. One grid per
+    call, of step ORACLE_STEP and half-width max(10, max|v| +
+    scale*(beta + 1) + 1): the minimizer has |u*| <= |v| + beta*scale
+    (|u*| <= |v| for l1), so the grid holds it. Returns a float for a
+    scalar v, else v's shape.
     """
     if not beta > 0.0:
         raise ValueError("prox oracle: beta must be positive")
@@ -295,41 +293,9 @@ def prox_conj_oracle(reg, v, beta):
     return float(best) if v.ndim == 0 else best
 
 
-def conj_value_oracle(reg, y, unbounded_halfwidth=40.0):
-    """Grid sup of y*x - h(x) for each entry of y, on a grid of step ORACLE_STEP.
-
-    The grid spans dom h (the box or ball for the bounded kinds, a wide
-    window for l1) and always contains x = 0 exactly, which matters for
-    the l0 penalty; it and h on it are built once per call. For l1 with
-    |y| > lam the true sup is +inf; the returned value then grows with
-    the window and the caller should only check that it exceeds any
-    fixed bound. Returns a float for a scalar y, else y's shape.
-    """
-    if reg.kind == "l1":
-        lo, hi = -unbounded_halfwidth, unbounded_halfwidth
-    elif reg.kind == "l0_box":
-        lo, hi = reg.c1, reg.c2
-    else:
-        lo, hi = -reg.r, reg.r
-    xs = np.arange(lo, hi + ORACLE_STEP, ORACLE_STEP)
-    xs = np.concatenate([xs, [0.0]])
-    hx = reg._h_elem(xs)
-    y = np.asarray(y, dtype=float)
-    sup = np.array([np.max(t * xs - hx) for t in y.ravel()]).reshape(y.shape)
-    return float(sup) if y.ndim == 0 else sup
-
-
 def oracle_prox_deviation(reg, points, betas):
     """Max |closed-form prox - grid-oracle prox| over points x betas."""
     points = np.asarray(points, dtype=float)
     gaps = [np.abs(reg.prox_conj(points, b) - prox_conj_oracle(reg, points, b)) for b in betas]
     return float(np.max(gaps, initial=0.0))
 
-
-def oracle_conj_deviation(reg, points):
-    """Max |closed-form h* - grid sup| over finite-valued points."""
-    points = np.asarray(points, dtype=float)
-    closed = np.array([reg.conj_value(np.array([y])) for y in points])
-    finite = ~np.isinf(closed)
-    return float(np.max(np.abs(closed[finite] - conj_value_oracle(reg, points[finite])),
-                        initial=0.0))

@@ -111,7 +111,8 @@ def read_pgm(path):
             raise PgmParseError(f"non-numeric header token {tok!r}", off) from None
     width, height, maxval = fields
     if width < 1 or height < 1:
-        raise PgmParseError("nonpositive image dimensions", tokens[0][1])
+        # the offset of the first nonpositive token
+        raise PgmParseError("nonpositive image dimensions", tokens[0 if width < 1 else 1][1])
     if not 0 < maxval <= 65535:
         raise PgmParseError("maxval out of range (1..65535)", tokens[2][1])
     count = width * height

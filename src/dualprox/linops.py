@@ -72,36 +72,17 @@ class LinearOperator:
         return self._op_norm
 
 
-class Identity(LinearOperator):
-    kind = "identity"
-    gram_is_scalar = True
-
-    def __init__(self, n):
-        if n < 1:
-            raise ValueError("identity: dimension must be positive")
-        self.in_dim = self.out_dim = int(n)
-
-    def apply(self, x):
-        return self._check(x, self.in_dim).copy()
-
-    def apply_adjoint(self, y):
-        return self._check(y, self.out_dim).copy()
-
-    def exact_op_norm(self):
-        return 1.0
-
-
 class ScaledIdentity(LinearOperator):
     kind = "scaled-identity"
     gram_is_scalar = True
 
     def __init__(self, n, scale):
         if n < 1:
-            raise ValueError("scaled-identity: dimension must be positive")
+            raise ValueError(f"{self.kind}: dimension must be positive")
         self.in_dim = self.out_dim = int(n)
         self.scale = float(scale)
         if not np.isfinite(self.scale):
-            raise ValueError("scaled-identity: scale must be finite")
+            raise ValueError(f"{self.kind}: scale must be finite")
 
     def apply(self, x):
         return self.scale * self._check(x, self.in_dim)
@@ -111,6 +92,15 @@ class ScaledIdentity(LinearOperator):
 
     def exact_op_norm(self):
         return abs(self.scale)
+
+
+class Identity(ScaledIdentity):
+    """The scaled identity at scale 1, where 1.0 * x equals x bit for bit."""
+
+    kind = "identity"
+
+    def __init__(self, n):
+        super().__init__(n, 1.0)
 
 
 class DenseMatrix(LinearOperator):

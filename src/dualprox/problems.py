@@ -71,10 +71,6 @@ class CompositeProblem:
     operator: object
     regularizer: object
 
-    def objective(self, x):
-        """f(x) + h(Ax); +inf propagates from the regularizer."""
-        return float(self.f_value(x) + self.regularizer.value_h(self.operator.apply(x)))
-
 
 @dataclass
 class FiniteSumProblem:
@@ -111,8 +107,6 @@ class FiniteSumProblem:
 
     def grad_f(self, x):
         return self.full_grad(x)
-
-    objective = CompositeProblem.objective
 
 
 class SigmoidLossSum(FiniteSumProblem):

@@ -25,8 +25,8 @@ then built in order, and the last ones after the loop. Each row's
 ``elapsed_s`` and ``comp_evals`` are stamped at its own iteration. On
 the fused lasso the batched sums may move the objective, lagrangian,
 lyapunov and kkt_x columns at roundoff against a per-point evaluation;
-the iterates and every other column do not. A seed that diverges drops
-the rows still pending.
+the iterates and every other column do not. A seed that diverges keeps
+no rows, not even those already built.
 """
 
 import math

@@ -42,12 +42,16 @@ __all__ = [
 ]
 
 
-def sample_batch(seed, n_components, batch_size, k):
-    """Sorted batch of distinct indices, deterministic in (seed, k)."""
+def _check_batch_size(n_components, batch_size):
     if not 1 <= batch_size <= n_components:
         raise ValueError(
             f"batch size must be in [1, {n_components}], got {batch_size}"
         )
+
+
+def sample_batch(seed, n_components, batch_size, k):
+    """Sorted batch of distinct indices, deterministic in (seed, k)."""
+    _check_batch_size(n_components, batch_size)
     if seed < 0 or k < 0:
         raise ValueError("seed and iteration index must be nonnegative")
     rng = np.random.default_rng([seed, k])
@@ -61,10 +65,7 @@ def default_period(n_components, batch_size):
 
 
 def _check_settings(n_components, batch_size, period):
-    if not 1 <= batch_size <= n_components:
-        raise ValueError(
-            f"batch size must be in [1, {n_components}], got {batch_size}"
-        )
+    _check_batch_size(n_components, batch_size)
     if period is not None and period < 1:
         raise ValueError(f"period must be at least 1, got {period}")
 
@@ -97,11 +98,6 @@ class _EstimatorBase:
     def estimate(self, k, x):
         """The estimate of the mean gradient at x = x^k; updates the memory."""
         raise NotImplementedError
-
-    def batch_estimate(self, batch, x):
-        """Estimate for an explicit batch without touching the memory."""
-        self._require_ready()
-        return self._corrected(batch, x)[0]
 
     def _corrected(self, batch, x):
         """(estimate, fresh rows, column sum of fresh - anchor rows) for ``batch`` at x.

@@ -73,6 +73,54 @@ def lyapunov_reference(problem, window, constants):
     return value
 
 
+def conj_value_oracle(reg, y, unbounded_halfwidth=40.0):
+    """Grid sup of y*x - h(x) for each entry of y, on a grid of step ORACLE_STEP.
+
+    The grid spans dom h (the box or ball for the bounded kinds, a wide
+    window for l1) and always contains x = 0 exactly, which matters for
+    the l0 penalty; it and h on it are built once per call. For l1 with
+    |y| > lam the true sup is +inf; the returned value then grows with
+    the window and the caller should only check that it exceeds any
+    fixed bound. Returns a float for a scalar y, else y's shape.
+    """
+    if reg.kind == "l1":
+        lo, hi = -unbounded_halfwidth, unbounded_halfwidth
+    elif reg.kind == "l0_box":
+        lo, hi = reg.c1, reg.c2
+    else:
+        lo, hi = -reg.r, reg.r
+    xs = np.arange(lo, hi + conjprox.ORACLE_STEP, conjprox.ORACLE_STEP)
+    xs = np.concatenate([xs, [0.0]])
+    hx = reg._h_elem(xs, reg._dom_bounds())
+    y = np.asarray(y, dtype=float)
+    sup = np.array([np.max(t * xs - hx) for t in y.ravel()]).reshape(y.shape)
+    return float(sup) if y.ndim == 0 else sup
+
+
+def oracle_conj_deviation(reg, points):
+    """Max |closed-form h* - grid sup| over finite-valued points."""
+    points = np.asarray(points, dtype=float)
+    closed = np.array([reg.conj_value(np.array([y])) for y in points])
+    finite = ~np.isinf(closed)
+    return float(np.max(np.abs(closed[finite] - conj_value_oracle(reg, points[finite])),
+                        initial=0.0))
+
+
+def anchored_estimate(est, batch, x):
+    """mean_B(grad f_i(x) - anchor_i) + anchor_mean for an explicit batch.
+
+    The anchors come from the estimator's own memory, which is left as
+    is: SAGA's table rows, or the component gradients at the anchor
+    point of SVRG and SARAH.
+    """
+    if hasattr(est, "table"):
+        anchors = est.table[batch]
+    else:
+        anchors = np.stack([est.component_grad(i, est.anchor_x) for i in batch])
+    fresh = np.stack([est.component_grad(i, x) for i in batch])
+    return (fresh - anchors).mean(axis=0) + est.anchor_mean
+
+
 def run_history(problem, config, x0, y0, n_steps):
     """Drive the solver manually, returning the list of states."""
     state = ppdg.init_state(problem, x0, y0, config)

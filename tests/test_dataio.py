@@ -110,6 +110,8 @@ def test_p2_negative_sample_reports_the_samples_offset(tmp_path):
 
 @pytest.mark.parametrize("text, message, offset", [
     ("P2\n0 2\n255\n", "nonpositive image dimensions", len("P2\n")),
+    ("P2\n2 -1\n255\n", "nonpositive image dimensions", len("P2\n2 ")),
+    ("P2\n-1 0\n255\n", "nonpositive image dimensions", len("P2\n")),
     ("P2\n1 1\n0\n0\n", "maxval out of range (1..65535)", len("P2\n1 1\n")),
     ("P2\n1 1\n65536\n0\n", "maxval out of range (1..65535)", len("P2\n1 1\n")),
     ("P2\n2 2\n255\n0 1 2\n", "expected 4 ASCII samples, found 3", len("P2\n2 2\n255\n0 1 2\n")),

@@ -554,6 +554,40 @@ def test_divergence_inside_a_batch_fails_the_seed_with_no_rows():
     assert res.aggregate == []
 
 
+def test_gradient_blowup_after_a_flushed_batch_fails_the_seed_with_no_rows():
+    # the component gradient turns to 1e200 once the first ROW_BATCH rows
+    # have been flushed; the seed keeps none of its rows, flushed ones included
+    good = _quadratic_l0()
+    flushed = []
+
+    def component_grad(i, x):
+        return np.full_like(x, 1e200) if flushed else good.component_grad(i, x)
+
+    fsp = FiniteSumProblem(
+        n_components=good.n_components, component_value=good.component_value,
+        component_grad=component_grad, lipschitz_L=1.0, operator=good.operator,
+        regularizer=good.regularizer,
+    )
+    full_sums = fsp.full_sums
+
+    def full_sums_then_blow_up(xs):
+        sums = full_sums(xs)
+        flushed.append(len(xs))
+        return sums
+
+    fsp.full_sums = full_sums_then_blow_up
+    cfg = exact_cfg(max_epochs=400, seeds=(0,))
+    # the blown-up iterate's squared norm overflows to inf, which fails the cap
+    with np.errstate(over="ignore"), pytest.warns(
+            RuntimeWarning, match=f"diverged at iteration {sppdg.ROW_BATCH + 1}:"):
+        res = solve_stochastic(fsp, "saga", cfg, batch_size=2)
+    assert flushed == [sppdg.ROW_BATCH]
+    run = res.per_seed[0]
+    assert run.failed and run.report is None
+    assert run.records == [] and run.comp_evals == []
+    assert res.aggregate == []
+
+
 @pytest.mark.parametrize("kind", ["saga", "full"])
 def test_step_norms_are_np_linalg_norm_exactly(monkeypatch, kind):
     states = _keep_states(monkeypatch)

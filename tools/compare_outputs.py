@@ -2,13 +2,14 @@
 
 Usage: python tools/compare_outputs.py PARENT CHANGE [--command "ARGS"]...
 
-Each command runs once per side as ``python -m dualprox.cli ARGS --out-dir
-DIR`` in a fresh process with PYTHONPATH=<side>/src. Every file the run
-writes, its stdout and its exit code must be equal between the sides. The
-wall clock is masked first: the ``elapsed_s`` column of each CSV (found by
-its header name), the ``seconds=`` line of ``summary.txt`` and the seconds
-field of the denoise stdout line. Stderr is not compared, since warnings
-name source paths.
+Each command runs once per side as ``python -m dualprox.cli ARGS`` in a
+fresh process with PYTHONPATH=<side>/src; ``denoise`` and ``lasso``, the
+subcommands that write files, get ``--out-dir DIR`` appended. Every file
+the run writes, its stdout and its exit code must be equal between the
+sides. The wall clock is masked first: the ``elapsed_s`` column of each
+CSV (found by its header name), the ``seconds=`` line of ``summary.txt``
+and the seconds field of the denoise stdout line. Stderr is not
+compared, since warnings name source paths.
 
 Prints one line per command and exits 1 on any difference. ``--command``
 replaces the default list below with its own commands (repeatable); each
@@ -35,7 +36,14 @@ COMMANDS = [
     # kappa_hat > 0 weighs the fifth point of the Lyapunov window
     ["lasso", "--synthetic", "200,20", "--seeds", "2", "--batch", "2", "--max-epochs", "4",
      "--estimator", "svrg", "--kappa-hat", "0.5", "--normalize-rows"],
+    *(["prox-check", "--reg", reg, "--points", "50"] for reg in ("l1", "l0", "lp", "scad")),
+    ["spectra", "--op", "identity", "--n", "3"],
+    ["spectra", "--op", "scaled", "--n", "3", "--scale", "-2"],
+    *(["spectra", "--op", "gradient2d", "--height", "6", "--width", "5", "--boundary", boundary]
+      for boundary in ("periodic", "zero-pad")),
 ]
+# the subcommands that write files, and so take --out-dir
+WRITERS = ("denoise", "lasso")
 MASK = b"<wall-clock>"
 
 
@@ -70,8 +78,9 @@ def run(side, command, out_dir):
     """(exit code, {output name: masked bytes}) of one command on one checkout."""
     env = dict(os.environ, PYTHONPATH=str(Path(side).resolve() / "src"))
     out_dir.parent.mkdir(parents=True)
-    proc = subprocess.run([sys.executable, "-m", "dualprox.cli", *command, "--out-dir",
-                           str(out_dir)], env=env, cwd=out_dir.parent, capture_output=True)
+    out_flag = ["--out-dir", str(out_dir)] if command[0] in WRITERS else []
+    proc = subprocess.run([sys.executable, "-m", "dualprox.cli", *command, *out_flag],
+                          env=env, cwd=out_dir.parent, capture_output=True)
     outputs = {"stdout": proc.stdout}
     if out_dir.is_dir():
         outputs.update((p.name, p.read_bytes()) for p in out_dir.iterdir())
