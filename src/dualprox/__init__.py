@@ -22,7 +22,7 @@ of a source checkout (``python3 perfbench/run.py --workload denoise-256
 """
 
 from .conjprox import L0Box, L1, LpBall, ScadBox
-from .dataio import ImageBuffer, SparseDataset, add_gaussian_noise, parse_libsvm, read_pgm, write_pgm
+from .dataio import ImageBuffer, add_gaussian_noise, parse_libsvm, read_pgm, write_pgm
 from .linops import (
     DenseMatrix,
     Gradient2D,

@@ -132,9 +132,7 @@ def cmd_denoise(args):
 def _load_lasso_problem(args):
     # the parser requires exactly one of --data and --synthetic
     if args.data is not None:
-        ds = dataio.parse_libsvm(args.data, n_hint=args.n_hint)
-        rows = ds.to_dense()
-        labels = ds.labels
+        rows, labels = dataio.parse_libsvm(args.data, n_hint=args.n_hint)
         # parse_libsvm maps two classes to {-1, +1}; build_fused_lasso rejects no rows
         if labels.size and np.unique(labels).size != 2:
             raise UsageError("dataset labels do not form a two-class set")

@@ -6,7 +6,6 @@ import numpy as np
 
 __all__ = [
     "ImageBuffer",
-    "SparseDataset",
     "PgmParseError",
     "LibsvmParseError",
     "read_pgm",
@@ -56,22 +55,6 @@ class ImageBuffer:
     def from_matrix(cls, mat):
         mat = np.asarray(mat, dtype=float)
         return cls(height=mat.shape[0], width=mat.shape[1], pixels=mat.ravel())
-
-
-@dataclass
-class SparseDataset:
-    """Sparse rows as (indices, values) pairs; indices 0-based in memory."""
-
-    n_rows: int
-    n_features: int
-    rows: list
-    labels: np.ndarray
-
-    def to_dense(self):
-        dense = np.zeros((self.n_rows, self.n_features))
-        for i, (idx, vals) in enumerate(self.rows):
-            dense[i, idx] = vals
-        return dense
 
 
 def _read_pgm_tokens(data, count, start):
@@ -157,13 +140,16 @@ def write_pgm(path, img):
 
 
 def parse_libsvm(path, n_hint=None):
-    """Parse `label idx:val idx:val ...` lines into a SparseDataset.
+    """Parse `label idx:val idx:val ...` lines into dense (rows, labels).
 
-    Indices are 1-based in the file and strictly increasing per row.
-    Labels and values must be finite. When the raw labels form a
-    two-class set they are mapped to {-1, +1}, smaller label to -1.
+    ``rows`` is N x n, n the largest index in the file or ``n_hint`` if
+    that is larger; an absent entry is 0. Indices are 1-based in the file
+    and strictly increasing per row. Labels and values must be finite.
+    When the raw labels form a two-class set they are mapped to {-1, +1},
+    smaller label to -1.
     """
-    rows = []
+    # one (row, column, value) triple per stored entry
+    row_of, col_of, vals = [], [], []
     labels = []
     max_index = 0
     with open(path) as fh:
@@ -179,8 +165,6 @@ def parse_libsvm(path, n_hint=None):
             if not np.isfinite(label):
                 raise LibsvmParseError(f"non-finite label {parts[0]!r}", lineno)
             labels.append(label)
-            idx = []
-            vals = []
             prev = 0
             for tok in parts[1:]:
                 if ":" not in tok:
@@ -199,18 +183,17 @@ def parse_libsvm(path, n_hint=None):
                         lineno,
                     )
                 prev = i
-                idx.append(i - 1)
+                row_of.append(len(labels) - 1)
+                col_of.append(i - 1)
                 vals.append(v)
             max_index = max(max_index, prev)
-            rows.append((np.array(idx, dtype=int), np.array(vals, dtype=float)))
-    n_features = max(max_index, n_hint or 0)
+    rows = np.zeros((len(labels), max(max_index, n_hint or 0)))
+    rows[np.array(row_of, dtype=int), np.array(col_of, dtype=int)] = vals
     labels = np.array(labels, dtype=float)
     distinct = np.unique(labels)
     if distinct.size == 2:
         labels = np.where(labels == distinct[0], -1.0, 1.0)
-    return SparseDataset(
-        n_rows=len(rows), n_features=n_features, rows=rows, labels=labels
-    )
+    return rows, labels
 
 
 def read_csv_matrix(path):

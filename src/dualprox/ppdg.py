@@ -59,7 +59,6 @@ __all__ = [
     "default_alpha",
     "lagrangian",
     "dual_beta",
-    "dual_prox_step",
     "init_state",
     "step",
     "subgradient_d",
@@ -230,21 +229,6 @@ def dual_beta(problem, config):
     return 1.0 / (config.alpha * norm**2)
 
 
-def dual_prox_step(regularizer, y, a_extrap, beta):
-    """One dual update; returns (y_next, g_next, ||y_next - y||), g_next in dh*(y_next).
-
-    g_next = (y - y_next)/beta + a_extrap is formed in place on y - y_next,
-    after its norm is taken: the norm of a negated vector is the same, bit
-    for bit.
-    """
-    y_next = regularizer.prox_conj(y + beta * a_extrap, beta)
-    g_next = y - y_next
-    dy = _norm(g_next)
-    g_next /= beta
-    g_next += a_extrap
-    return y_next, g_next, dy
-
-
 def _primal_step(problem, config, gradient, k, x, y):
     """(x - alpha s, ||s||) for s = g + A^T y, g = grad f(x) or ``gradient(k, x)``."""
     # one unnamed sum, so numpy may form it in place on the gradient
@@ -289,7 +273,13 @@ def step(problem, state, config, beta=None, gradient=None):
     if beta is None:
         beta = dual_beta(problem, config)
     a_extrap = problem.operator.apply(2.0 * state.x_next - state.x_cur)
-    y_next, g_next, dy = dual_prox_step(problem.regularizer, state.y_cur, a_extrap, beta)
+    y_next = problem.regularizer.prox_conj(state.y_cur + beta * a_extrap, beta)
+    # g^{k+1} = (y^k - y^{k+1})/beta + a_extrap, in dh*(y^{k+1}), is formed in place
+    # on y^k - y^{k+1} after its norm is taken: a negated vector's norm is the same
+    g_next = state.y_cur - y_next
+    dy = _norm(g_next)
+    g_next /= beta
+    g_next += a_extrap
     x_after, norm = _primal_step(problem, config, gradient, state.k + 1, state.x_next, y_next)
     # x^1, formed by init_state, is checked in the first step
     if not (_norm(x_after) <= NORM_CAP and _norm(y_next) <= NORM_CAP
@@ -392,7 +382,9 @@ def _iterate(problem, config, gradient, proceed, limit_reason, on_step):
     once both step norms of a new state reach ``config.tol_step``.
     ``on_step(state, elapsed_s)`` receives each new state, with the
     seconds since the first step started, before the stop test. The step
-    raises SolverDivergence for an iterate beyond NORM_CAP.
+    raises SolverDivergence for an iterate beyond NORM_CAP. The loop, rows
+    built in ``on_step`` included, runs with numpy's overflow and invalid
+    warnings off: a row reads only iterates the step has checked.
     """
     beta = dual_beta(problem, config)
     op = problem.operator
@@ -400,13 +392,15 @@ def _iterate(problem, config, gradient, proceed, limit_reason, on_step):
     # steps changes numpy's allocation pattern, and perfbench/run.py then read
     # the 256x256 denoise solve about 12 % slower
     x0, y0 = np.zeros(op.in_dim), np.zeros(op.out_dim)
-    state = init_state(problem, x0, y0, config, gradient)
-    started = time.perf_counter()
-    while proceed(state.k):
-        state = step(problem, state, config, beta, gradient)
-        on_step(state, time.perf_counter() - started)
-        if max(math.sqrt(state.dx_sq), state.dy_norm) <= config.tol_step:
-            return state, "converged"
+    # a diverging iterate's squared norm may overflow; the cap test reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = init_state(problem, x0, y0, config, gradient)
+        started = time.perf_counter()
+        while proceed(state.k):
+            state = step(problem, state, config, beta, gradient)
+            on_step(state, time.perf_counter() - started)
+            if max(math.sqrt(state.dx_sq), state.dy_norm) <= config.tol_step:
+                return state, "converged"
     return state, limit_reason
 
 

@@ -16,7 +16,9 @@ analysis have no closed form), so descent reporting is advisory.
 ``ppdg.make_record`` evaluates that part on each row, with c weighing the
 fifth point.
 
-Each seed starts at zero. A trace row needs f(x^k) and grad f(x^k), full
+Each seed starts where the loop does, at zero: the estimator is handed
+no point, and seeds its memory on the loop's k = 0 gradient call, which
+is charged its N evaluations. A trace row needs f(x^k) and grad f(x^k), full
 sums that never feed the iterates; the residual norm a step keeps is of
 the estimate, so each row's kkt_x is formed from the gradient in these
 sums. Each seed keeps up to ``ROW_BATCH`` new states pending and
@@ -188,8 +190,7 @@ def _run_one_seed(problem, estimator_kind, config, step_config, weights, seed,
     n = problem.n_components
     budget = config.max_epochs * n
     estimator = make_estimator(estimator_kind, n, batch_size, seed, period=period)
-    estimator.reset(np.zeros(problem.operator.in_dim), problem.component_grad,
-                    problem.full_grad)
+    estimator.reset(problem.component_grad, problem.full_grad)
     pending, records, evals_at = [], [], []
 
     def flush():

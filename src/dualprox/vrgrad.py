@@ -21,9 +21,11 @@ how its memory moves after a step:
 * ``"full"`` is SVRG with batch N and period 1: the exact mean gradient
   at every step.
 
-``reset(x0, component_grad, full_grad)`` binds the two gradient oracles
-and seeds the memory at x0, so that ``estimate(k, x)`` is itself the
-gradient oracle of the primal-dual loop.
+``reset(component_grad, full_grad)`` binds the two gradient oracles, so
+that ``estimate(k, x)`` is itself the gradient oracle of the primal-dual
+loop. The memory is seeded by the k = 0 estimate, at the x the loop
+starts from, and its N evaluations are charged there; an estimate before
+``reset``, or a first one at k > 0, raises RuntimeError.
 
 Batches are drawn uniformly without replacement as a pure function of
 (seed, k) and reduced in ascending index order, so the whole estimate
@@ -86,12 +88,11 @@ class _EstimatorBase:
     def sample_batch(self, k):
         return sample_batch(self.seed, self.n_components, self.batch_size, k)
 
-    def reset(self, x0, component_grad, full_grad):
-        """Bind the gradient oracles and seed the memory at x0 (N evaluations)."""
+    def reset(self, component_grad, full_grad):
+        """Bind the gradient oracles; the k = 0 estimate seeds the memory."""
         self.component_grad = component_grad
         self.full_grad = full_grad
-        self._anchor_at(np.asarray(x0, dtype=float))
-        self.evals = self.n_components
+        self.evals = 0
         self._ready = True
         return self
 
@@ -117,9 +118,12 @@ class _EstimatorBase:
     def _anchor_rows(self, batch):
         raise NotImplementedError
 
-    def _require_ready(self):
+    def _check_start(self, k):
         if not self._ready:
             raise RuntimeError(f"{self.kind}: estimator not initialized; call reset")
+        # every estimate charges evaluations, so none has run since reset
+        if self.evals == 0 and k != 0:
+            raise RuntimeError(f"{self.kind}: the first estimate after reset is at k = 0, not {k}")
 
 
 class SagaEstimator(_EstimatorBase):
@@ -133,7 +137,10 @@ class SagaEstimator(_EstimatorBase):
         return self.table[batch]
 
     def estimate(self, k, x):
-        self._require_ready()
+        self._check_start(k)
+        if k == 0:
+            self._anchor_at(x)
+            self.evals += self.n_components
         batch = self.sample_batch(k)
         estimate, fresh, total = self._corrected(batch, x)
         self.evals += len(batch)
@@ -156,13 +163,11 @@ class SvrgEstimator(_EstimatorBase):
         return np.stack([self.component_grad(i, self.anchor_x) for i in batch])
 
     def estimate(self, k, x):
-        self._require_ready()
+        self._check_start(k)
         x = np.asarray(x, dtype=float)
         if k % self.period == 0:
-            # at k = 0 the anchor was just seeded at x0 = x
-            if k > 0:
-                self._anchor_at(x)
-                self.evals += self.n_components
+            self._anchor_at(x)
+            self.evals += self.n_components
             estimate = self.anchor_mean.copy()
         else:
             estimate = self._corrected(self.sample_batch(k), x)[0]

@@ -33,6 +33,15 @@ def test_a_command_that_writes_no_files_runs_without_an_out_dir():
     assert proc.stdout == f"{command}  identical (exit 0)\n"
 
 
+def test_a_command_that_reads_a_fixture_matches_itself():
+    # {libsvm} names the LIBSVM file the tool writes before it runs any command
+    command = "lasso --data {libsvm} --seeds 1 --batch 3 --max-epochs 2"
+    proc = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT), "--command", command],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{command}  identical (exit 0)\n"
+
+
 def test_mask_blanks_the_wall_clock_and_nothing_else():
     mask = load_tool().mask
     trace = b"# denoise x=1\niter,elapsed_s,objective\n1,0.25,2\n2,0.5,1\n"

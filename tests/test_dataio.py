@@ -143,19 +143,39 @@ def test_image_buffer_rejects_a_nonpositive_size(height, width):
 def test_parse_libsvm_basic(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text("1 1:0.5 3:-2\n-1\n")
-    ds = parse_libsvm(path, n_hint=3)
-    assert ds.n_rows == 2 and ds.n_features == 3
-    dense = ds.to_dense()
-    assert np.array_equal(dense[0], [0.5, 0.0, -2.0])
-    assert np.array_equal(dense[1], [0.0, 0.0, 0.0])
-    assert np.array_equal(ds.labels, [1.0, -1.0])
+    rows, labels = parse_libsvm(path, n_hint=3)
+    assert rows.shape == (2, 3)
+    assert np.array_equal(rows[0], [0.5, 0.0, -2.0])
+    assert np.array_equal(rows[1], [0.0, 0.0, 0.0])
+    assert np.array_equal(labels, [1.0, -1.0])
+
+
+def test_parse_libsvm_pads_to_n_hint_and_never_truncates(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("0 2:1.5 4:-3\n1 1:0.25\n")
+    want = [[0.0, 1.5, 0.0, -3.0], [0.25, 0.0, 0.0, 0.0]]
+    for n_hint in (None, 2, 4):
+        rows, labels = parse_libsvm(path, n_hint=n_hint)
+        assert rows.dtype == float and np.array_equal(rows, want)
+        assert np.array_equal(labels, [-1.0, 1.0])
+    rows, _ = parse_libsvm(path, n_hint=6)
+    assert np.array_equal(rows, np.pad(want, ((0, 0), (0, 2))))
+
+
+def test_parse_libsvm_empty_file(tmp_path):
+    path = tmp_path / "d.txt"
+    path.write_text("\n\n")
+    for n_hint, width in ((None, 0), (3, 3)):
+        rows, labels = parse_libsvm(path, n_hint=n_hint)
+        assert rows.shape == (0, width) and rows.dtype == float
+        assert labels.shape == (0,) and labels.dtype == float
 
 
 def test_parse_libsvm_two_class_mapping(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text("3 1:1\n5 1:2\n3 2:1\n")
-    ds = parse_libsvm(path)
-    assert np.array_equal(ds.labels, [-1.0, 1.0, -1.0])
+    _, labels = parse_libsvm(path)
+    assert np.array_equal(labels, [-1.0, 1.0, -1.0])
 
 
 def test_parse_libsvm_errors_carry_line_numbers(tmp_path):
@@ -178,10 +198,10 @@ def test_parse_libsvm_errors_carry_line_numbers(tmp_path):
 def test_parse_libsvm_skips_blank_lines_but_counts_them(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text("1 1:0.5\n\n   \n-1 2:1\n")
-    ds = parse_libsvm(path)
-    assert ds.n_rows == 2 and ds.n_features == 2
-    assert np.array_equal(ds.to_dense(), [[0.5, 0.0], [0.0, 1.0]])
-    assert np.array_equal(ds.labels, [1.0, -1.0])
+    rows, labels = parse_libsvm(path)
+    assert rows.shape == (2, 2)
+    assert np.array_equal(rows, [[0.5, 0.0], [0.0, 1.0]])
+    assert np.array_equal(labels, [1.0, -1.0])
     path.write_text("1 1:0.5\n\n   \n-1 2:1 5\n")
     with pytest.raises(LibsvmParseError) as err:
         parse_libsvm(path)
@@ -206,16 +226,16 @@ def test_parse_libsvm_rejects_non_finite_values_with_the_line(tmp_path, token):
 def test_parse_serialize_parse_identity(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text("1 1:0.25 4:-1.5\n-1 2:3\n")
-    ds = parse_libsvm(path)
+    rows, labels = parse_libsvm(path)
     lines = []
-    for (idx, vals), label in zip(ds.rows, ds.labels):
-        feats = " ".join(f"{i + 1}:{v:.17g}" for i, v in zip(idx, vals))
+    for row, label in zip(rows, labels):
+        feats = " ".join(f"{i + 1}:{row[i]:.17g}" for i in np.flatnonzero(row))
         lines.append(f"{label:.17g} {feats}".strip())
     path2 = tmp_path / "d2.txt"
     path2.write_text("\n".join(lines) + "\n")
-    ds2 = parse_libsvm(path2, n_hint=ds.n_features)
-    assert np.array_equal(ds.to_dense(), ds2.to_dense())
-    assert np.array_equal(ds.labels, ds2.labels)
+    rows2, labels2 = parse_libsvm(path2, n_hint=rows.shape[1])
+    assert np.array_equal(rows, rows2)
+    assert np.array_equal(labels, labels2)
 
 
 def test_noise_sigma_zero_identity():

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import warnings
 import weakref
 from types import SimpleNamespace
 
@@ -140,6 +141,25 @@ def test_nan_gradient_diverges_at_the_step_that_formed_it():
     assert err.value.iteration == 2 and len(calls) == 3
     assert [r.iter for r in rows] == [1]
     assert all(np.isfinite(value) for r in rows for value in vars(r).values())
+
+
+def test_a_diverging_solve_raises_without_a_numpy_warning():
+    # from its third call grad_f is 1e200, whose squared norm overflows
+    calls = []
+
+    def grad_f(x):
+        calls.append(1)
+        return x - 2.0 if len(calls) < 3 else np.full_like(x, 1e200)
+
+    prob = CompositeProblem(
+        f_value=lambda x: 0.5 * float(np.sum((x - 2.0) ** 2)), grad_f=grad_f,
+        lipschitz_L=1.0, operator=linops.Identity(3), regularizer=conjprox.L0Box(0.1, -1, 1),
+    )
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(SolverDivergence, match="diverged at iteration 2"):
+            ppdg.solve(prob, PpdgConfig(alpha=0.3, max_iters=10, tol_step=0.0))
+    assert [str(w.message) for w in seen] == []
 
 
 def test_norm_cap_stops_at_the_step_that_formed_the_iterate(monkeypatch):
@@ -472,17 +492,22 @@ def test_kkt_consistency_scalar_problem(scalar_problem):
     assert report.kkt_x <= 1e-8
 
 
-def test_dual_prox_step_forms_g_and_dy_from_one_difference():
+def test_step_forms_g_and_dy_from_one_difference():
     reg = conjprox.L0Box(0.1, -1.0, 1.0)
     rng = np.random.default_rng(8)
     y = rng.uniform(-0.2, 0.2, 50)
-    a_extrap = rng.standard_normal(50)
+    op = linops.DenseMatrix(rng.standard_normal((50, 20)))
+    x, x_next = rng.standard_normal((2, 20))
+    prob = quadratic_problem(np.zeros(20), op, reg)
+    state = ppdg.SolverState(k=1, x_cur=x, y_cur=y, x_next=x_next)
+    a_extrap = op.apply(2.0 * x_next - x)
     for beta in (0.3, 7.0):
-        y_next, g_next, dy = ppdg.dual_prox_step(reg, y, a_extrap, beta)
+        new = ppdg.step(prob, state, exact_cfg(), beta)
+        y_next, g_next = new.y_cur, new.g_cur
         assert np.array_equal(y_next, reg.prox_conj(y + beta * a_extrap, beta))
         want = (y - y_next) / beta + a_extrap
         assert np.array_equal(g_next, want) and np.array_equal(np.signbit(g_next), np.signbit(want))
-        assert dy == float(np.linalg.norm(y_next - y))
+        assert new.dy_norm == float(np.linalg.norm(y_next - y))
 
 
 def test_row_step_norms_are_np_linalg_norm_exactly(monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -578,14 +580,35 @@ def test_gradient_blowup_after_a_flushed_batch_fails_the_seed_with_no_rows():
     fsp.full_sums = full_sums_then_blow_up
     cfg = exact_cfg(max_epochs=400, seeds=(0,))
     # the blown-up iterate's squared norm overflows to inf, which fails the cap
-    with np.errstate(over="ignore"), pytest.warns(
-            RuntimeWarning, match=f"diverged at iteration {sppdg.ROW_BATCH + 1}:"):
+    with pytest.warns(RuntimeWarning, match=f"diverged at iteration {sppdg.ROW_BATCH + 1}:"):
         res = solve_stochastic(fsp, "saga", cfg, batch_size=2)
     assert flushed == [sppdg.ROW_BATCH]
     run = res.per_seed[0]
     assert run.failed and run.report is None
     assert run.records == [] and run.comp_evals == []
     assert res.aggregate == []
+
+
+def test_diverging_seeds_warn_only_that_they_diverged():
+    # after 40 evaluations every component gradient is 1e200, whose squared
+    # norm overflows: seed 0 blows up mid-run, and seed 1 at its start
+    good = _quadratic_l0()
+    calls = []
+
+    def component_grad(i, x):
+        calls.append(i)
+        return np.full_like(x, 1e200) if len(calls) > 40 else good.component_grad(i, x)
+
+    fsp = FiniteSumProblem(
+        n_components=good.n_components, component_value=good.component_value,
+        component_grad=component_grad, lipschitz_L=1.0, operator=good.operator,
+        regularizer=good.regularizer,
+    )
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        res = solve_stochastic(fsp, "saga", exact_cfg(max_epochs=50, seeds=(0, 1)), batch_size=2)
+    assert [r.failed for r in res.per_seed] == [True, True]
+    assert [str(w.message).split(":")[0] for w in seen] == ["seed 0 diverged", "seed 1 diverged"]
 
 
 @pytest.mark.parametrize("kind", ["saga", "full"])

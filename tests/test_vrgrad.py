@@ -75,6 +75,39 @@ def test_estimate_requires_reset(quad_components):
 
 
 @pytest.mark.parametrize("kind", ["saga", "svrg", "sarah", "full"])
+def test_estimates_before_reset_or_a_k0_start_raise(quad_components, kind):
+    cg, fg = quad_components
+    est = make_estimator(kind, 8, 2, seed=0, period=4)
+    with pytest.raises(RuntimeError, match="call reset"):
+        est.estimate(0, np.zeros(3))
+    est.reset(cg, fg)
+    # k = 4 is a snapshot of the period-4 kinds, but still no start
+    for k in (1, 4):
+        with pytest.raises(RuntimeError, match=f"first estimate after reset is at k = 0, not {k}"):
+            est.estimate(k, np.zeros(3))
+    assert est.evals == 0
+
+
+@pytest.mark.parametrize("kind", ["saga", "svrg", "sarah", "full"])
+def test_the_k0_estimate_seeds_the_memory_at_its_point(quad_components, kind):
+    cg, fg = quad_components
+    x0 = np.array([0.4, -1.5, 2.0])
+    est = make_estimator(kind, 8, 2, seed=3)
+    est.reset(cg, fg)
+    assert est.evals == 0
+    est.estimate(0, x0)
+    if kind == "saga":
+        grads = np.stack([cg(i, x0) for i in range(8)])
+        assert np.array_equal(est.table, grads)
+        assert np.array_equal(est.anchor_mean, grads.mean(axis=0))
+        assert est.evals == 8 + 2
+    else:
+        assert np.array_equal(est.anchor_x, x0) and est.anchor_x is not x0
+        assert np.array_equal(est.anchor_mean, fg(x0))
+        assert est.evals == 8
+
+
+@pytest.mark.parametrize("kind", ["saga", "svrg", "sarah", "full"])
 @pytest.mark.parametrize("period", [0, -3])
 def test_period_below_one_is_rejected(kind, period):
     # k % -3 == 0 at multiples of 3, so a negative period would act as its absolute value
@@ -104,7 +137,7 @@ def test_unbiasedness_by_batch_enumeration(quad_components, kind, batch_size):
     rng = np.random.default_rng(5)
     x = rng.standard_normal(3)
     est = make_estimator(kind, 8, batch_size, seed=0)
-    est.reset(np.zeros(3), cg, fg)
+    est.reset(cg, fg).estimate(0, np.zeros(3))
     vals = [
         anchored_estimate(est, np.array(batch), x)
         for batch in itertools.combinations(range(8), batch_size)
@@ -116,7 +149,7 @@ def test_saga_full_table_gives_exact_gradient(quad_components):
     cg, fg = quad_components
     x = np.full(3, 0.25)
     est = make_estimator("saga", 8, 3, seed=0)
-    est.reset(x, cg, fg)  # table entries equal the gradients at x
+    est.reset(cg, fg).estimate(0, x)  # table entries equal the gradients at x
     g = anchored_estimate(est, np.array([1, 4, 6]), x)
     assert np.allclose(g, fg(x), atol=1e-12)
 
@@ -124,7 +157,7 @@ def test_saga_full_table_gives_exact_gradient(quad_components):
 def test_svrg_snapshot_emits_exact_full_gradient(quad_components):
     cg, fg = quad_components
     est = make_estimator("svrg", 8, 2, seed=1)  # period 4
-    est.reset(np.zeros(3), cg, fg)
+    est.reset(cg, fg)
     assert np.array_equal(est.estimate(0, np.zeros(3)), fg(np.zeros(3)))
     x4 = np.ones(3)
     assert np.array_equal(est.estimate(4, x4), fg(x4))
@@ -133,7 +166,7 @@ def test_svrg_snapshot_emits_exact_full_gradient(quad_components):
 def test_sarah_restart_emits_exact_full_gradient(quad_components):
     cg, fg = quad_components
     est = make_estimator("sarah", 8, 2, seed=1)
-    est.reset(np.zeros(3), cg, fg)
+    est.reset(cg, fg)
     assert np.array_equal(est.estimate(0, np.zeros(3)), fg(np.zeros(3)))
     x4 = -np.ones(3)
     assert np.array_equal(est.estimate(4, x4), fg(x4))
@@ -143,7 +176,7 @@ def test_sarah_recursion_formula(quad_components):
     cg, fg = quad_components
     est = make_estimator("sarah", 8, 2, seed=3)
     x0 = np.zeros(3)
-    est.reset(x0, cg, fg)
+    est.reset(cg, fg)
     g0 = est.estimate(0, x0)
     x1 = np.array([0.1, -0.2, 0.3])
     batch = sample_batch(3, 8, 2, 1)
@@ -155,7 +188,7 @@ def test_sarah_recursion_formula(quad_components):
 def test_saga_table_mean_invariant(quad_components):
     cg, fg = quad_components
     est = make_estimator("saga", 8, 2, seed=7)
-    est.reset(np.zeros(3), cg, fg)
+    est.reset(cg, fg)
     rng = np.random.default_rng(0)
     x = np.zeros(3)
     for k in range(60):
@@ -170,7 +203,7 @@ def test_reset_restores_identical_stream(quad_components):
 
     def stream():
         est = make_estimator("saga", 8, 2, seed=4)
-        est.reset(np.zeros(3), cg, fg)
+        est.reset(cg, fg)
         return [est.estimate(k, xs[k]) for k in range(9)]
 
     first, second = stream(), stream()
@@ -182,7 +215,7 @@ def test_reset_then_first_estimates_are_full_gradients(quad_components):
     x0 = np.array([0.5, 0.5, 0.5])
     for kind in ("svrg", "sarah"):
         est = make_estimator(kind, 8, 2, seed=2)
-        est.reset(x0, cg, fg)
+        est.reset(cg, fg)
         assert np.array_equal(est.estimate(0, x0), fg(x0))
 
 
@@ -192,8 +225,8 @@ def test_full_kind_is_full_batch_svrg_with_period_one(quad_components):
     svrg = make_estimator("svrg", 8, 8, seed=5, period=1)
     assert (full.batch_size, full.period) == (8, 1)
     xs = np.random.default_rng(9).standard_normal((12, 3))
-    full.reset(xs[0], cg, fg)
-    svrg.reset(xs[0], cg, fg)
+    full.reset(cg, fg)
+    svrg.reset(cg, fg)
     for k, x in enumerate(xs):
         got = full.estimate(k, x)
         assert np.array_equal(got, svrg.estimate(k, x))
@@ -205,7 +238,7 @@ def test_sarah_recursion_over_a_period(quad_components):
     cg, fg = quad_components
     est = make_estimator("sarah", 8, 2, seed=6, period=6)
     xs = np.random.default_rng(2).standard_normal((7, 3))
-    est.reset(xs[0], cg, fg)
+    est.reset(cg, fg)
     previous = est.estimate(0, xs[0])
     for k in range(1, 6):
         batch = sample_batch(6, 8, 2, k)
@@ -218,7 +251,7 @@ def test_sarah_recursion_over_a_period(quad_components):
 def test_full_estimator_is_exact(quad_components):
     cg, fg = quad_components
     est = make_estimator("full", 8, 2, seed=0)
-    est.reset(np.zeros(3), cg, fg)
+    est.reset(cg, fg).estimate(0, np.zeros(3))
     x = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(est.estimate(5, x), fg(x))
 
@@ -226,10 +259,10 @@ def test_full_estimator_is_exact(quad_components):
 def test_eval_accounting(quad_components):
     cg, fg = quad_components
     est = make_estimator("svrg", 8, 2, seed=0)  # period 4
-    est.reset(np.zeros(3), cg, fg)
-    assert est.evals == 8
+    est.reset(cg, fg)
+    assert est.evals == 0
     est.estimate(0, np.zeros(3))
-    assert est.evals == 8  # snapshot reused at k = 0
+    assert est.evals == 8  # the snapshot is seeded at k = 0
     est.estimate(1, np.ones(3))
     assert est.evals == 8 + 4  # two fresh points per batch element
     est.estimate(4, np.ones(3))
@@ -243,7 +276,7 @@ def test_variance_decays_along_converging_run(quad_components):
     x_star = np.array([0.3, -0.1, 0.2])
     checkpoints = {10: None, 100: None, 1000: None}
     est = make_estimator("saga", 8, 2, seed=0)
-    est.reset(np.zeros(3), cg, fg)
+    est.reset(cg, fg)
     for k in range(1001):
         x = x_star + (x_star - np.zeros(3)) * 0.99**k * np.array([1.0, -1.0, 0.5])
         est.estimate(k, x)

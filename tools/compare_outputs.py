@@ -11,6 +11,11 @@ CSV (found by its header name), the ``seconds=`` line of ``summary.txt``
 and the seconds field of the denoise stdout line. Stderr is not
 compared, since warnings name source paths.
 
+The input files a command reads are written once per comparison into its
+temporary directory, and an argument that is a placeholder of FIXTURES
+(``{libsvm}``, ``{graph}``, ``{pgm}``) is replaced by its file's path. Both
+sides read the same path, so the flag echo in the traces matches.
+
 Prints one line per command and exits 1 on any difference. ``--command``
 replaces the default list below with its own commands (repeatable); each
 is split on whitespace.
@@ -24,6 +29,7 @@ import tempfile
 from pathlib import Path
 
 LASSO = ["lasso", "--synthetic", "300,20", "--seeds", "3", "--batch", "3", "--max-epochs", "5"]
+DATA = ["lasso", "--data", "{libsvm}", "--seeds", "2", "--batch", "3", "--max-epochs", "5"]
 COMMANDS = [
     ["denoise", "--synthetic", "64x64", "--max-iters", "200"],
     ["denoise", "--synthetic", "64x64", "--max-iters", "200", "--boundary", "zero-pad"],
@@ -41,10 +47,54 @@ COMMANDS = [
     ["spectra", "--op", "scaled", "--n", "3", "--scale", "-2"],
     *(["spectra", "--op", "gradient2d", "--height", "6", "--width", "5", "--boundary", boundary]
       for boundary in ("periodic", "zero-pad")),
+    [*DATA, "--estimator", "saga"],
+    [*DATA, "--n-hint", "12", "--v-file", "{graph}", "--estimator", "svrg"],
+    # the 12-node graph does not fit the file's 9 features: exit 2
+    [*DATA, "--v-file", "{graph}", "--estimator", "saga"],
+    ["denoise", "--input", "{pgm}", "--max-iters", "100"],
 ]
 # the subcommands that write files, and so take --out-dir
 WRITERS = ("denoise", "lasso")
 MASK = b"<wall-clock>"
+
+
+def _libsvm():
+    """60 rows with raw labels {0, 1}; features 6 and 8 never occur, 9 is the largest."""
+    lines = []
+    for r in range(60):
+        feats = [f"{j}:{((3 * r + 5 * j) % 13 - 6) / 4:g}" for j in (1, 2, 3, 4, 5, 7, 9)
+                 if (r + j) % 3]
+        lines.append(" ".join([str(r % 2), *feats]))
+    return "\n".join(lines) + "\n"
+
+
+def _graph():
+    """A symmetric 12-node ring, wider than the LIBSVM file's 9 features."""
+    return "".join(",".join("1" if abs(i - j) in (1, 11) else "0" for j in range(12)) + "\n"
+                   for i in range(12))
+
+
+def _pgm():
+    """A 24 x 20 binary (P5) PGM with maxval 255."""
+    return b"P5\n20 24\n255\n" + bytes((9 * r + 13 * c) % 256 for r in range(24) for c in range(20))
+
+
+# placeholder -> (file name, contents)
+FIXTURES = {
+    "{libsvm}": ("data.libsvm", _libsvm().encode()),
+    "{graph}": ("graph.csv", _graph().encode()),
+    "{pgm}": ("image.pgm", _pgm()),
+}
+
+
+def write_fixtures(directory):
+    """Write every fixture into ``directory``; returns {placeholder: path}."""
+    directory.mkdir()
+    paths = {}
+    for key, (name, data) in FIXTURES.items():
+        (directory / name).write_bytes(data)
+        paths[key] = str(directory / name)
+    return paths
 
 
 def _mask_csv(data):
@@ -92,9 +142,11 @@ def compare(parent, change, commands):
     all_same = True
     width = max(len(" ".join(command)) for command in commands)
     with tempfile.TemporaryDirectory() as tmp:
+        inputs = write_fixtures(Path(tmp) / "inputs")
         for i, command in enumerate(commands):
-            code_p, files_p = run(parent, command, Path(tmp) / f"p{i}" / "out")
-            code_c, files_c = run(change, command, Path(tmp) / f"c{i}" / "out")
+            args = [inputs.get(arg, arg) for arg in command]
+            code_p, files_p = run(parent, args, Path(tmp) / f"p{i}" / "out")
+            code_c, files_c = run(change, args, Path(tmp) / f"c{i}" / "out")
             differ = sorted(name for name in files_p.keys() | files_c.keys()
                             if files_p.get(name) != files_c.get(name))
             if code_p != code_c:
