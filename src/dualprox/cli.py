@@ -50,20 +50,13 @@ def _write_summary(path, pairs):
             fh.write(f"{key}={value}\n")
 
 
-def _parse_synthetic_hw(text):
+def _parse_synthetic(text, sep, form):
+    """The two integers of ``text`` around ``sep``; a UsageError naming ``form`` otherwise."""
     try:
-        h, w = text.lower().split("x")
-        return int(h), int(w)
+        first, second = text.lower().split(sep)
+        return int(first), int(second)
     except ValueError:
-        raise UsageError(f"--synthetic expects HxW, got {text!r}") from None
-
-
-def _parse_synthetic_nn(text):
-    try:
-        n_rows, n_feat = text.split(",")
-        return int(n_rows), int(n_feat)
-    except ValueError:
-        raise UsageError(f"--synthetic expects N,n got {text!r}") from None
+        raise UsageError(f"--synthetic expects {form} got {text!r}") from None
 
 
 def _parse_seeds(text):
@@ -86,7 +79,7 @@ def cmd_denoise(args):
     if args.input is not None:
         original = dataio.read_pgm(args.input)
     else:
-        original = problems.blocks_image(*_parse_synthetic_hw(args.synthetic))
+        original = problems.blocks_image(*_parse_synthetic(args.synthetic, "x", "HxW,"))
     noisy = dataio.add_gaussian_noise(original, args.sigma, args.seed)
     psnr_in = problems.psnr(noisy.pixels, original.pixels, noisy.height, noisy.width)
     problem = problems.build_denoise(
@@ -137,7 +130,7 @@ def _load_lasso_problem(args):
         if labels.size and np.unique(labels).size != 2:
             raise UsageError("dataset labels do not form a two-class set")
     else:
-        n_rows, n_feat = _parse_synthetic_nn(args.synthetic)
+        n_rows, n_feat = _parse_synthetic(args.synthetic, ",", "N,n")
         rows, labels = problems.synthetic_fused_lasso_data(n_rows, n_feat, seed=args.data_seed)
     if args.v_file:
         V = dataio.read_csv_matrix(args.v_file)

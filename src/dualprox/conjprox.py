@@ -61,9 +61,12 @@ class Regularizer:
     """Conjugate pair: evaluators for h, h*, and prox of beta*h*."""
 
     kind = "abstract"
-    #: magnitude scale of the prox displacement / conjugate domain,
-    #: used to size oracle grids
-    scale = 1.0
+
+    @property
+    def scale(self):
+        """Magnitude that sizes the oracle grids: max(-s_lo, s_hi), or max(-lo, hi) for l1."""
+        lo, hi, s_lo, s_hi = self._ramp()
+        return max(-lo, hi) if s_hi == np.inf else max(-s_lo, s_hi)
 
     # The span tests (see the module docstring) cost one reduction when the
     # first fails; an empty input has no span and takes the full path.
@@ -165,7 +168,6 @@ class L1(Regularizer):
         if not 0 < lam < np.inf:
             raise ValueError("l1: lam must be positive and finite")
         self.lam = float(lam)
-        self.scale = self.lam
 
     def _penalty_elem(self, x):
         return self.lam * np.abs(x)
@@ -185,7 +187,6 @@ class L0Box(Regularizer):
         self.lam = float(lam)
         self.c1 = float(c1)
         self.c2 = float(c2)
-        self.scale = max(self.c2, -self.c1)
 
     # sign(x)^2 is 1.0 off zero, +0.0 at either zero and x itself at a nan,
     # sign bit included; it is scaled in place (lam*1.0 = lam, lam*0.0 = +0.0)
@@ -210,7 +211,6 @@ class LpBall(Regularizer):
         self.lam = float(lam)
         self.p = float(p)
         self.r = float(r)
-        self.scale = self.r
 
     def _penalty_elem(self, x):
         return self.lam * np.abs(x) ** self.p
@@ -236,7 +236,6 @@ class ScadBox(Regularizer):
         self.lam = float(lam)
         self.gamma = float(gamma)
         self.r = float(r)
-        self.scale = self.r
         lam_, gam, r_ = self.lam, self.gamma, self.r
         if r_ < lam_:
             self.theta = lam_

@@ -20,19 +20,19 @@ and scaled-identity operators below the 1/(3L) step bound it finds none.
 
 The loop takes a gradient oracle and a stop rule, and hands each new
 state to its caller: ``solve`` runs it with the exact gradient and an
-iteration cap, and builds each trace row in the iteration that formed
-it; :mod:`dualprox.sppdg` runs it with a variance-reduced estimate and
-an evaluation budget. The step forms the primal residual g + A^T y once,
-for whatever gradient g it used, and keeps its norm. With the exact
-gradient that norm is the trace row's KKT residual, so a deterministic
-iteration applies A^T and grad f once each; under an estimate the row
-forms the residual from the exact gradient its caller passes. The dual
-step likewise forms y^k - y^{k+1} once: its norm is the row's dy, and
-g^{k+1} is formed in place on it. The step is the one place the step
-norms are formed, and the state carries them as floats: ||x^{k+1} - x^k||^2,
-the previous state's value of it, and ||y^{k+1} - y^k||. So no state keeps
-y^{k-1} or x^{k-2}. A finite sum is a composite problem, so every function
-here takes either type.
+iteration cap, builds a row per iteration only for a trace sink, and one
+at the final state for its report; :mod:`dualprox.sppdg` runs it with a
+variance-reduced estimate and an evaluation budget. The step forms the
+primal residual g + A^T y once, for whatever gradient g it used, and
+keeps its norm. With the exact gradient that norm is the trace row's KKT
+residual, so a deterministic iteration applies A^T and grad f once each;
+under an estimate the row forms the residual from the exact gradient its
+caller passes. The dual step likewise forms y^k - y^{k+1} once: its norm
+is the row's dy, and g^{k+1} is formed in place on it. The step is the
+one place the step norms are formed, and the state carries them as
+floats: ||x^{k+1} - x^k||^2, the previous state's value of it, and
+||y^{k+1} - y^k||. So no state keeps y^{k-1} or x^{k-2}. A finite sum is
+a composite problem, so every function here takes either type.
 
 Divergence is a safety rule of this code, not a parameter of the
 algorithm: ``step`` checks each new iterate once, in the step that
@@ -109,20 +109,18 @@ class PpdgConfig:
             )
 
 
-def _checked_lipschitz(L):
-    """L itself; ValueError unless 0 < L < inf, the range the 1/(3L) bound needs."""
-    if not 0.0 < L < math.inf:
-        raise ValueError(f"the gradient's Lipschitz constant must be positive and finite, got {L}")
-    return L
-
-
 def default_alpha(lipschitz_L):
     """Step size STEP_MARGIN/(3L), a safety margin under the 1/(3L) descent bound."""
-    return STEP_MARGIN / (3.0 * _checked_lipschitz(lipschitz_L))
+    if not 0.0 < lipschitz_L < math.inf:
+        raise ValueError("the gradient's Lipschitz constant must be positive and finite, "
+                         f"got {lipschitz_L}")
+    return STEP_MARGIN / (3.0 * lipschitz_L)
 
 
 @dataclass(frozen=True)
 class LyapunovConstants:
+    """Window weights a and b, and c, the descent rate ``descent_report`` checks."""
+
     a: float
     b: float
     c: float
@@ -192,6 +190,11 @@ TRACE_FIELDS = [f.name for f in fields(TraceRecord)]
 
 @dataclass
 class SolveReport:
+    """Final state (x^k, y^k), k = ``iters``, with its trace row's kkt and step norms.
+
+    With no step, kkt_x is ||grad f(x^0) + A^T y^0|| and the other three are nan.
+    """
+
     x: np.ndarray
     y: np.ndarray
     iters: int
@@ -380,11 +383,13 @@ def _iterate(problem, config, gradient, proceed, limit_reason, on_step):
     gradient). Step k + 1 is taken while ``proceed(k)`` holds, and a loop
     ended that way reports ``limit_reason``; it also stops, "converged",
     once both step norms of a new state reach ``config.tol_step``.
-    ``on_step(state, elapsed_s)`` receives each new state, with the
-    seconds since the first step started, before the stop test. The step
-    raises SolverDivergence for an iterate beyond NORM_CAP. The loop, rows
-    built in ``on_step`` included, runs with numpy's overflow and invalid
-    warnings off: a row reads only iterates the step has checked.
+    ``on_step(state, elapsed_s)``, unless None, receives each new state,
+    with the seconds since the first step started, before the stop test.
+    A report reads the returned state's row, or SolveReport's zero-step
+    rule when no step ran. The step raises SolverDivergence for an
+    iterate beyond NORM_CAP. The loop, rows built in ``on_step``
+    included, runs with numpy's overflow and invalid warnings off: a row
+    reads only iterates the step has checked.
     """
     beta = dual_beta(problem, config)
     op = problem.operator
@@ -398,7 +403,8 @@ def _iterate(problem, config, gradient, proceed, limit_reason, on_step):
         started = time.perf_counter()
         while proceed(state.k):
             state = step(problem, state, config, beta, gradient)
-            on_step(state, time.perf_counter() - started)
+            if on_step is not None:
+                on_step(state, time.perf_counter() - started)
             if max(math.sqrt(state.dx_sq), state.dy_norm) <= config.tol_step:
                 return state, "converged"
     return state, limit_reason
@@ -424,11 +430,13 @@ def solve(problem, config, trace_sink=None):
         config: PpdgConfig; validated up front.
         trace_sink: optional callable receiving one TraceRecord per
             completed iteration (from k = 1 on, since diagnostics need
-            a full window).
+            a full window). Rows are built only for it.
 
-    Returns a SolveReport; ``descent_report`` reads Lyapunov descent off
-    the rows. A step that forms an iterate whose norm is not at most
-    NORM_CAP (nan included) raises SolverDivergence at that step's
+    Returns a SolveReport read off one row built at the final state (the
+    sink's last row but for elapsed_s), or off SolveReport's zero-step
+    rule when no step ran; ``descent_report`` reads Lyapunov descent off
+    the sink's rows. A step that forms an iterate whose norm is not at
+    most NORM_CAP (nan included) raises SolverDivergence at that step's
     iteration.
 
     The caller is responsible for the problem being dual-bounded
@@ -438,19 +446,16 @@ def solve(problem, config, trace_sink=None):
     """
     config.validate()
     constants = LyapunovConstants.from_parameters(config.alpha, problem.lipschitz_L)
-    # constants.c is the descent rate, not a window weight
     weights = (constants.a, constants.b, None)
-    last = None
-
-    def on_step(state, elapsed_s):
-        nonlocal last
-        last = make_record(problem, state, weights, elapsed_s)
-        if trace_sink is not None:
-            trace_sink(last)
+    on_step = None
+    if trace_sink is not None:
+        def on_step(state, elapsed_s):
+            trace_sink(make_record(problem, state, weights, elapsed_s))
 
     state, reason = _iterate(problem, config, None, lambda k: k < config.max_iters,
                              "iteration-limit", on_step)
-    return _report(problem, state, reason, last)
+    return _report(problem, state, reason,
+                   make_record(problem, state, weights) if state.k else None)
 
 
 def _descent_violations(lyapunov, steps_sq, rate, terms):

@@ -123,6 +123,8 @@ class SppdgConfig:
 
 @dataclass(frozen=True)
 class SppdgLyapunovConstants:
+    """Window weights a, b and c (c weighs the fifth point), and e0, the descent rate."""
+
     a: float
     b: float
     c: float

@@ -35,7 +35,9 @@ ALL_REGULARIZERS = [
     conjprox.L1(2.0),
     conjprox.L0Box(0.1, -1.0, 1.0),
     conjprox.LpBall(1.0, 0.5, 1.0),
-    conjprox.ScadBox(1.0, 3.0, 0.5),
+    conjprox.ScadBox(1.0, 3.0, 0.5),   # r < lam
+    conjprox.ScadBox(1.0, 3.0, 2.0),   # lam <= r < gamma*lam
+    conjprox.ScadBox(0.1, 3.0, 1.0),   # r >= gamma*lam
 ]
 
 

@@ -42,7 +42,6 @@ def test_fused_lasso_estimators_reach_the_deterministic_reference(capsys, monkey
 def test_prox_catalog_closed_forms_match_the_grid_oracle(capsys, monkeypatch, tmp_path):
     out = run_demo("prox_catalog.py", capsys, monkeypatch, tmp_path)
     gaps = re.findall(r"grid-oracle max gap: (\S+)", out)
-    deviations = re.findall(r"^\s+\S+\s+deviation (\S+)$", out, re.MULTILINE)
-    # one probe gap and one sweep deviation per catalog entry
-    assert len(gaps) == len(deviations) == 5
-    assert all(float(value) <= 5e-4 for value in gaps + deviations), (gaps, deviations)
+    # one probe gap per catalog entry; dualprox prox-check runs the full sweep
+    assert len(gaps) == 5
+    assert all(float(value) <= 5e-4 for value in gaps), gaps

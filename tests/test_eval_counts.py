@@ -2,9 +2,12 @@
 
 The step applies A, A^T and the gradient once each. A deterministic
 trace row evaluates A x^k, f, h* and h once and reads r_x from the
-norm the step kept, so A^T and grad f run once per iteration. The fused
-lasso's full_value and full_grad each form the margins
-tanh(b * (rows @ x)), so a deterministic iteration forms them twice.
+norm the step kept, so A^T and grad f run once per iteration. ppdg
+builds a row in each iteration only for a trace sink; its report reads
+one more row, built at the final state, so a solve without a sink
+evaluates f, h* and h once. The fused lasso's full_value and full_grad
+each form the margins tanh(b * (rows @ x)), so a deterministic
+iteration with a sink forms them twice.
 Under a gradient estimate the row also evaluates A^T y^k, f(x^k) and
 the full gradient. Its elapsed_s is stamped at its own iteration, but its full
 sums wait: sppdg builds the rows in order, in batches of up to
@@ -42,23 +45,45 @@ def count_operator_and_regularizer(calls, problem):
     count_calls(calls, problem.regularizer, "value_h", "h")
 
 
-def test_ppdg_iteration_evaluates_each_callable_once_per_row():
+def counted_quadratic_problem(calls):
     rng = np.random.default_rng(3)
     prob = quadratic_problem(
         rng.standard_normal(5), linops.ScaledIdentity(5, 2.0), conjprox.L0Box(0.1, -1, 1)
     )
-    calls = Counter()
     count_calls(calls, prob, "f_value", "f")
     count_calls(calls, prob, "grad_f", "grad_f")
     count_operator_and_regularizer(calls, prob)
+    return prob
+
+
+def test_ppdg_iteration_evaluates_each_callable_once_per_row():
+    calls = Counter()
+    prob = counted_quadratic_problem(calls)
     n = 7
     records = []
     report = ppdg.solve(
         prob, ppdg.PpdgConfig(alpha=0.1, max_iters=n, tol_step=0.0), trace_sink=records.append
     )
     assert report.iters == len(records) == n
-    # init_state adds one gradient and one A^T y^0
-    assert calls == {"A": 2 * n, "A^T": n + 1, "f": n, "grad_f": n + 1, "h*": n, "h": n}
+    # init_state adds one gradient and one A^T y^0; the report reads its own
+    # row at the final state, which adds one A, f, h* and h
+    assert calls == {"A": 2 * n + 1, "A^T": n + 1, "f": n + 1, "grad_f": n + 1,
+                     "h*": n + 1, "h": n + 1}
+
+
+def test_ppdg_solve_without_a_sink_builds_one_row_at_the_final_state():
+    calls = Counter()
+    prob = counted_quadratic_problem(calls)
+    n = 7
+    report = ppdg.solve(prob, ppdg.PpdgConfig(alpha=0.1, max_iters=n, tol_step=0.0))
+    assert report.iters == n
+    # each step applies A, A^T and grad f once; init_state adds one A^T and one
+    # gradient, and the report's row one A, f, h* and h
+    assert calls == {"A": n + 1, "A^T": n + 1, "grad_f": n + 1, "f": 1, "h*": 1, "h": 1}
+    calls.clear()
+    assert ppdg.solve(prob, ppdg.PpdgConfig(alpha=0.1, max_iters=0)).iters == 0
+    # no step ran, so no row: the report forms the residual at x^0 once more
+    assert calls == {"A^T": 2, "grad_f": 2}
 
 
 def test_deterministic_fused_lasso_forms_the_margins_twice_per_iteration(monkeypatch):
@@ -78,8 +103,9 @@ def test_deterministic_fused_lasso_forms_the_margins_twice_per_iteration(monkeyp
                         trace_sink=lambda record: None)
     assert report.iters == n
     # each iteration: the margins tanh(b * (rows @ x)) of the step's gradient and
-    # of the row's value; init_state adds the first gradient's
-    assert calls == {(12,): 2 * n + 1}
+    # of the row's value; init_state adds the first gradient's, and the report
+    # reads its own row at the final state, which adds one value's
+    assert calls == {(12,): 2 * n + 2}
 
 
 def test_stochastic_trace_row_evaluates_full_sums_once():

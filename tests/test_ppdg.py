@@ -404,6 +404,48 @@ def test_each_row_reaches_the_sink_before_the_next_step(monkeypatch, descent_pro
     assert seen == [(k, k) for k in range(1, 41)]
 
 
+def denoise_32(boundary):
+    noisy = dataio.add_gaussian_noise(problems.blocks_image(32, 32), 0.05, 1)
+    return problems.build_denoise(noisy, boundary=boundary)
+
+
+def readme_fused_lasso():
+    rows, labels = problems.synthetic_fused_lasso_data(200, 20, seed=0)
+    V = problems.build_precision_graph(rows, threshold=0.5)
+    return problems.build_fused_lasso(rows, labels, V, normalize_rows=True)
+
+
+def soft_threshold():
+    return quadratic_problem(np.array([2.0, 2.0, 0.3]), linops.Identity(3), conjprox.L1(0.5))
+
+
+@pytest.mark.parametrize("build, max_iters, tol_step, reason", [
+    (lambda: denoise_32("periodic"), 60, 1e-8, "iteration-limit"),
+    (lambda: denoise_32("zero-pad"), 60, 1e-8, "iteration-limit"),
+    (readme_fused_lasso, 300, 1e-12, "iteration-limit"),
+    (soft_threshold, 5000, 1e-10, "converged"),
+    (soft_threshold, 0, 1e-10, "iteration-limit"),
+], ids=["denoise-periodic", "denoise-zero-pad", "fused-lasso", "converged", "no-step"])
+def test_a_report_is_the_same_bit_for_bit_with_a_sink_or_without(build, max_iters, tol_step,
+                                                                  reason):
+    problem = build()
+    config = PpdgConfig(alpha=ppdg.default_alpha(problem.lipschitz_L), max_iters=max_iters,
+                        tol_step=tol_step)
+    rows = []
+    with_sink = ppdg.solve(problem, config, trace_sink=rows.append)
+    without = ppdg.solve(problem, config)
+    assert with_sink.reason == reason and with_sink.iters == len(rows)
+    for field in dataclasses.fields(ppdg.SolveReport):
+        a, b = getattr(with_sink, field.name), getattr(without, field.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        elif isinstance(a, float):
+            # nan included: the bytes of the two doubles
+            assert np.float64(a).tobytes() == np.float64(b).tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
 # --- descent and bound properties on the seeded run -----------------------
 
 
