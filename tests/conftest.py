@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dualprox import conjprox, linops, ppdg
+from dualprox import conjprox, linops, ppdg, problems
 from dualprox.problems import CompositeProblem, FiniteSumProblem
 
 
@@ -129,3 +129,53 @@ def run_history(problem, config, x0, y0, n_steps):
         state = ppdg.step(problem, state, config)
         states.append(state)
     return states
+
+
+def sequential_full_sums(problem, xs):
+    """SigmoidLossSum.full_sums as one loop over the row blocks on one thread.
+
+    Each block's sums are added to the totals as they are formed. A call
+    that shares the blocks with helper threads adds the same sums in the
+    same order, so it must equal this byte for byte.
+    """
+    rows, labels = problem.rows, problem.labels
+    xs = np.asarray(xs, dtype=float)
+    values = np.zeros(xs.shape[0])
+    grads = np.zeros(xs.shape)
+    for start in range(0, labels.size, problems.BLOCK_ROWS):
+        blk = slice(start, start + problems.BLOCK_ROWS)
+        t = xs @ rows[blk].T
+        t *= labels[blk]
+        np.tanh(t, out=t)
+        values += np.sum(1.0 - t, axis=1)
+        t *= t
+        t -= 1.0
+        t *= labels[blk]
+        grads += t @ rows[blk]
+    return values / labels.size, grads / labels.size
+
+
+@pytest.fixture
+def fan_out(monkeypatch):
+    """fan_out(helpers, min_work=0) makes later full_sums calls fan out.
+
+    From then on, a call with two row blocks or more and work K*N*n above
+    ``min_work`` shares its blocks with ``helpers`` threads of a fresh
+    pool, whatever the cores and the BLAS setting. Each such pool is shut
+    down when the next call to fan_out replaces it, and at teardown; the
+    process's own pool, if one exists, is put back.
+    """
+    monkeypatch.setattr(problems, "_pool", None)
+
+    def drop_pool():
+        if problems._pool is not None:
+            problems._pool.shutdown()
+            problems._pool = None
+
+    def force(helpers, min_work=0):
+        drop_pool()
+        monkeypatch.setattr(problems, "_fanout_helpers", lambda: helpers)
+        monkeypatch.setattr(problems, "FANOUT_MIN_WORK", min_work)
+
+    yield force
+    drop_pool()

@@ -10,6 +10,7 @@ tiny instances.
 """
 
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,38 @@ def test_one_full_value_and_full_grad_span_per_row(kind):
         assert abs(parts + metrics["unattributed_s"][0] - float((end - start)[root][0])) <= 2e-3
     assert nested1 and nested2
     assert all(m1[k][0] == m2[k][0] for k, (_, unit) in m1.items() if unit == "count")
+
+
+def test_a_fanned_out_full_sums_keeps_the_spans_nested(fan_out):
+    # The tracer keeps one span stack, so the helper threads that share a
+    # full_sums call's row blocks must call nothing it wraps.
+    fan_out(2)
+    n_rows = 3 * problems.BLOCK_ROWS + 5
+    tracer = tracing.Tracer()
+    open_span, opened_on = tracer._open, set()
+
+    def open_and_note_the_thread(name_id):
+        opened_on.add(threading.get_ident())
+        return open_span(name_id)
+
+    tracer._open = open_and_note_the_thread
+    results = []
+    with tracing.instrument(tracer):
+        for run_id in (1, 2):
+            with tracer.root(run_id):
+                rows, labels = problems.synthetic_fused_lasso_data(n_rows, 4, seed=2)
+                V = problems.build_precision_graph(rows, threshold=0.5)
+                problem = problems.build_fused_lasso(rows, labels, V, normalize_rows=True)
+                config = sppdg.SppdgConfig(max_epochs=2, seeds=SEEDS)
+                results.append(sppdg.solve_stochastic(problem, "svrg", config, batch_size=64))
+    assert problems._pool is not None
+    assert opened_on == {threading.get_ident()}
+    (m1, nested1), (m2, nested2) = (tracing.layer_metrics(tracer, r, n_rows) for r in (1, 2))
+    assert nested1 and nested2
+    assert all(m1[k][0] == m2[k][0] for k, (_, unit) in m1.items() if unit == "count")
+    for result, metrics in zip(results, (m1, m2)):
+        assert all(not run.failed for run in result.per_seed)
+        assert metrics["vrgrad.comp_evals"][0] == sum(r.comp_evals[-1] for r in result.per_seed)
 
 
 def test_instrument_restores_every_attribute():

@@ -3,7 +3,9 @@
 Usage: python tools/compare_outputs.py PARENT CHANGE [--command "ARGS"]...
 
 Each command runs once per side as ``python -m dualprox.cli ARGS`` in a
-fresh process with PYTHONPATH=<side>/src; ``denoise`` and ``lasso``, the
+fresh process with PYTHONPATH=<side>/src and, unless the environment
+sets it, OPENBLAS_NUM_THREADS=1, under which a large ``full_sums`` call
+shares its row blocks with helper threads; ``denoise`` and ``lasso``, the
 subcommands that write files, get ``--out-dir DIR`` appended. Every file
 the run writes, its stdout and its exit code must be equal between the
 sides. The wall clock is masked first: the ``elapsed_s`` column of each
@@ -42,6 +44,9 @@ COMMANDS = [
     # kappa_hat > 0 weighs the fifth point of the Lyapunov window
     ["lasso", "--synthetic", "200,20", "--seeds", "2", "--batch", "2", "--max-epochs", "4",
      "--estimator", "svrg", "--kappa-hat", "0.5", "--normalize-rows"],
+    # eight blocks of problems.BLOCK_ROWS rows: the rows' full sums fan out
+    ["lasso", "--synthetic", "8192,128", "--estimator", "svrg", "--batch", "64",
+     "--max-epochs", "3", "--seeds", "1"],
     *(["prox-check", "--reg", reg, "--points", "50"] for reg in ("l1", "l0", "lp", "scad")),
     ["spectra", "--op", "identity", "--n", "3"],
     ["spectra", "--op", "scaled", "--n", "3", "--scale", "-2"],
@@ -127,6 +132,7 @@ def mask(name, data, command):
 def run(side, command, out_dir):
     """(exit code, {output name: masked bytes}) of one command on one checkout."""
     env = dict(os.environ, PYTHONPATH=str(Path(side).resolve() / "src"))
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
     out_dir.parent.mkdir(parents=True)
     out_flag = ["--out-dir", str(out_dir)] if command[0] in WRITERS else []
     proc = subprocess.run([sys.executable, "-m", "dualprox.cli", *command, *out_flag],
