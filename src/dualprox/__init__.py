@@ -40,6 +40,6 @@ from .problems import (
     psnr,
 )
 from .sppdg import SppdgConfig, SppdgLyapunovConstants, solve_stochastic
-from .vrgrad import make_estimator, sample_batch
+from .vrgrad import make_estimator, sample_batch, sample_batches
 
 __version__ = "0.1.0"

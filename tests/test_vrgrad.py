@@ -5,7 +5,7 @@ import pytest
 
 from conftest import anchored_estimate
 from dualprox import vrgrad
-from dualprox.vrgrad import default_period, make_estimator, sample_batch
+from dualprox.vrgrad import default_period, make_estimator, sample_batch, sample_batches
 
 
 @pytest.fixture
@@ -56,6 +56,58 @@ def test_sample_batch_errors():
         sample_batch(0, 4, 0, 0)
     with pytest.raises(ValueError):
         sample_batch(-1, 4, 2, 0)
+
+
+# seeds of one word, of two, and of four: more entropy words than SeedSequence's pool
+BLOCK_SEEDS = [0, 1, 2**32 - 1, 2**32 + 5, 2**100 + 3]
+# (N, b): (1, 1) and (5, 5) take j = 0 without a draw, (10, 3) repeats picks,
+# (2**31 + 1, 2) rejects about half its draws on [0, 2**31], and (20000, 500)
+# is numpy's tail shuffle
+BLOCK_SHAPES = [(1, 1), (5, 5), (10, 3), (2000, 1), (20000, 20), (2**31 + 1, 2), (20000, 500)]
+
+
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+@pytest.mark.parametrize("n_components, batch_size", BLOCK_SHAPES)
+@pytest.mark.parametrize("k0", [0, 4095, 2**32 - 3])
+def test_sample_batches_rows_are_sample_batch_bit_for_bit(seed, n_components, batch_size, k0):
+    # from k0 = 2**32 - 3 the block crosses into k of two 32-bit words
+    block = sample_batches(seed, n_components, batch_size, k0, 6)
+    assert block.dtype == np.int64 and block.shape == (6, batch_size)
+    for i, row in enumerate(block):
+        assert np.array_equal(row, sample_batch(seed, n_components, batch_size, k0 + i))
+
+
+def test_sample_batches_rows_equal_sample_batch_on_drawn_settings():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        seed=st.integers(0, 2**80),
+        n_components=st.one_of(st.integers(1, 40), st.integers(1, 30000)),
+        data=st.data(),
+        k0=st.one_of(st.integers(0, 10**6), st.integers(2**32 - 20, 2**32 + 5)),
+        count=st.integers(0, 24),
+    )
+    def check(seed, n_components, data, k0, count):
+        batch_size = data.draw(st.integers(1, min(n_components, 300)), label="batch_size")
+        block = sample_batches(seed, n_components, batch_size, k0, count)
+        assert block.shape == (count, batch_size)
+        for i, row in enumerate(block):
+            assert np.array_equal(row, sample_batch(seed, n_components, batch_size, k0 + i))
+
+    check()
+
+
+def test_sample_batches_errors():
+    with pytest.raises(ValueError, match="batch size must be in"):
+        sample_batches(0, 4, 5, 0, 3)
+    with pytest.raises(ValueError, match="seed and iteration index must be nonnegative"):
+        sample_batches(-1, 4, 2, 0, 3)
+    with pytest.raises(ValueError, match="seed and iteration index must be nonnegative"):
+        sample_batches(0, 4, 2, -1, 3)
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        sample_batches(0, 4, 2, 0, -1)
 
 
 def test_default_period_is_one_epoch():
@@ -123,6 +175,12 @@ def test_batch_outside_one_to_n_is_rejected(kind, batch_size):
     # "full" runs with batch N, but a bad --batch is still an error, not ignored
     with pytest.raises(ValueError, match="batch size must be in"):
         make_estimator(kind, 8, batch_size, seed=0)
+
+
+@pytest.mark.parametrize("kind", ["saga", "svrg", "sarah", "full"])
+def test_a_negative_seed_is_rejected_at_construction(kind):
+    with pytest.raises(ValueError, match="seed and iteration index must be nonnegative"):
+        make_estimator(kind, 10, 1, -1)
 
 
 def test_unknown_kind():
@@ -290,3 +348,65 @@ def test_variance_decays_along_converging_run(quad_components):
                 )
             checkpoints[k] = float(np.mean(errs))
     assert checkpoints[10] >= checkpoints[100] >= checkpoints[1000]
+
+
+# --- batch blocks -----------------------------------------------------------
+
+
+def drawn_batches(est):
+    """Record, by k, every batch the estimator's own ``sample_batch`` hands out."""
+    drawn = {}
+    draw = est.sample_batch
+
+    def record(k):
+        drawn[k] = draw(k)
+        return drawn[k]
+
+    est.sample_batch = record
+    return drawn
+
+
+@pytest.mark.parametrize("kind, draws_at", [
+    ("saga", list(range(10))),
+    # the period-4 snapshots at k = 0, 4, 8 draw no batch
+    ("svrg", [1, 2, 3, 5, 6, 7, 9]),
+    ("sarah", [1, 2, 3, 5, 6, 7, 9]),
+])
+def test_estimates_draw_sample_batch_across_block_boundaries(quad_components, monkeypatch, kind,
+                                                             draws_at):
+    # blocks of 6 // 2 = 3 iterations: k = 0..9 crosses at least two boundaries
+    monkeypatch.setattr(vrgrad, "BATCH_BLOCK_PICKS", 6)
+    cg, fg = quad_components
+    est = make_estimator(kind, 8, 2, seed=9, period=4)
+    drawn = drawn_batches(est)
+    est.reset(cg, fg)
+    xs = np.random.default_rng(4).standard_normal((10, 3))
+    for k, x in enumerate(xs):
+        est.estimate(k, x)
+    assert sorted(drawn) == draws_at
+    for k, batch in drawn.items():
+        assert np.array_equal(batch, sample_batch(9, 8, 2, k))
+
+
+@pytest.mark.parametrize("n_components, batch_size, block, fills", [
+    (50, 1, 4096, [5, 4101, 2]),
+    (50, 3, 1365, [5, 1370, 2]),
+    # a batch above BATCH_BLOCK_PICKS: every k is a block of its own
+    (6000, 5000, 1, [5, 6, 5, 6, 2]),
+])
+def test_a_block_is_drawn_from_the_first_k_it_misses(monkeypatch, n_components, batch_size,
+                                                     block, fills):
+    drawn = []
+    draw = vrgrad.sample_batches
+
+    def counted(seed, n, b, k0, count):
+        drawn.append((k0, count))
+        return draw(seed, n, b, k0, count)
+
+    monkeypatch.setattr(vrgrad, "sample_batches", counted)
+    est = make_estimator("saga", n_components, batch_size, seed=3)
+    # a first k off any multiple of the block, the last k of that block, the
+    # first k past it, and a step back before the first
+    for k in [5, 6, block + 4, block + 5, 2]:
+        assert np.array_equal(est.sample_batch(k), sample_batch(3, n_components, batch_size, k))
+    assert drawn == [(k0, block) for k0 in fills]

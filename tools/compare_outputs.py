@@ -47,6 +47,12 @@ COMMANDS = [
     # eight blocks of problems.BLOCK_ROWS rows: the rows' full sums fan out
     ["lasso", "--synthetic", "8192,128", "--estimator", "svrg", "--batch", "64",
      "--max-epochs", "3", "--seeds", "1"],
+    # 20 epochs of SAGA at batch 1 run past one block of vrgrad.BATCH_BLOCK_PICKS batches
+    ["lasso", "--synthetic", "300,20", "--batch", "1", "--max-epochs", "20", "--seeds", "2",
+     "--estimator", "saga"],
+    # batch 300 > 12000 // 50: numpy's tail shuffle, drawn by vrgrad.sample_batch per k
+    ["lasso", "--synthetic", "12000,20", "--estimator", "svrg", "--batch", "300",
+     "--max-epochs", "2", "--seeds", "1"],
     *(["prox-check", "--reg", reg, "--points", "50"] for reg in ("l1", "l0", "lp", "scad")),
     ["spectra", "--op", "identity", "--n", "3"],
     ["spectra", "--op", "scaled", "--n", "3", "--scale", "-2"],
