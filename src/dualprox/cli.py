@@ -91,15 +91,9 @@ def cmd_denoise(args):
     started = time.perf_counter()
     report = ppdg.solve(problem, config, trace_sink=records.append)
     seconds = time.perf_counter() - started
-    denoised = noisy if args.max_iters == 0 else dataio.ImageBuffer(
-        noisy.height, noisy.width, np.clip(report.x, 0.0, 1.0)
-    )
-    psnr_out = problems.psnr(
-        noisy.pixels if args.max_iters == 0 else report.x,
-        original.pixels,
-        noisy.height,
-        noisy.width,
-    )
+    x = noisy.pixels if args.max_iters == 0 else report.x  # not the solver's zero start
+    denoised = dataio.ImageBuffer(noisy.height, noisy.width, np.clip(x, 0.0, 1.0))
+    psnr_out = problems.psnr(x, original.pixels, noisy.height, noisy.width)
     echo = _flag_echo(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -123,24 +117,24 @@ def cmd_denoise(args):
 
 
 def _load_lasso_problem(args):
+    V = dataio.read_csv_matrix(args.v_file) if args.v_file else None
+    # the operator checks V is square and finite; a file's graph must be symmetric
+    if V is not None and not np.array_equal(V, V.T, equal_nan=True):
+        raise ValueError(f"{args.v_file}: graph matrix must be symmetric")
     # the parser requires exactly one of --data and --synthetic
     if args.data is not None:
-        rows, labels = dataio.parse_libsvm(args.data, n_hint=args.n_hint)
+        # a graph fixes the width: features the file never names are zero columns
+        rows, labels = dataio.parse_libsvm(args.data, n_hint=None if V is None else len(V))
         # parse_libsvm maps two classes to {-1, +1}; build_fused_lasso rejects no rows
         if labels.size and np.unique(labels).size != 2:
             raise UsageError("dataset labels do not form a two-class set")
     else:
         n_rows, n_feat = _parse_synthetic(args.synthetic, ",", "N,n")
         rows, labels = problems.synthetic_fused_lasso_data(n_rows, n_feat, seed=args.data_seed)
-    if args.v_file:
-        V = dataio.read_csv_matrix(args.v_file)
-        # the operator checks V is square and finite; a file's graph must be symmetric
-        if not np.array_equal(V, V.T, equal_nan=True):
-            raise ValueError(f"{args.v_file}: graph matrix must be symmetric")
-        if V.shape[0] != rows.shape[1]:
-            raise UsageError("graph matrix size does not match the feature count")
-    else:
+    if V is None:
         V = problems.build_precision_graph(rows, threshold=args.threshold)
+    elif V.shape[0] != rows.shape[1]:
+        raise UsageError("graph matrix size does not match the feature count")
     return problems.build_fused_lasso(
         rows, labels, V, lam=args.lam, p=args.p, r=args.r,
         normalize_rows=args.normalize_rows,
@@ -230,6 +224,8 @@ def cmd_prox_check(args):
         raise UsageError(str(exc)) from None
     if args.points < 1:
         raise UsageError("prox-check needs --points >= 1")
+    if args.seed < 0:
+        raise ValueError(f"prox-check seed {args.seed} is out of range: it must be >= 0")
     rng = np.random.default_rng(args.seed)
     points = rng.uniform(-8.0, 8.0, size=args.points)
     deviation = conjprox.oracle_prox_deviation(reg, points, PROX_CHECK_BETAS)
@@ -306,7 +302,6 @@ def build_parser():
     l = sub.add_parser("lasso", help="graph-guided fused lasso benchmark", **fmt)
     source = l.add_mutually_exclusive_group(required=True)
     source.add_argument("--data", help="LIBSVM file with two-class labels")
-    l.add_argument("--n-hint", dest="n_hint", type=int, default=None)
     source.add_argument("--synthetic", help="N,n synthetic instance, e.g. 200,20")
     l.add_argument("--data-seed", dest="data_seed", type=int, default=0)
     l.add_argument("--estimator", choices=("saga", "svrg", "sarah", "full"), default="svrg")

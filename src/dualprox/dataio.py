@@ -177,9 +177,10 @@ def parse_libsvm(path, n_hint=None):
                     raise LibsvmParseError(f"non-numeric token {tok!r}", lineno) from None
                 if not np.isfinite(v):
                     raise LibsvmParseError(f"non-finite value {tok!r}", lineno)
-                if i <= prev:
+                if i <= prev:  # prev >= 0, so this catches every index below 1
                     raise LibsvmParseError(
-                        f"indices must be strictly increasing, got {i} after {prev}",
+                        f"LIBSVM indices start at 1, got {i}" if i < 1
+                        else f"indices must be strictly increasing, got {i} after {prev}",
                         lineno,
                     )
                 prev = i
@@ -234,6 +235,8 @@ def gaussian_stream(seed, count):
     Philox(key=seed) uniforms fed through the Box-Muller transform;
     bit-exact across platforms for a given seed.
     """
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"noise seed {seed} is out of range: it must be in [0, 2**128)")
     gen = np.random.Generator(np.random.Philox(key=seed))
     pairs = (count + 1) // 2
     u1 = gen.random(pairs)

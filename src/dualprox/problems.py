@@ -447,6 +447,8 @@ def synthetic_fused_lasso_data(n_rows, n_features, seed=0):
     """
     if n_features < 2 or n_features % 2 != 0:
         raise ValueError("n_features must be even and at least 2 (features come in pairs)")
+    if seed < 0:
+        raise ValueError(f"data seed {seed} is out of range: it must be >= 0")
     rng = np.random.default_rng(seed)
     half = n_features // 2
     rows = np.empty((n_rows, n_features))

@@ -157,7 +157,8 @@ def test_lasso_without_data_rows_is_an_error(tmp_path, capsys):
     (tmp_path / "empty.svm").write_text("")
     np.savetxt(tmp_path / "v4.csv", np.zeros((4, 4)), delimiter=",")
     out = tmp_path / "run"
-    code = main(["lasso", "--data", str(tmp_path / "empty.svm"), "--n-hint", "4",
+    # the 4 x 4 graph widens the file's zero rows to four features
+    code = main(["lasso", "--data", str(tmp_path / "empty.svm"),
                  "--v-file", str(tmp_path / "v4.csv"), "--out-dir", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: rows must hold at least one data row")
@@ -388,20 +389,61 @@ def test_lasso_non_finite_libsvm_value_names_the_line(tmp_path, capsys):
     assert err.startswith("error: non-finite value") and "(line 2)" in err
 
 
+def ring_graph(n):
+    """Symmetric n-node ring adjacency."""
+    return np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1)
+
+
 def test_lasso_flag_echo_names_every_flag_but_the_output_directory(tmp_path):
-    # two features in the file; the hint widens the rows to six
+    # two features in the file; the 6-node graph widens the rows to six
     data = tmp_path / "d.svm"
     data.write_text("1 1:0.5 2:1\n-1 1:-1 2:0.25\n1 1:2 2:0.5\n-1 1:0.1 2:-2\n")
+    graph = tmp_path / "v6.csv"
+    np.savetxt(graph, ring_graph(6), delimiter=",")
     comments = []
-    for i, hint in enumerate(([], ["--n-hint", "6"])):
+    for i, v_file in enumerate(([], ["--v-file", str(graph)])):
         out = tmp_path / f"run{i}"
-        assert main(["lasso", "--data", str(data), *hint, "--seeds", "1", "--max-epochs", "1",
+        assert main(["lasso", "--data", str(data), *v_file, "--seeds", "1", "--max-epochs", "1",
                      "--out-dir", str(out)]) == 0
         comments.append((out / "seed_0_trace.csv").read_text().splitlines()[0])
-    assert comments[0].startswith(f"# lasso data={data} n_hint=None synthetic=None ")
-    assert comments[1].startswith(f"# lasso data={data} n_hint=6 synthetic=None ")
+    for comment in comments:
+        assert comment.startswith(f"# lasso data={data} synthetic=None data_seed=0 ")
+    assert " threshold=0.5 v_file=None normalize_rows=False " in comments[0]
+    assert f" threshold=0.5 v_file={graph} normalize_rows=False " in comments[1]
     assert comments[0].endswith(" alpha=None kappa_hat=0.0")
     assert "out_dir" not in comments[0] and "func" not in comments[0]
+
+
+def test_lasso_v_file_fixes_the_width_of_libsvm_rows(tmp_path, capsys):
+    # features 5 and 6 of the graph's six never occur; the second file names 6 as a zero
+    rows = ["1 1:0.5 2:1", "-1 1:-1 3:0.25", "1 2:2 4:0.5", "-1 1:0.1 2:-2 3:1", "1 3:-1 4:2",
+            "-1 2:0.3 4:-1"]
+    graph = tmp_path / "v6.csv"
+    np.savetxt(graph, ring_graph(6), delimiter=",")
+    runs = []
+    for name, lines in (("unnamed", rows), ("named", [rows[0] + " 6:0", *rows[1:]])):
+        data = tmp_path / f"{name}.svm"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / name
+        assert main(["lasso", "--data", str(data), "--v-file", str(graph), "--estimator",
+                     "saga", "--seeds", "1,2", "--batch", "2", "--max-epochs", "4",
+                     "--out-dir", str(out)]) == 0
+        files = {}
+        for path in sorted(out.iterdir()):
+            text = path.read_text()
+            if path.suffix == ".csv":  # drop the flag echo, which names the data file
+                text = text.split("\n", 1)[1]
+            files[path.name] = mask_elapsed(text.encode()) if "seed_" in path.name else text
+        runs.append((files, capsys.readouterr().out))
+    assert sorted(runs[0][0]) == ["aggregate.csv", "seed_1_trace.csv", "seed_2_trace.csv",
+                                  "summary.txt"]
+    assert runs[0] == runs[1]
+    # a file with more features than the graph is still a usage error
+    np.savetxt(graph, ring_graph(4), delimiter=",")
+    assert main(["lasso", "--data", str(tmp_path / "named.svm"), "--v-file", str(graph),
+                 "--out-dir", str(tmp_path / "narrow")]) == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: graph matrix size does not match the feature count\n"
 
 
 # files the CSV matrix reader rejects, each with the start of its message
@@ -456,6 +498,22 @@ def test_lasso_one_class_data_is_a_usage_error(tmp_path, capsys, label):
                  "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == "usage error: dataset labels do not form a two-class set\n"
     assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["denoise", "--synthetic", "8x8", "--seed", "-1"],
+     "error: noise seed -1 is out of range: it must be in [0, 2**128)\n"),
+    (["lasso", "--synthetic", "40,4", "--data-seed", "-3", "--seeds", "1"],
+     "error: data seed -3 is out of range: it must be >= 0\n"),
+    (["prox-check", "--reg", "l1", "--seed", "-1"],
+     "error: prox-check seed -1 is out of range: it must be >= 0\n"),
+], ids=["denoise", "lasso", "prox-check"])
+def test_negative_seed_is_named_with_its_range(tmp_path, capsys, argv, message):
+    out = tmp_path / "run"
+    writes = argv[0] != "prox-check"
+    assert main([*argv, *(["--out-dir", str(out)] if writes else [])]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 def test_prox_check_passes_for_each_kind():

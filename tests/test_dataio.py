@@ -195,6 +195,19 @@ def test_parse_libsvm_errors_carry_line_numbers(tmp_path):
         parse_libsvm(bad_label)
 
 
+@pytest.mark.parametrize("text, index", [
+    ("1 0:1\n", 0), ("1 -2:1\n", -2), ("1 1:1\n-1 0:1 2:1\n", 0), ("1 3:1 -2:1\n", -2),
+])
+def test_parse_libsvm_rejects_an_index_below_one_with_the_line(tmp_path, text, index):
+    path = tmp_path / "d.txt"
+    path.write_text(text)
+    with pytest.raises(LibsvmParseError) as err:
+        parse_libsvm(path)
+    line = text.count("\n")
+    assert str(err.value) == f"LIBSVM indices start at 1, got {index} (line {line})"
+    assert err.value.line == line
+
+
 def test_parse_libsvm_skips_blank_lines_but_counts_them(tmp_path):
     path = tmp_path / "d.txt"
     path.write_text("1 1:0.5\n\n   \n-1 2:1\n")
@@ -257,6 +270,18 @@ def test_noise_clamped_to_unit_interval():
     img = ImageBuffer(2, 2, np.array([0.0, 1.0, 0.5, 0.5]))
     out = add_gaussian_noise(img, 5.0, 3)
     assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_gaussian_stream_names_a_seed_outside_philox_keys(seed):
+    with pytest.raises(ValueError) as err:
+        gaussian_stream(seed, 4)
+    assert str(err.value) == f"noise seed {seed} is out of range: it must be in [0, 2**128)"
+
+
+def test_gaussian_stream_takes_the_ends_of_the_key_range():
+    for seed in (0, 2**128 - 1):
+        assert np.isfinite(gaussian_stream(seed, 4)).all()
 
 
 def test_gaussian_stream_golden_vector():

@@ -34,7 +34,7 @@ PARAMETERS = {
 CLI_OPTIONS = {
     "denoise": ["-h", "--help", "--input", "--synthetic", "--sigma", "--seed", "--lam", "--c1",
                 "--c2", "--boundary", "--alpha", "--max-iters", "--tol", "--out-dir"],
-    "lasso": ["-h", "--help", "--data", "--n-hint", "--synthetic", "--data-seed", "--estimator",
+    "lasso": ["-h", "--help", "--data", "--synthetic", "--data-seed", "--estimator",
               "--seeds", "--batch", "--period", "--lam", "--p", "--r", "--threshold", "--v-file",
               "--normalize-rows", "--max-epochs", "--tol", "--alpha", "--kappa-hat", "--out-dir"],
     "prox-check": ["-h", "--help", "--reg", "--lam", "--c1", "--c2", "--p", "--r", "--gamma",

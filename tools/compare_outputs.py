@@ -59,9 +59,10 @@ COMMANDS = [
     *(["spectra", "--op", "gradient2d", "--height", "6", "--width", "5", "--boundary", boundary]
       for boundary in ("periodic", "zero-pad")),
     [*DATA, "--estimator", "saga"],
-    [*DATA, "--n-hint", "12", "--v-file", "{graph}", "--estimator", "svrg"],
-    # the 12-node graph does not fit the file's 9 features: exit 2
+    # the 12-node graph widens the file's 9 features to 12
     [*DATA, "--v-file", "{graph}", "--estimator", "saga"],
+    # the 12-node graph does not fit 20 synthetic features: exit 2
+    ["lasso", "--synthetic", "300,20", "--v-file", "{graph}"],
     ["denoise", "--input", "{pgm}", "--max-iters", "100"],
 ]
 # the subcommands that write files, and so take --out-dir
@@ -80,7 +81,7 @@ def _libsvm():
 
 
 def _graph():
-    """A symmetric 12-node ring, wider than the LIBSVM file's 9 features."""
+    """A symmetric 12-node ring: wider than the LIBSVM file's 9 features, narrower than 20."""
     return "".join(",".join("1" if abs(i - j) in (1, 11) else "0" for j in range(12)) + "\n"
                    for i in range(12))
 
