@@ -63,7 +63,10 @@ def _parse_seeds(text):
     parts = [p.strip() for p in text.split(",")]
     seeds = tuple(int(p) for p in parts if p.isdecimal())
     if len(parts) == 1 and seeds:
-        seeds = tuple(range(seeds[0]))
+        try:
+            seeds = tuple(range(seeds[0]))
+        except OverflowError:  # a count past sys.maxsize
+            seeds = ()
     if not seeds or len(seeds) < len(parts):
         raise UsageError(f"--seeds expects a positive count or a comma list of seeds, got {text!r}")
     if len(set(seeds)) < len(seeds):

@@ -211,6 +211,12 @@ class LpBall(Regularizer):
         self.lam = float(lam)
         self.p = float(p)
         self.r = float(r)
+        try:
+            finite = self._ramp()[1] < np.inf
+        except OverflowError:  # r ** (p - 1) past the largest float
+            finite = False
+        if not finite:
+            raise ValueError("lp_ball: the kink lam * r**(p - 1) overflows a float")
 
     def _penalty_elem(self, x):
         return self.lam * np.abs(x) ** self.p
@@ -237,6 +243,9 @@ class ScadBox(Regularizer):
         self.gamma = float(gamma)
         self.r = float(r)
         lam_, gam, r_ = self.lam, self.gamma, self.r
+        # the largest product the penalty forms; theta's terms stay below it
+        if not 2.0 * gam * lam_ * (gam * lam_) < np.inf:
+            raise ValueError("scad_box: 2 (gamma * lam)**2 overflows a float")
         if r_ < lam_:
             self.theta = lam_
         elif r_ < gam * lam_:

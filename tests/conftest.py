@@ -1,8 +1,17 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dualprox import conjprox, linops, ppdg, problems
 from dualprox.problems import CompositeProblem, FiniteSumProblem
+
+# tools/compare_outputs.py, whose mask is the wall-clock rule of every rerun check
+COMPARE_TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+_spec = importlib.util.spec_from_file_location("compare_outputs", COMPARE_TOOL)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
 
 
 def quadratic_problem(b, operator, regularizer, L=1.0):

@@ -21,6 +21,7 @@ import pytest
 
 from conftest import (
     anchored_estimate,
+    compare_outputs,
     lyapunov_reference,
     oracle_conj_deviation,
     quadratic_finite_sum,
@@ -297,37 +298,23 @@ def test_criterion_11_stochastic_convergence():
     _report(11, f"objective gap {gap:.2%}, {good}/10 seeds at KKT 1e-3, {elapsed:.0f}s")
 
 
-def test_criterion_12_determinism(tmp_path):
-    def mask(csv_bytes):
-        lines = csv_bytes.decode().splitlines()
-        out = []
-        for line in lines:
-            if line.startswith("#") or line.startswith("iter,"):
-                out.append(line)
-                continue
-            cells = line.split(",")
-            cells[1] = "T"  # elapsed_s excluded from the determinism guarantee
-            out.append(",".join(cells))
-        return "\n".join(out)
+def test_criterion_12_determinism(tmp_path, capsys):
+    # two runs' output files and stdout, wall clock masked by tools/compare_outputs.py
+    def rerun(args, name):
+        runs = []
+        for i in (1, 2):
+            out = tmp_path / f"{name}{i}"
+            assert cli.main(args + ["--out-dir", str(out)]) == 0
+            stdout = compare_outputs.mask("stdout", capsys.readouterr().out.encode(), args)
+            runs.append((compare_outputs.masked_files(out, args), stdout))
+        assert runs[0] == runs[1]
+        return sorted(runs[0][0])
 
-    denoise_args = [
-        "denoise", "--synthetic", "64x64", "--sigma", "0.05", "--seed", "1",
-        "--max-iters", "100", "--tol", "0",
-    ]
-    d1, d2 = tmp_path / "d1", tmp_path / "d2"
-    assert cli.main(denoise_args + ["--out-dir", str(d1)]) == 0
-    assert cli.main(denoise_args + ["--out-dir", str(d2)]) == 0
-    assert (d1 / "denoised.pgm").read_bytes() == (d2 / "denoised.pgm").read_bytes()
-    assert (d1 / "noisy.pgm").read_bytes() == (d2 / "noisy.pgm").read_bytes()
-    assert mask((d1 / "trace.csv").read_bytes()) == mask((d2 / "trace.csv").read_bytes())
-
-    lasso_args = [
-        "lasso", "--synthetic", "100,10", "--estimator", "sarah", "--seeds", "4",
-        "--batch", "2", "--max-epochs", "8", "--normalize-rows",
-    ]
-    l1, l2 = tmp_path / "l1", tmp_path / "l2"
-    assert cli.main(lasso_args + ["--out-dir", str(l1)]) == 0
-    assert cli.main(lasso_args + ["--out-dir", str(l2)]) == 0
-    for name in ["seed_0_trace.csv", "seed_3_trace.csv", "aggregate.csv"]:
-        assert mask((l1 / name).read_bytes()) == mask((l2 / name).read_bytes())
-    _report(12, "byte-identical reruns (wall-clock column masked)")
+    denoise_args = ["denoise", "--synthetic", "64x64", "--sigma", "0.05", "--seed", "1",
+                    "--max-iters", "100", "--tol", "0"]
+    assert rerun(denoise_args, "d") == ["denoised.pgm", "noisy.pgm", "summary.txt", "trace.csv"]
+    lasso_args = ["lasso", "--synthetic", "100,10", "--estimator", "sarah", "--seeds", "4",
+                  "--batch", "2", "--max-epochs", "8", "--normalize-rows"]
+    assert rerun(lasso_args, "l") == ["aggregate.csv", *(f"seed_{s}_trace.csv" for s in range(4)),
+                                      "summary.txt"]
+    _report(12, "every output file and stdout byte-identical, wall clock masked")

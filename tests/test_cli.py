@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import compare_outputs
 from dualprox import dataio, linops, ppdg, problems, sppdg
 from dualprox.cli import main
 
@@ -13,18 +14,14 @@ def read_summary(path):
     return pairs
 
 
-def mask_elapsed(csv_bytes):
-    """Blank the wall-clock column; timing is excluded from determinism."""
-    lines = csv_bytes.decode().splitlines()
-    out = []
-    for line in lines:
-        if line.startswith("#") or line.startswith("iter,"):
-            out.append(line)
-            continue
-        cells = line.split(",")
-        cells[1] = "T"
-        out.append(",".join(cells))
-    return "\n".join(out)
+DENOISE_OUTPUTS = ["denoised.pgm", "noisy.pgm", "summary.txt", "trace.csv"]
+
+
+def masked_run(args, out, echo=True):
+    """masked_files of a run of ``args`` into ``out``; echo=False drops each CSV's flag echo."""
+    assert main(args + ["--out-dir", str(out)]) == 0
+    return {name: data if echo or not name.endswith(".csv") else data.split(b"\n", 1)[1]
+            for name, data in compare_outputs.masked_files(out, args).items()}
 
 
 def test_denoise_synthetic_writes_outputs(tmp_path):
@@ -36,9 +33,7 @@ def test_denoise_synthetic_writes_outputs(tmp_path):
         "--max-iters", "60", "--out-dir", str(out),
     ])
     assert code == 0
-    assert (out / "trace.csv").exists()
-    assert (out / "denoised.pgm").exists()
-    assert (out / "noisy.pgm").exists()
+    assert sorted(p.name for p in out.iterdir()) == DENOISE_OUTPUTS
     summary = read_summary(out / "summary.txt")
     assert float(summary["psnr_out"]) > float(summary["psnr_in"])
     header = (out / "trace.csv").read_text().splitlines()
@@ -275,18 +270,11 @@ def test_non_finite_parameter_is_rejected_in_one_line(tmp_path, capsys, command,
 
 
 def test_denoise_determinism_byte_identical(tmp_path):
-    args = [
-        "denoise", "--synthetic", "16x16", "--sigma", "0.05", "--seed", "3",
-        "--max-iters", "50",
-    ]
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(args + ["--out-dir", str(out1)]) == 0
-    assert main(args + ["--out-dir", str(out2)]) == 0
-    assert (out1 / "denoised.pgm").read_bytes() == (out2 / "denoised.pgm").read_bytes()
-    assert (out1 / "noisy.pgm").read_bytes() == (out2 / "noisy.pgm").read_bytes()
-    assert mask_elapsed((out1 / "trace.csv").read_bytes()) == mask_elapsed(
-        (out2 / "trace.csv").read_bytes()
-    )
+    args = ["denoise", "--synthetic", "16x16", "--sigma", "0.05", "--seed", "3",
+            "--max-iters", "50"]
+    files = masked_run(args, tmp_path / "a")
+    assert sorted(files) == DENOISE_OUTPUTS
+    assert files == masked_run(args, tmp_path / "b")
 
 
 def test_lasso_synthetic_writes_per_seed_and_aggregate(tmp_path):
@@ -321,7 +309,9 @@ def test_lasso_zero_epochs_summary_reads_the_starting_objective(tmp_path):
     assert summary["mean_final_penalized_objective"] == "1"
 
 
-@pytest.mark.parametrize("seeds", ["abc", "1,x", "0", "-2", "1,-1", "3,", "3,3", "1,2,1"])
+# the last count is past sys.maxsize, so range() cannot enumerate it
+@pytest.mark.parametrize("seeds", ["abc", "1,x", "0", "-2", "1,-1", "3,", "3,3", "1,2,1",
+                                   "99999999999999999999999"])
 def test_lasso_bad_seed_list_is_a_usage_error(tmp_path, seeds, capsys):
     code = main([
         "lasso", "--synthetic", "40,4", "--seeds", seeds, "--max-epochs", "1",
@@ -337,29 +327,23 @@ def test_lasso_trace_csvs_are_byte_identical_across_reruns(tmp_path, estimator):
         "lasso", "--synthetic", "200,10", "--estimator", estimator, "--seeds", "1,2",
         "--batch", "2", "--max-epochs", "2",
     ]
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(args + ["--out-dir", str(out1)]) == 0
-    assert main(args + ["--out-dir", str(out2)]) == 0
+    files = masked_run(args, tmp_path / "a")
     for name in ["seed_1_trace.csv", "seed_2_trace.csv", "aggregate.csv"]:
-        t1 = mask_elapsed((out1 / name).read_bytes())
         # the rows span several batches of full sums and end inside one
-        rows = len(t1.splitlines()) - 2
+        rows = files[name].count(b"\n") - 2
         assert rows > sppdg.ROW_BATCH and rows % sppdg.ROW_BATCH
-        assert t1 == mask_elapsed((out2 / name).read_bytes())
+    assert files == masked_run(args, tmp_path / "b")
 
 
 def test_lasso_full_estimator_matches_full_batch_svrg(tmp_path):
-    base = [
-        "lasso", "--synthetic", "40,6", "--seeds", "1", "--max-epochs", "6",
-        "--normalize-rows",
-    ]
-    out1, out2 = tmp_path / "full", tmp_path / "svrg"
-    assert main(base + ["--estimator", "full", "--out-dir", str(out1)]) == 0
-    assert main(base + ["--estimator", "svrg", "--batch", "40", "--out-dir", str(out2)]) == 0
-    t1 = mask_elapsed((out1 / "seed_0_trace.csv").read_bytes())
-    t2 = mask_elapsed((out2 / "seed_0_trace.csv").read_bytes())
-    # identical sequences except the flag echo line
-    assert t1.splitlines()[1:] == t2.splitlines()[1:]
+    base = ["lasso", "--synthetic", "40,6", "--seeds", "1", "--max-epochs", "6", "--normalize-rows"]
+    runs = [masked_run(base + extra, tmp_path / name, echo=False) for name, extra in
+            (("full", ["--estimator", "full"]), ("svrg", ["--estimator", "svrg", "--batch", "40"]))]
+    # identical outputs but for the flag echoes and the summaries' estimator and batch lines
+    for files in runs:
+        files["summary.txt"] = files["summary.txt"].split(b"\n", 2)[2]
+    assert sorted(runs[0]) == ["aggregate.csv", "seed_0_trace.csv", "summary.txt"]
+    assert runs[0] == runs[1]
 
 
 def test_lasso_libsvm_input(tmp_path):
@@ -424,17 +408,10 @@ def test_lasso_v_file_fixes_the_width_of_libsvm_rows(tmp_path, capsys):
     for name, lines in (("unnamed", rows), ("named", [rows[0] + " 6:0", *rows[1:]])):
         data = tmp_path / f"{name}.svm"
         data.write_text("\n".join(lines) + "\n")
-        out = tmp_path / name
-        assert main(["lasso", "--data", str(data), "--v-file", str(graph), "--estimator",
-                     "saga", "--seeds", "1,2", "--batch", "2", "--max-epochs", "4",
-                     "--out-dir", str(out)]) == 0
-        files = {}
-        for path in sorted(out.iterdir()):
-            text = path.read_text()
-            if path.suffix == ".csv":  # drop the flag echo, which names the data file
-                text = text.split("\n", 1)[1]
-            files[path.name] = mask_elapsed(text.encode()) if "seed_" in path.name else text
-        runs.append((files, capsys.readouterr().out))
+        args = ["lasso", "--data", str(data), "--v-file", str(graph), "--estimator", "saga",
+                "--seeds", "1,2", "--batch", "2", "--max-epochs", "4"]
+        # the flag echo names the data file
+        runs.append((masked_run(args, tmp_path / name, echo=False), capsys.readouterr().out))
     assert sorted(runs[0][0]) == ["aggregate.csv", "seed_1_trace.csv", "seed_2_trace.csv",
                                   "summary.txt"]
     assert runs[0] == runs[1]
@@ -528,6 +505,13 @@ def test_prox_check_passes_for_each_kind():
 def test_prox_check_rejects_invalid_gamma():
     assert main(["prox-check", "--reg", "scad", "--lam", "1", "--gamma", "2",
                  "--r", "0.5"]) == 2
+
+
+def test_prox_check_parameters_that_overflow_a_float_are_a_usage_error(capsys):
+    for args, kind in [("scad --lam 1e200 --r 1e201", "scad_box"),
+                       ("lp --r 1e-320 --p 0.01", "lp_ball")]:
+        assert main(["prox-check", "--reg", *args.split()]) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: {kind}: ")
 
 
 @pytest.mark.parametrize("flag, value, message", [

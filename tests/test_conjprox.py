@@ -26,14 +26,16 @@ def catalog():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        L1(0.0)
-    with pytest.raises(ValueError):
-        L0Box(0.1, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        LpBall(1.0, 1.5, 1.0)
-    with pytest.raises(ValueError):
-        ScadBox(1.0, 2.0, 1.0)
+    # the last five: parameters whose derived constants overflow a float
+    for kind, args in [(L1, (0.0,)), (L0Box, (0.1, 0.5, 1.0)), (LpBall, (1.0, 1.5, 1.0)),
+                       (ScadBox, (1.0, 2.0, 1.0)), (ScadBox, (1e200, 3.0, 1e201)),
+                       (ScadBox, (1e200, 3.0, 1.0)), (LpBall, (1.0, 0.01, 1e-320)),
+                       (ScadBox, (1e-200, 1e308, 1.0)),  # 2 gamma alone overflows
+                       (LpBall, (1e300, 0.5, 1e-20))]:  # r**(p - 1) is finite, lam times it not
+        with pytest.raises(ValueError, match=f"^{kind.kind}: "):
+            kind(*args)
+    # the largest accepted gamma * lam still gives a finite penalty everywhere
+    assert np.isfinite(ScadBox(1.0, 9e153, 1e160).value_h(np.array([0.0, 1.0, 5e153, 1e160])))
 
 
 # --- conjugate values ---------------------------------------------------

@@ -11,7 +11,9 @@ the run writes, its stdout and its exit code must be equal between the
 sides. The wall clock is masked first: the ``elapsed_s`` column of each
 CSV (found by its header name), the ``seconds=`` line of ``summary.txt``
 and the seconds field of the denoise stdout line. Stderr is not
-compared, since warnings name source paths.
+compared, since warnings name source paths. ``mask`` is the one statement
+of that rule: the test suite's rerun checks compare whole output
+directories through ``masked_files`` and stdout through ``mask``.
 
 The input files a command reads are written once per comparison into its
 temporary directory, and an argument that is a placeholder of FIXTURES
@@ -136,6 +138,11 @@ def mask(name, data, command):
     return data
 
 
+def masked_files(out_dir, command):
+    """{file name: masked bytes} of every file ``command`` wrote into ``out_dir``."""
+    return {p.name: mask(p.name, p.read_bytes(), command) for p in Path(out_dir).iterdir()}
+
+
 def run(side, command, out_dir):
     """(exit code, {output name: masked bytes}) of one command on one checkout."""
     env = dict(os.environ, PYTHONPATH=str(Path(side).resolve() / "src"))
@@ -144,10 +151,10 @@ def run(side, command, out_dir):
     out_flag = ["--out-dir", str(out_dir)] if command[0] in WRITERS else []
     proc = subprocess.run([sys.executable, "-m", "dualprox.cli", *command, *out_flag],
                           env=env, cwd=out_dir.parent, capture_output=True)
-    outputs = {"stdout": proc.stdout}
+    outputs = {"stdout": mask("stdout", proc.stdout, command)}
     if out_dir.is_dir():
-        outputs.update((p.name, p.read_bytes()) for p in out_dir.iterdir())
-    return proc.returncode, {name: mask(name, data, command) for name, data in outputs.items()}
+        outputs.update(masked_files(out_dir, command))
+    return proc.returncode, outputs
 
 
 def compare(parent, change, commands):
