@@ -243,9 +243,12 @@ class ScadBox(Regularizer):
         self.gamma = float(gamma)
         self.r = float(r)
         lam_, gam, r_ = self.lam, self.gamma, self.r
-        # the largest product the penalty forms; theta's terms stay below it
+        # the largest product the penalty forms; theta's numerators stay below it
         if not 2.0 * gam * lam_ * (gam * lam_) < np.inf:
             raise ValueError("scad_box: 2 (gamma * lam)**2 overflows a float")
+        # theta's denominator: 2 r (gamma - 1) below r = gamma * lam, 2 r from there on
+        if not 2.0 * r_ * (gam - 1.0 if r_ < gam * lam_ else 1.0) < np.inf:
+            raise ValueError("scad_box: theta's denominator overflows a float")
         if r_ < lam_:
             self.theta = lam_
         elif r_ < gam * lam_:

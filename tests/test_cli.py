@@ -28,11 +28,10 @@ def test_denoise_synthetic_writes_outputs(tmp_path):
     # 32x32 is the smallest size where the default penalty weight keeps
     # the block structure rather than merging it away
     out = tmp_path / "run"
-    code = main([
+    assert main([
         "denoise", "--synthetic", "32x32", "--sigma", "0.05", "--seed", "1",
         "--max-iters", "60", "--out-dir", str(out),
-    ])
-    assert code == 0
+    ]) == 0
     assert sorted(p.name for p in out.iterdir()) == DENOISE_OUTPUTS
     summary = read_summary(out / "summary.txt")
     assert float(summary["psnr_out"]) > float(summary["psnr_in"])
@@ -42,31 +41,27 @@ def test_denoise_synthetic_writes_outputs(tmp_path):
 
 
 def test_denoise_divergence_exits_1_at_the_step_that_formed_it(tmp_path, capsys):
-    code = main([
+    assert main([
         "denoise", "--synthetic", "16x16", "--alpha", "1e9", "--max-iters", "50",
         "--out-dir", str(tmp_path / "run"),
-    ])
-    assert code == 1
+    ]) == 1
     assert capsys.readouterr().err.startswith("error: diverged at iteration 1: ")
 
 
 def test_denoise_zero_iterations_outputs_noisy_unchanged(tmp_path):
     out = tmp_path / "run"
-    code = main([
+    assert main([
         "denoise", "--synthetic", "16x16", "--sigma", "0.05", "--seed", "1",
         "--max-iters", "0", "--out-dir", str(out),
-    ])
-    assert code == 0
-    noisy = (out / "noisy.pgm").read_bytes()
-    denoised = (out / "denoised.pgm").read_bytes()
-    assert noisy == denoised
+    ]) == 0
+    assert (out / "noisy.pgm").read_bytes() == (out / "denoised.pgm").read_bytes()
     assert read_summary(out / "summary.txt")["iters"] == "0"
 
 
 def test_denoise_negative_max_iters_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "run"
-    code = main(["denoise", "--synthetic", "16x16", "--max-iters", "-3", "--out-dir", str(out)])
-    assert code == 2
+    assert main(["denoise", "--synthetic", "16x16", "--max-iters", "-3",
+                 "--out-dir", str(out)]) == 2
     assert "usage error: denoise needs --max-iters >= 0" in capsys.readouterr().err
     assert not out.exists()
 

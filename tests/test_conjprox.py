@@ -26,16 +26,19 @@ def catalog():
 
 
 def test_parameter_validation():
-    # the last five: parameters whose derived constants overflow a float
+    # the last seven: parameters whose derived constants overflow a float (the last two:
+    # theta's denominator, 2 r (gamma - 1) below r = gamma lam and 2 r above it)
     for kind, args in [(L1, (0.0,)), (L0Box, (0.1, 0.5, 1.0)), (LpBall, (1.0, 1.5, 1.0)),
                        (ScadBox, (1.0, 2.0, 1.0)), (ScadBox, (1e200, 3.0, 1e201)),
                        (ScadBox, (1e200, 3.0, 1.0)), (LpBall, (1.0, 0.01, 1e-320)),
                        (ScadBox, (1e-200, 1e308, 1.0)),  # 2 gamma alone overflows
-                       (LpBall, (1e300, 0.5, 1e-20))]:  # r**(p - 1) is finite, lam times it not
+                       (LpBall, (1e300, 0.5, 1e-20)),  # r**(p - 1) is finite, lam times it not
+                       (ScadBox, (1e-154, 8e307, 1e153)), (ScadBox, (1.0, 3.0, 1e308))]:
         with pytest.raises(ValueError, match=f"^{kind.kind}: "):
             kind(*args)
     # the largest accepted gamma * lam still gives a finite penalty everywhere
     assert np.isfinite(ScadBox(1.0, 9e153, 1e160).value_h(np.array([0.0, 1.0, 5e153, 1e160])))
+    assert ScadBox(1.0, 3.0, 5e307).theta == 4.0 / 1e308  # 2 r just below inf: theta is not 0
 
 
 # --- conjugate values ---------------------------------------------------
