@@ -197,7 +197,8 @@ def cmd_lasso(args):
         out / "summary.txt",
         [
             ("estimator", args.estimator),
-            ("batch", batch),
+            # the full estimator reads all N rows at every step
+            ("batch", n if args.estimator == "full" else batch),
             ("seeds_ok", len(survivors)),
             ("seeds_failed", len(result.per_seed) - len(survivors)),
             ("mean_final_objective", f"{final_obj:.17g}"),

@@ -5,6 +5,9 @@ constant of the gradient) with a linear operator and a regularizer, so
 the solvers never see application specifics. A FiniteSumProblem is the
 case f = (1/N) sum f_i, with the same interface plus per-component
 access for the stochastic estimators, so both solvers take it as is.
+The estimators read the components through one batch oracle,
+``batch_grad(idx, x)``: the rows ``component_grad(i, x)`` for i in idx,
+stacked.
 Its full sums ``full_value``, ``full_grad`` and ``full_sums`` (f and
 grad f at a stack of points) average the components; the fused lasso,
 SigmoidLossSum over its ``rows`` and ``labels``, overrides them with
@@ -222,6 +225,10 @@ class FiniteSumProblem:
             total += self.component_grad(i, x)
         return total / self.n_components
 
+    def batch_grad(self, idx, x):
+        """(len(idx), n): row j is component_grad(idx[j], x)."""
+        return np.stack([self.component_grad(i, x) for i in idx])
+
     def full_sums(self, xs):
         """(values (K,), gradients (K, n)): full_value and full_grad at each row of xs."""
         values = np.empty(len(xs))
@@ -257,6 +264,15 @@ class SigmoidLossSum(FiniteSumProblem):
     Every result is bit-identical to a one-thread pass over the blocks.
     Its sums run in another order than the per-point oracles', so they
     agree with them to roundoff, not bit for bit.
+
+    ``batch_grad(idx, x)`` forms a mini-batch's rows in one pass and
+    equals the stacked ``component_grad`` rows bit for bit. Its margins
+    are per-row dot products, ``(rows[idx][:, None, :] @ x)[:, 0]``, each
+    the same reduction as ``rows[i] @ x``; ``rows[idx] @ x`` is one GEMV,
+    whose sums group the terms otherwise and differ in the last bits. It
+    stands in for ``component_grad`` only while that is the class's own
+    method: a ``component_grad`` set on the instance (a wrapper that
+    counts or times its calls) is called once per row.
     """
 
     def __init__(self, rows, labels, operator, regularizer):
@@ -274,6 +290,13 @@ class SigmoidLossSum(FiniteSumProblem):
     def component_grad(self, i, x):
         t = np.tanh(self.labels[i] * (self.rows[i] @ x))
         return (-self.labels[i] * (1.0 - t * t)) * self.rows[i]
+
+    def batch_grad(self, idx, x):
+        if "component_grad" in vars(self):
+            return super().batch_grad(idx, x)
+        rows, labels = self.rows[idx], self.labels[idx]
+        t = np.tanh(labels * (rows[:, None, :] @ x)[:, 0])
+        return (-labels * (1.0 - t * t))[:, None] * rows
 
     def full_value(self, x):
         return float(np.mean(1.0 - np.tanh(self.labels * (self.rows @ x))))

@@ -192,7 +192,7 @@ def _run_one_seed(problem, estimator_kind, config, step_config, weights, seed,
     n = problem.n_components
     budget = config.max_epochs * n
     estimator = make_estimator(estimator_kind, n, batch_size, seed, period=period)
-    estimator.reset(problem.component_grad, problem.full_grad)
+    estimator.reset(problem.batch_grad, problem.full_grad)
     pending, records, evals_at = [], [], []
 
     def flush():

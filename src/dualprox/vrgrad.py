@@ -9,9 +9,9 @@ written once on the base class. A kind states only its anchor rows and
 how its memory moves after a step:
 
 * SAGA anchors on a table of the last gradient seen per component. It
-  writes the fresh rows back and updates the table mean incrementally.
-  The table is dense (N x n memory), which is the scaling limit of this
-  implementation.
+  seeds the table in blocks of BLOCK_ROWS rows, writes the fresh rows
+  back and updates the table mean incrementally. The table is dense
+  (N x n memory), which is the scaling limit of this implementation.
 * SVRG anchors on the gradients at a snapshot point, refreshed every
   ``period`` iterations; at a refresh the emitted estimate IS the full
   gradient, bit for bit.
@@ -21,9 +21,12 @@ how its memory moves after a step:
 * ``"full"`` is SVRG with batch N and period 1: the exact mean gradient
   at every step.
 
-``reset(component_grad, full_grad)`` binds the two gradient oracles, so
+``reset(batch_grad, full_grad)`` binds the two gradient oracles, so
 that ``estimate(k, x)`` is itself the gradient oracle of the primal-dual
-loop. The memory is seeded by the k = 0 estimate, at the x the loop
+loop. ``batch_grad(idx, x)`` (``FiniteSumProblem.batch_grad``) returns
+the ``(len(idx), n)`` component gradients of the indices idx at x; every
+fresh row, anchor row and table row is read through it, one call per
+batch. The memory is seeded by the k = 0 estimate, at the x the loop
 starts from, and its N evaluations are charged there; an estimate before
 ``reset``, or a first one at k > 0, raises RuntimeError.
 
@@ -58,6 +61,8 @@ differs.
 import functools
 
 import numpy as np
+
+from .problems import _row_blocks
 
 __all__ = [
     "sample_batch",
@@ -295,9 +300,9 @@ class _EstimatorBase:
                                          max(1, BATCH_BLOCK_PICKS // self.batch_size))
         return self._block[row]
 
-    def reset(self, component_grad, full_grad):
+    def reset(self, batch_grad, full_grad):
         """Bind the gradient oracles; the k = 0 estimate seeds the memory."""
-        self.component_grad = component_grad
+        self.batch_grad = batch_grad
         self.full_grad = full_grad
         self.evals = 0
         self._ready = True
@@ -313,7 +318,7 @@ class _EstimatorBase:
         The estimate divides that one column sum by the batch size, which is
         the differences' ``mean(axis=0)`` bit for bit.
         """
-        fresh = np.stack([self.component_grad(i, x) for i in batch])
+        fresh = self.batch_grad(batch, x)
         total = np.add.reduce(fresh - self._anchor_rows(batch), axis=0)
         return total / len(batch) + self.anchor_mean, fresh, total
 
@@ -337,7 +342,9 @@ class SagaEstimator(_EstimatorBase):
     kind = "saga"
 
     def _anchor_at(self, x):
-        self.table = np.stack([self.component_grad(i, x) for i in range(self.n_components)])
+        self.table = np.empty((self.n_components, *np.shape(x)))
+        for blk in _row_blocks(self.n_components):
+            self.table[blk] = self.batch_grad(np.arange(blk.start, blk.stop), x)
         self.anchor_mean = self.table.mean(axis=0)
 
     def _anchor_rows(self, batch):
@@ -367,7 +374,7 @@ class SvrgEstimator(_EstimatorBase):
         self.anchor_mean = self.full_grad(self.anchor_x)
 
     def _anchor_rows(self, batch):
-        return np.stack([self.component_grad(i, self.anchor_x) for i in batch])
+        return self.batch_grad(batch, self.anchor_x)
 
     def estimate(self, k, x):
         self._check_start(k)

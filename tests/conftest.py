@@ -115,6 +115,11 @@ def oracle_conj_deviation(reg, points):
                         initial=0.0))
 
 
+def stacked(component_grad):
+    """The batch oracle ``(idx, x) -> np.stack([component_grad(i, x) for i in idx])``."""
+    return lambda idx, x: np.stack([component_grad(i, x) for i in idx])
+
+
 def anchored_estimate(est, batch, x):
     """mean_B(grad f_i(x) - anchor_i) + anchor_mean for an explicit batch.
 
@@ -125,8 +130,8 @@ def anchored_estimate(est, batch, x):
     if hasattr(est, "table"):
         anchors = est.table[batch]
     else:
-        anchors = np.stack([est.component_grad(i, est.anchor_x) for i in batch])
-    fresh = np.stack([est.component_grad(i, x) for i in batch])
+        anchors = est.batch_grad(batch, est.anchor_x)
+    fresh = est.batch_grad(batch, x)
     return (fresh - anchors).mean(axis=0) + est.anchor_mean
 
 

@@ -27,6 +27,7 @@ from conftest import (
     quadratic_finite_sum,
     quadratic_problem,
     run_history,
+    stacked,
 )
 from dualprox import cli, conjprox, dataio, linops, ppdg, problems, sppdg, vrgrad
 from dualprox.ppdg import LyapunovConstants, PpdgConfig
@@ -208,7 +209,7 @@ def test_criterion_09_estimator_unbiasedness():
     for kind in ("saga", "svrg"):
         for b in (1, 2):
             est = vrgrad.make_estimator(kind, 8, b, seed=0)
-            est.reset(cg, fg).estimate(0, np.zeros(3))
+            est.reset(stacked(cg), fg).estimate(0, np.zeros(3))
             vals = [
                 anchored_estimate(est, np.array(batch), x)
                 for batch in itertools.combinations(range(8), b)
@@ -216,10 +217,10 @@ def test_criterion_09_estimator_unbiasedness():
             err = float(np.max(np.abs(np.mean(vals, axis=0) - fg(x))))
             assert err <= 1e-12, (kind, b)
     svrg = vrgrad.make_estimator("svrg", 8, 2, seed=0)
-    svrg.reset(cg, fg).estimate(0, np.zeros(3))
+    svrg.reset(stacked(cg), fg).estimate(0, np.zeros(3))
     assert np.array_equal(svrg.estimate(4, x), fg(x))
     sarah = vrgrad.make_estimator("sarah", 8, 2, seed=0)
-    sarah.reset(cg, fg)
+    sarah.reset(stacked(cg), fg)
     assert np.array_equal(sarah.estimate(0, np.zeros(3)), fg(np.zeros(3)))
     _report(9, "batch-enumeration means exact to 1e-12; snapshot/restart exact")
 

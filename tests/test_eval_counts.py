@@ -17,6 +17,9 @@ lasso evaluates all the points' margins tanh(b * (X @ rows.T)) in one
 matrix-matrix product per block of data rows, so its objective,
 lagrangian, lyapunov and kkt_x columns may differ from a per-point
 evaluation at roundoff.
+An estimator reads the components through the problem's batch_grad
+only: an SVRG step off a snapshot reads two batches, a SAGA step one,
+and SAGA seeds its table with one call per BLOCK_ROWS block of rows.
 """
 
 from collections import Counter
@@ -24,7 +27,7 @@ from collections import Counter
 import numpy as np
 
 from conftest import quadratic_problem, split_quadratic_finite_sum
-from dualprox import conjprox, linops, ppdg, problems, sppdg
+from dualprox import conjprox, linops, ppdg, problems, sppdg, vrgrad
 from dualprox.sppdg import SppdgConfig, solve_stochastic
 
 
@@ -141,19 +144,83 @@ def test_stochastic_fused_lasso_row_computes_the_margins_once(monkeypatch):
     tanh = np.tanh
 
     def counted_tanh(u, *args, **kwargs):
-        # a component's margin is a scalar; the full sums' margins of one block
-        # of data rows at a stack of points form a (points, rows) array
+        # a batch_grad call's margins form a vector, one per row it reads; the
+        # full sums' margins of one block of data rows at a stack of points
+        # form a (points, rows) array
         if np.ndim(u) == 2:
             calls["margin blocks"] += 1
         elif np.ndim(u) == 1:
-            calls["margin vectors"] += 1
+            calls[f"margins of {len(u)} rows"] += 1
         return tanh(u, *args, **kwargs)
 
     monkeypatch.setattr(np, "tanh", counted_tanh)
     cfg = SppdgConfig(max_epochs=12, tol_step=0.0, seeds=(1,))
-    rows = len(solve_stochastic(fsp, "saga", cfg, batch_size=2).per_seed[0].records)
+    run = solve_stochastic(fsp, "saga", cfg, batch_size=2).per_seed[0]
+    rows = len(run.records)
     batches = -(-rows // sppdg.ROW_BATCH)
     assert rows > sppdg.ROW_BATCH and rows % sppdg.ROW_BATCH
     # N < BLOCK_ROWS, so each batch reads the N x n data twice: X @ rows.T once,
-    # the gradients' product with rows once; no row calls full_value or full_grad
-    assert calls == {"full_sums": batches, "margin blocks": batches, "evals": 2 * 12 * rows}
+    # the gradients' product with rows once; no row calls full_value or full_grad.
+    # SAGA seeds its table in one block of N = 12 rows, and each estimate, the
+    # k = 0 one at the start point and one per step, reads a batch of 2 rows
+    assert calls == {"full_sums": batches, "margin blocks": batches, "evals": 2 * 12 * rows,
+                     "margins of 12 rows": 1, "margins of 2 rows": run.report.iters + 1}
+
+
+def counted_fused_lasso(monkeypatch, n_rows):
+    """A fused lasso whose batch_grad calls record their sizes in ``sizes``,
+    and whose class-level component_grad counts its calls in ``calls``."""
+    rows_data, labels = problems.synthetic_fused_lasso_data(n_rows, 4, seed=2)
+    prob = problems.build_fused_lasso(rows_data, labels, np.zeros((4, 4)), normalize_rows=True)
+    calls, sizes = Counter(), []
+    component_grad = problems.SigmoidLossSum.component_grad
+
+    def counted_component_grad(self, i, x):
+        calls["component_grad"] += 1
+        return component_grad(self, i, x)
+
+    # on the class, so the instance keeps its vectorized batch_grad
+    monkeypatch.setattr(problems.SigmoidLossSum, "component_grad", counted_component_grad)
+    batch_grad = prob.batch_grad
+
+    def counted_batch_grad(idx, x):
+        sizes.append(len(idx))
+        return batch_grad(idx, x)
+
+    prob.batch_grad = counted_batch_grad
+    return prob, calls, sizes
+
+
+def test_an_svrg_step_reads_two_batches_and_no_component(monkeypatch):
+    prob, calls, sizes = counted_fused_lasso(monkeypatch, 40)
+    b = 5
+    est = vrgrad.make_estimator("svrg", 40, b, seed=1, period=4)
+    est.reset(prob.batch_grad, prob.full_grad)
+    xs = np.random.default_rng(4).standard_normal((3, 4))
+    est.estimate(0, xs[0])  # the snapshot reads the full gradient only
+    assert sizes == [] and est.evals == 40
+    for k in (1, 2):
+        sizes.clear()
+        est.estimate(k, xs[k])
+        # the fresh rows at x^k, then the anchor rows at the snapshot
+        assert sizes == [b, b]
+    assert est.evals == 40 + 2 * 2 * b
+    assert calls == {}
+
+
+def test_a_saga_step_reads_one_batch_and_seeds_its_table_in_row_blocks(monkeypatch):
+    n_rows = 2 * problems.BLOCK_ROWS + 3
+    prob, calls, sizes = counted_fused_lasso(monkeypatch, n_rows)
+    b = 3
+    est = vrgrad.make_estimator("saga", n_rows, b, seed=1)
+    est.reset(prob.batch_grad, prob.full_grad)
+    xs = np.random.default_rng(4).standard_normal((3, 4))
+    est.estimate(0, xs[0])
+    # one batch_grad call per BLOCK_ROWS block of the table, then the k = 0 batch
+    assert sizes == [problems.BLOCK_ROWS, problems.BLOCK_ROWS, 3, b]
+    for k in (1, 2):
+        sizes.clear()
+        est.estimate(k, xs[k])
+        assert sizes == [b]
+    assert est.evals == n_rows + 3 * b
+    assert calls == {}

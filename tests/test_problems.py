@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import split_quadratic_finite_sum
 from dualprox import ppdg, problems, sppdg
@@ -286,6 +287,55 @@ def test_fused_lasso_is_a_finite_sum_over_its_rows_and_labels(normalize_rows):
     assert prob.n_components == 30
 
 
+@st.composite
+def fused_lasso_batches(draw):
+    """(problem, sorted distinct idx, x): any size, batch, scale of x and row normalization."""
+    n_rows, n = draw(st.integers(1, 80)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((n_rows, n))
+    labels = rng.choice([-1.0, 1.0], n_rows)
+    prob = build_fused_lasso(rows, labels, np.zeros((n, n)), normalize_rows=draw(st.booleans()))
+    idx = draw(st.one_of(
+        st.just(list(range(n_rows))),
+        st.lists(st.integers(0, n_rows - 1), min_size=1, unique=True).map(sorted),
+    ))
+    x = 10.0 ** draw(st.floats(-4.0, 4.0)) * rng.standard_normal(n)
+    return prob, np.array(idx), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(fused_lasso_batches())
+def test_fused_lasso_batch_rows_are_its_component_rows_bit_for_bit(case):
+    prob, idx, x = case
+    assert "component_grad" not in vars(prob)
+    want = np.stack([prob.component_grad(i, x) for i in idx])
+    assert np.array_equal(prob.batch_grad(idx, x), want)
+
+
+@pytest.mark.parametrize("fused", [False, True], ids=["finite_sum", "fused_lasso"])
+def test_batch_grad_calls_a_component_grad_on_the_instance_once_per_row(fused):
+    # the default stacks component_grad; on the fused lasso, a wrapper set on
+    # the instance, as a tracer sets one, turns the vectorized pass off
+    if fused:
+        rows, labels = synthetic_fused_lasso_data(30, 4, seed=1)
+        prob = build_fused_lasso(rows, labels, np.zeros((4, 4)), normalize_rows=True)
+    else:
+        prob = split_quadratic_finite_sum(30, 4)
+    component_grad, seen = prob.component_grad, []
+
+    def counted(i, x):
+        seen.append(i)
+        return component_grad(i, x)
+
+    prob.component_grad = counted
+    x = np.random.default_rng(2).standard_normal(4)
+    for idx in ([7], [0, 5, 9, 29], list(range(30))):
+        seen.clear()
+        got = prob.batch_grad(np.array(idx), x)
+        assert seen == idx
+        assert np.array_equal(got, np.stack([component_grad(i, x) for i in idx]))
+
+
 def test_fused_lasso_problem_is_freed_without_the_cyclic_collector():
     # the problem keeps no reference to itself, such as a stored bound method,
     # so its N x n data is freed as soon as the last reference goes
@@ -293,7 +343,8 @@ def test_fused_lasso_problem_is_freed_without_the_cyclic_collector():
     prob = build_fused_lasso(rows, labels, build_precision_graph(rows), normalize_rows=True)
     x = np.ones(4)
     prob.f_value(x) + prob.regularizer.value_h(prob.operator.apply(x))
-    prob.grad_f(x), prob.component_grad(0, x), prob.full_sums(np.stack([x, -x]))
+    prob.grad_f(x), prob.component_grad(0, x), prob.batch_grad([0, 1], x)
+    prob.full_sums(np.stack([x, -x]))
     freed = weakref.ref(prob)
     gc.disable()
     try:

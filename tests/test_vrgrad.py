@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import anchored_estimate
+from conftest import anchored_estimate, stacked
 from dualprox import vrgrad
 from dualprox.vrgrad import default_period, make_estimator, sample_batch, sample_batches
 
@@ -132,7 +132,7 @@ def test_estimates_before_reset_or_a_k0_start_raise(quad_components, kind):
     est = make_estimator(kind, 8, 2, seed=0, period=4)
     with pytest.raises(RuntimeError, match="call reset"):
         est.estimate(0, np.zeros(3))
-    est.reset(cg, fg)
+    est.reset(stacked(cg), fg)
     # k = 4 is a snapshot of the period-4 kinds, but still no start
     for k in (1, 4):
         with pytest.raises(RuntimeError, match=f"first estimate after reset is at k = 0, not {k}"):
@@ -145,7 +145,7 @@ def test_the_k0_estimate_seeds_the_memory_at_its_point(quad_components, kind):
     cg, fg = quad_components
     x0 = np.array([0.4, -1.5, 2.0])
     est = make_estimator(kind, 8, 2, seed=3)
-    est.reset(cg, fg)
+    est.reset(stacked(cg), fg)
     assert est.evals == 0
     est.estimate(0, x0)
     if kind == "saga":
@@ -195,7 +195,7 @@ def test_unbiasedness_by_batch_enumeration(quad_components, kind, batch_size):
     rng = np.random.default_rng(5)
     x = rng.standard_normal(3)
     est = make_estimator(kind, 8, batch_size, seed=0)
-    est.reset(cg, fg).estimate(0, np.zeros(3))
+    est.reset(stacked(cg), fg).estimate(0, np.zeros(3))
     vals = [
         anchored_estimate(est, np.array(batch), x)
         for batch in itertools.combinations(range(8), batch_size)
@@ -207,7 +207,7 @@ def test_saga_full_table_gives_exact_gradient(quad_components):
     cg, fg = quad_components
     x = np.full(3, 0.25)
     est = make_estimator("saga", 8, 3, seed=0)
-    est.reset(cg, fg).estimate(0, x)  # table entries equal the gradients at x
+    est.reset(stacked(cg), fg).estimate(0, x)  # table entries equal the gradients at x
     g = anchored_estimate(est, np.array([1, 4, 6]), x)
     assert np.allclose(g, fg(x), atol=1e-12)
 
@@ -215,7 +215,7 @@ def test_saga_full_table_gives_exact_gradient(quad_components):
 def test_svrg_snapshot_emits_exact_full_gradient(quad_components):
     cg, fg = quad_components
     est = make_estimator("svrg", 8, 2, seed=1)  # period 4
-    est.reset(cg, fg)
+    est.reset(stacked(cg), fg)
     assert np.array_equal(est.estimate(0, np.zeros(3)), fg(np.zeros(3)))
     x4 = np.ones(3)
     assert np.array_equal(est.estimate(4, x4), fg(x4))
@@ -224,7 +224,7 @@ def test_svrg_snapshot_emits_exact_full_gradient(quad_components):
 def test_sarah_restart_emits_exact_full_gradient(quad_components):
     cg, fg = quad_components
     est = make_estimator("sarah", 8, 2, seed=1)
-    est.reset(cg, fg)
+    est.reset(stacked(cg), fg)
     assert np.array_equal(est.estimate(0, np.zeros(3)), fg(np.zeros(3)))
     x4 = -np.ones(3)
     assert np.array_equal(est.estimate(4, x4), fg(x4))
@@ -234,7 +234,7 @@ def test_sarah_recursion_formula(quad_components):
     cg, fg = quad_components
     est = make_estimator("sarah", 8, 2, seed=3)
     x0 = np.zeros(3)
-    est.reset(cg, fg)
+    est.reset(stacked(cg), fg)
     g0 = est.estimate(0, x0)
     x1 = np.array([0.1, -0.2, 0.3])
     batch = sample_batch(3, 8, 2, 1)
@@ -246,7 +246,7 @@ def test_sarah_recursion_formula(quad_components):
 def test_saga_table_mean_invariant(quad_components):
     cg, fg = quad_components
     est = make_estimator("saga", 8, 2, seed=7)
-    est.reset(cg, fg)
+    est.reset(stacked(cg), fg)
     rng = np.random.default_rng(0)
     x = np.zeros(3)
     for k in range(60):
@@ -261,7 +261,7 @@ def test_reset_restores_identical_stream(quad_components):
 
     def stream():
         est = make_estimator("saga", 8, 2, seed=4)
-        est.reset(cg, fg)
+        est.reset(stacked(cg), fg)
         return [est.estimate(k, xs[k]) for k in range(9)]
 
     first, second = stream(), stream()
@@ -273,7 +273,7 @@ def test_reset_then_first_estimates_are_full_gradients(quad_components):
     x0 = np.array([0.5, 0.5, 0.5])
     for kind in ("svrg", "sarah"):
         est = make_estimator(kind, 8, 2, seed=2)
-        est.reset(cg, fg)
+        est.reset(stacked(cg), fg)
         assert np.array_equal(est.estimate(0, x0), fg(x0))
 
 
@@ -283,8 +283,8 @@ def test_full_kind_is_full_batch_svrg_with_period_one(quad_components):
     svrg = make_estimator("svrg", 8, 8, seed=5, period=1)
     assert (full.batch_size, full.period) == (8, 1)
     xs = np.random.default_rng(9).standard_normal((12, 3))
-    full.reset(cg, fg)
-    svrg.reset(cg, fg)
+    full.reset(stacked(cg), fg)
+    svrg.reset(stacked(cg), fg)
     for k, x in enumerate(xs):
         got = full.estimate(k, x)
         assert np.array_equal(got, svrg.estimate(k, x))
@@ -296,7 +296,7 @@ def test_sarah_recursion_over_a_period(quad_components):
     cg, fg = quad_components
     est = make_estimator("sarah", 8, 2, seed=6, period=6)
     xs = np.random.default_rng(2).standard_normal((7, 3))
-    est.reset(cg, fg)
+    est.reset(stacked(cg), fg)
     previous = est.estimate(0, xs[0])
     for k in range(1, 6):
         batch = sample_batch(6, 8, 2, k)
@@ -309,7 +309,7 @@ def test_sarah_recursion_over_a_period(quad_components):
 def test_full_estimator_is_exact(quad_components):
     cg, fg = quad_components
     est = make_estimator("full", 8, 2, seed=0)
-    est.reset(cg, fg).estimate(0, np.zeros(3))
+    est.reset(stacked(cg), fg).estimate(0, np.zeros(3))
     x = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(est.estimate(5, x), fg(x))
 
@@ -317,7 +317,7 @@ def test_full_estimator_is_exact(quad_components):
 def test_eval_accounting(quad_components):
     cg, fg = quad_components
     est = make_estimator("svrg", 8, 2, seed=0)  # period 4
-    est.reset(cg, fg)
+    est.reset(stacked(cg), fg)
     assert est.evals == 0
     est.estimate(0, np.zeros(3))
     assert est.evals == 8  # the snapshot is seeded at k = 0
@@ -334,7 +334,7 @@ def test_variance_decays_along_converging_run(quad_components):
     x_star = np.array([0.3, -0.1, 0.2])
     checkpoints = {10: None, 100: None, 1000: None}
     est = make_estimator("saga", 8, 2, seed=0)
-    est.reset(cg, fg)
+    est.reset(stacked(cg), fg)
     for k in range(1001):
         x = x_star + (x_star - np.zeros(3)) * 0.99**k * np.array([1.0, -1.0, 0.5])
         est.estimate(k, x)
@@ -379,7 +379,7 @@ def test_estimates_draw_sample_batch_across_block_boundaries(quad_components, mo
     cg, fg = quad_components
     est = make_estimator(kind, 8, 2, seed=9, period=4)
     drawn = drawn_batches(est)
-    est.reset(cg, fg)
+    est.reset(stacked(cg), fg)
     xs = np.random.default_rng(4).standard_normal((10, 3))
     for k, x in enumerate(xs):
         est.estimate(k, x)
